@@ -5,17 +5,9 @@ from .spectral import (
     NEUMANN,
     PERIODIC,
     DomainSpec,
-    GridField,
     SpectralBasis,
-    SpectralField,
     build_basis,
-    dirichlet_mass,
-    eigenfunction_eval,
     heat_kernel_decay_fit,
-    heat_kernel_eval,
-    semigroup_apply,
-    to_grid,
-    to_spectral,
 )
 from .noise import (
     DecayReport,
@@ -28,7 +20,6 @@ from .noise import (
     kernel_eval,
     kernel_params,
     make_sampler,
-    sample_increment,
     verify_decay,
 )
 from .stepping import (
@@ -43,7 +34,6 @@ from .stepping import (
     initial_field,
     run_trajectory,
     sigma_eval,
-    step,
 )
 from .diagnostics import (
     DoobReport,

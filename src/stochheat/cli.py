@@ -12,6 +12,7 @@ exceeded (or inconsistent result files for ``report``).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -63,7 +64,11 @@ def cmd_sweep_gamma(args) -> int:
     gammas = [float(g) for g in args.gammas.split(",")]
     thresholds = [float(t) for t in args.thresholds.split(",")]
     result = sweep_gamma(config, gammas, thresholds)
-    out_dir = Path(args.output or config.output_dir) / f"sweep-{result.config_hash}"
+    # the grids are part of the experiment: a stamp over the config alone
+    # would let sweeps with different grids overwrite each other
+    grids = json.dumps([result.config_hash, result.gammas, result.thresholds])
+    stamp = hashlib.sha256(grids.encode()).hexdigest()[:12]
+    out_dir = Path(args.output or config.output_dir) / f"sweep-{stamp}"
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.json").write_text(json.dumps(result.to_dict(), indent=2) + "\n")
     (out_dir / "exit_fractions.csv").write_text(result.exit_table_csv())

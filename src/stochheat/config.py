@@ -39,7 +39,7 @@ from .noise import (
     critical_exponent,
     kernel_params,
 )
-from .spectral import BOUNDARY_CONDITIONS, DomainSpec
+from .spectral import DomainSpec
 from .stepping import SigmaSpec
 
 
@@ -74,6 +74,12 @@ class SimConfig:
             raise ConfigError("run.dt: must be positive")
         if self.horizon <= 0:
             raise ConfigError("run.horizon: must be positive")
+        steps = round(self.horizon / self.dt)
+        if abs(steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
+            raise ConfigError(
+                f"run.horizon: {self.horizon!r} is not a whole number of "
+                f"run.dt = {self.dt!r} steps"
+            )
         if self.mass_bound <= 0:
             raise ConfigError("run.mass_bound: must be positive")
         if self.paths < 1:

@@ -361,13 +361,6 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
 
     sampler = make_sampler(noise_spec, basis)
     rng = path_rng(seed)
-    d = basis.dimension
-    decay = basis.axis_decay(dt)
-    decay_axes = []
-    for axis in range(d):
-        shape = [1] * (d + 1)
-        shape[axis + 1] = basis.axis_mode_count
-        decay_axes.append(decay.reshape(shape))
 
     spectral_fast = isinstance(noise_spec, SpectralKernel) and np.all(phi_vals == 1.0)
     center = basis.center_point()
@@ -388,9 +381,8 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
         else:
             dW = sampler.sample_batch(dt, rng, paths)
             incr = basis.to_spectral_batch(phi_vals * dW)
-        Z = Z + incr
-        for dec in decay_axes:
-            Z = Z * dec
+        Z += incr  # in place: one (paths, modes) temporary fewer at peak
+        Z = basis.semigroup(Z, dt)
         Z_grid = basis.to_grid_batch(Z)
         flat = np.abs(Z_grid.reshape(paths, -1))
         running_max = np.maximum(running_max, flat.max(axis=1))

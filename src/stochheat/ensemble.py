@@ -1,10 +1,12 @@
 """Seeded ensemble orchestration, the gamma sweep, and assumption checks.
 
-Trajectories are pure functions of (config, seed) with seeds base_seed + i,
-so results are independent of the worker count and merging is a plain sort
-by path index.  Row CSVs are written with repr-exact floats and a stable
-column order, making repeated runs byte-identical; wall-clock metrics go to
-a separate run_info.json that is excluded from the determinism contract.
+Trajectories are pure functions of (config, seed) with seeds base_seed + i.
+One runner serves any worker count: seeds run in blocks of consecutive path
+indices, one context per process, and the blocks are merged in order, so
+results are independent of the worker count.  Row CSVs are written with
+repr-exact floats and a stable column order, making repeated runs
+byte-identical; wall-clock metrics go to a separate run_info.json that is
+excluded from the determinism contract.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import concurrent.futures
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +32,10 @@ from .noise import (
     KernelValidationError,
     WhiteNoise,
     double_integral,
-    kernel_params,
     verify_decay,
 )
 from .spectral import DomainSpec, build_basis, heat_kernel_decay_fit
 from .stepping import (
-    SigmaSpec,
     TrajectoryError,
     TrajectoryRecord,
     build_context,
@@ -183,46 +183,48 @@ def compute_aggregates(rows, u0_l1: float, mass_bound: float) -> dict:
     }
 
 
-def _run_one(args):
-    config, seed = args
-    try:
-        record = run_trajectory(config, seed)
-        return seed, record, None
-    except TrajectoryError as exc:
-        return seed, None, f"seed {seed}: {exc}"
+def _run_block(config: SimConfig, seeds, context):
+    """Run consecutive seeds on one context; a failed path becomes a message."""
+    records, failures = [], []
+    for seed in seeds:
+        try:
+            records.append(run_trajectory(config, seed, context=context))
+        except TrajectoryError as exc:
+            failures.append(f"seed {seed}: {exc}")
+    return records, failures
+
+
+# (config, context) of a pool worker, built on its first block
+_worker_context = None
+
+
+def _run_pooled_block(config: SimConfig, seeds):
+    global _worker_context
+    if _worker_context is None or _worker_context[0] != config:
+        _worker_context = (config, build_context(config))
+    return _run_block(config, seeds, _worker_context[1])
 
 
 def run_ensemble(config: SimConfig, keep_records: bool = False,
                  out_dir=None) -> EnsembleResult:
     """Run config.paths seeded trajectories and aggregate the results.
 
-    Deterministic given (config, base seed): the merge order is the path
-    index and each path owns its own counter-based stream, so the worker
-    count cannot change any output byte.
+    Deterministic given (config, base seed): seeds run in blocks of
+    consecutive path indices, merged in block order, and each path owns its
+    own counter-based stream, so the worker count cannot change any output
+    byte.  A pool worker builds its context once, on its first block.
     """
     t0 = time.monotonic()
     seeds = [config.base_seed + i for i in range(config.paths)]
-    records: dict[int, TrajectoryRecord] = {}
-    failures = []
     if config.workers > 1 and config.paths > 1:
+        size = max(1, config.paths // (4 * config.workers))
+        blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
         with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
-            for seed, record, err in pool.map(
-                _run_one, [(config, s) for s in seeds],
-                chunksize=max(1, config.paths // (4 * config.workers)),
-            ):
-                if err is None:
-                    records[seed] = record
-                else:
-                    failures.append(err)
+            results = list(pool.map(_run_pooled_block, [config] * len(blocks), blocks))
     else:
-        context = build_context(config)
-        for seed in seeds:
-            try:
-                records[seed] = run_trajectory(config, seed, context=context)
-            except TrajectoryError as exc:
-                failures.append(f"seed {seed}: {exc}")
-
-    ordered = [records[s] for s in seeds if s in records]
+        results = [_run_block(config, seeds, build_context(config))]
+    ordered = [r for records, _ in results for r in records]
+    failures = [f for _, errors in results for f in errors]
     rows = [summarize(r) for r in ordered]
     u0_l1 = float(ordered[0].l1_norm[0]) if ordered else 0.0
     aggregates = compute_aggregates(rows, u0_l1, config.mass_bound)
@@ -342,26 +344,10 @@ def sweep_gamma(config: SimConfig, gamma_grid, threshold_grid) -> SweepResult:
 
     exit_fractions = {}
     doubling = {}
+    truncation = max(config.sigma.truncation, thresholds[-1])
     for g in gammas:
-        cfg = SimConfig(
-            domain=config.domain,
-            noise=config.noise,
-            sigma=SigmaSpec(
-                scale=config.sigma.scale, growth=g,
-                truncation=max(config.sigma.truncation, thresholds[-1]),
-            ),
-            dt=config.dt,
-            horizon=config.horizon,
-            mass_bound=config.mass_bound,
-            paths=config.paths,
-            base_seed=config.base_seed,
-            init_kind=config.init_kind,
-            init_value=config.init_value,
-            init_mode=config.init_mode,
-            init_amplitude=config.init_amplitude,
-            init_path=config.init_path,
-            workers=config.workers,
-        )
+        cfg = replace(config, sigma=replace(config.sigma, growth=g,
+                                            truncation=truncation))
         result = run_ensemble(cfg, keep_records=True)
         sups = np.array([r.max_sup_norm for r in result.rows])
         exit_fractions[g] = [float(np.mean(sups >= thr)) for thr in thresholds]

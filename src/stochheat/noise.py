@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .spectral import DIRICHLET, PERIODIC, NEUMANN, SpectralBasis, loglog_slope
+from .spectral import NEUMANN, PERIODIC, SpectralBasis, loglog_slope
 
 QV_PAIR_BUDGET = 2**16
 
@@ -196,7 +196,14 @@ def riesz_double_integral(alpha: float, dimension: int, length: float,
 # -- samplers ------------------------------------------------------------
 
 
-class SpectralSampler:
+class _Sampler:
+    """A single increment is row 0 of a batched draw of one."""
+
+    def sample_values(self, dt: float, rng) -> np.ndarray:
+        return self.sample_batch(dt, rng, 1)[0]
+
+
+class SpectralSampler(_Sampler):
     """Sampler for the eigenbasis-diagonal kernel."""
 
     def __init__(self, spec: SpectralKernel, basis: SpectralBasis):
@@ -207,14 +214,8 @@ class SpectralSampler:
         self.weights = gamma_fn(spec.theta) * (spec.a + alpha) ** (-spec.theta)
         self.amplitudes = np.sqrt(self.weights)
 
-    def sample_values(self, dt: float, rng) -> np.ndarray:
-        if dt == 0.0:
-            return np.zeros(self.basis.grid_shape)
-        xi = rng.standard_normal(self.basis.coeff_shape)
-        return self.basis.to_grid(math.sqrt(dt) * self.amplitudes * xi)
-
     def sample_batch(self, dt: float, rng, count: int) -> np.ndarray:
-        """(count, *grid) increments in one vectorized draw (diagnostics use)."""
+        """(count, *grid) increments in one vectorized draw."""
         if dt == 0.0:
             return np.zeros((count,) + self.basis.grid_shape)
         xi = rng.standard_normal((count,) + self.basis.coeff_shape)
@@ -291,7 +292,7 @@ def _factor_covariance(C: np.ndarray, clip_tolerance: float = 0.01):
     return factor, frac
 
 
-class RieszSampler:
+class RieszSampler(_Sampler):
     """Dense-factorization sampler for the Riesz kernel on the grid."""
 
     def __init__(self, spec: RieszKernel, basis: SpectralBasis, qv_pair_seed: int = 0):
@@ -320,12 +321,6 @@ class RieszSampler:
             self._qv_j = pair_rng.integers(0, self.n_points, size=QV_PAIR_BUDGET)
             self._qv_vals = self.matrix[self._qv_i, self._qv_j]
 
-    def sample_values(self, dt: float, rng) -> np.ndarray:
-        if dt == 0.0:
-            return np.zeros(self.basis.grid_shape)
-        z = rng.standard_normal(self.n_points)
-        return (math.sqrt(dt) * (self.factor @ z)).reshape(self.basis.grid_shape)
-
     def sample_batch(self, dt: float, rng, count: int) -> np.ndarray:
         if dt == 0.0:
             return np.zeros((count,) + self.basis.grid_shape)
@@ -342,33 +337,14 @@ class RieszSampler:
         est = np.mean(self._qv_vals * f[self._qv_i] * f[self._qv_j])
         return float(h2d * self.n_points**2 * est)
 
-    def kernel(self, x, y) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        r = float(np.sqrt(np.sum((x - y) ** 2)))
-        if r == 0.0:
-            raise ValueError("Riesz kernel is singular on the diagonal")
-        return r ** (-self.spec.alpha)
 
-    def double_integral(self) -> float:
-        return riesz_double_integral(
-            self.spec.alpha, self.basis.dimension, self.basis.length
-        )
-
-
-class WhiteNoiseSampler:
+class WhiteNoiseSampler(_Sampler):
     """Independent per-cell increments with variance dt / h (d = 1)."""
 
     def __init__(self, spec: WhiteNoise, basis: SpectralBasis):
         spec.validate_for(basis.dimension)
         self.spec = spec
         self.basis = basis
-
-    def sample_values(self, dt: float, rng) -> np.ndarray:
-        if dt == 0.0:
-            return np.zeros(self.basis.grid_shape)
-        scale = math.sqrt(dt / self.basis.cell_volume)
-        return scale * rng.standard_normal(self.basis.grid_shape)
 
     def sample_batch(self, dt: float, rng, count: int) -> np.ndarray:
         if dt == 0.0:
@@ -379,15 +355,6 @@ class WhiteNoiseSampler:
     def qv_form(self, f_values: np.ndarray) -> float:
         # delta kernel: the double integral collapses to int f^2
         return float(self.basis.cell_volume * np.sum(f_values**2))
-
-    def kernel(self, x, y):
-        raise ValueError("white noise has a distributional (delta) kernel")
-
-    def double_integral(self):
-        raise ValueError(
-            "white noise has no finite double integral (outside the "
-            "integrable-covariance assumption)"
-        )
 
 
 def make_sampler(spec, basis: SpectralBasis, qv_pair_seed: int = 0):
@@ -417,19 +384,19 @@ def kernel_eval(spec, basis: SpectralBasis, x, y) -> float:
     raise TypeError(f"unknown covariance spec {spec!r}")
 
 
-def sample_increment(spec, basis: SpectralBasis, dt: float, rng,
-                     draw: int | None = None) -> NoiseIncrement:
-    """One increment field; prefer make_sampler + sample_values in loops."""
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    sampler = spec if hasattr(spec, "sample_values") else make_sampler(spec, basis)
-    return NoiseIncrement(sampler.sample_values(dt, rng), dt, draw)
-
-
 def double_integral(spec, basis: SpectralBasis) -> float:
-    """Integral of Lambda over D x D."""
-    sampler = spec if hasattr(spec, "sample_values") else make_sampler(spec, basis)
-    return sampler.double_integral()
+    """Integral of Lambda over D x D; a quadrature, no sampler for Riesz."""
+    if isinstance(spec, RieszKernel):
+        spec.validate_for(basis.dimension)
+        return riesz_double_integral(spec.alpha, basis.dimension, basis.length)
+    if isinstance(spec, SpectralKernel):
+        return SpectralSampler(spec, basis).double_integral()
+    if isinstance(spec, WhiteNoise):
+        raise ValueError(
+            "white noise has no finite double integral (outside the "
+            "integrable-covariance assumption)"
+        )
+    raise TypeError(f"unknown covariance spec {spec!r}")
 
 
 @dataclass

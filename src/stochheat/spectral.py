@@ -84,7 +84,8 @@ class DomainSpec:
 class SpectralBasis:
     """Immutable eigenbasis of the Laplacian on a DomainSpec.
 
-    Built once via :func:`build_basis` and shared read-only across workers.
+    Built once per process via :func:`build_basis` and shared read-only by
+    every path that process runs.
     Coefficient arrays have shape ``(m,) * d`` where m is the per-axis mode
     count; grid arrays have shape ``(g,) * d`` with g the per-axis point
     count (n, or n-1 for Dirichlet).
@@ -483,71 +484,9 @@ class SpectralBasis:
         return np.full(self.dimension, self.length / 2.0)
 
 
-@dataclass
-class GridField:
-    """Field values on the basis grid with optional verified nonnegativity."""
-
-    values: np.ndarray
-    basis: SpectralBasis
-    nonnegative: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.basis.grid_shape:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid {self.basis.grid_shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid field contains non-finite values")
-        if self.nonnegative:
-            floor = -1e-12 * max(1.0, float(np.max(np.abs(self.values))))
-            if float(np.min(self.values)) < floor:
-                raise ValueError("nonnegativity flag set but field has negative values")
-
-
-@dataclass
-class SpectralField:
-    """Coefficients over the retained mode set of a basis."""
-
-    coefficients: np.ndarray
-    basis: SpectralBasis
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != self.basis.coeff_shape:
-            raise ValueError(
-                f"coefficient shape {self.coefficients.shape} does not match "
-                f"basis mode set {self.basis.coeff_shape}"
-            )
-
-
 def build_basis(spec: DomainSpec) -> SpectralBasis:
     """Construct the eigenbasis for a domain spec."""
     return SpectralBasis(spec)
-
-
-def eigenfunction_eval(basis: SpectralBasis, k, x) -> float:
-    return basis.eigenfunction(k, x)
-
-
-def to_spectral(fld: GridField) -> SpectralField:
-    return SpectralField(fld.basis.to_spectral(fld.values), fld.basis)
-
-
-def to_grid(fld: SpectralField) -> GridField:
-    return GridField(fld.basis.to_grid(fld.coefficients), fld.basis)
-
-
-def semigroup_apply(fld: SpectralField, t: float) -> SpectralField:
-    return SpectralField(fld.basis.semigroup(fld.coefficients, t), fld.basis)
-
-
-def heat_kernel_eval(basis: SpectralBasis, t: float, x, y) -> float:
-    return basis.heat_kernel(t, x, y)
-
-
-def dirichlet_mass(basis: SpectralBasis, t: float, x) -> float:
-    return basis.dirichlet_mass(t, x)
 
 
 def loglog_slope(x: np.ndarray, y: np.ndarray):

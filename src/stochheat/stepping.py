@@ -159,11 +159,6 @@ class Stepper:
         )
 
 
-def step(state: SimState, increment: NoiseIncrement, stepper: Stepper) -> SimState:
-    """Functional wrapper around Stepper.step."""
-    return stepper.step(state, increment)
-
-
 @dataclass
 class TrajectoryRecord:
     """Per-step time series of one seeded path plus its stop bookkeeping."""
@@ -229,10 +224,8 @@ class TrajectoryContext:
 
     @property
     def n_steps(self) -> int:
-        steps = int(round(self.horizon / self.dt))
-        if abs(steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            steps = math.ceil(self.horizon / self.dt)
-        return steps
+        # SimConfig admits only a horizon that is a whole number of steps
+        return int(round(self.horizon / self.dt))
 
 
 def initial_field(basis: SpectralBasis, kind: str, *, value: float = 1.0,

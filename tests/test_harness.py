@@ -102,6 +102,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="shift a must be positive"):
             parse_config(write_config(tmp_path, text))
 
+    def test_horizon_not_whole_number_of_steps_rejected(self, tmp_path):
+        # 0.0101 / 2e-4 = 50.5 steps: rounding up would stop past the horizon
+        with pytest.raises(ConfigError, match=r"^run\.horizon:"):
+            parse_config(write_config(tmp_path), overrides={"run.horizon": "0.0101"})
+        with pytest.raises(ConfigError, match=r"^run\.horizon:"):
+            parse_config(write_config(tmp_path), overrides={"run.horizon": "1e-4"})
+        config = parse_config(write_config(tmp_path), overrides={"run.horizon": "0.0102"})
+        assert config.horizon == 0.0102
+
 
 class TestConfigHash:
     def base(self):
@@ -172,15 +181,22 @@ class TestRunEnsemble:
             tmp_path / "parallel/rows.csv"
         ).read_bytes()
 
-    def test_failures_collected_and_run_continues(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failures_collected_and_run_continues(self, workers):
         config = small_config(
             init_value=1e308, sigma=SigmaSpec(1.0, 1.5, 1e309), paths=3,
-            mass_bound=float("inf"),
+            mass_bound=float("inf"), workers=workers,
         )
         with np.errstate(all="ignore"):
             result = run_ensemble(config)
         assert result.aggregates["failure_count"] == 3
         assert result.rows == []
+        # the same messages, in seed order, whatever the worker count
+        assert result.failures == [
+            f"seed {seed}: step 1: non-finite field after step: step size "
+            "too large for the current sup-norm"
+            for seed in (7, 8, 9)
+        ]
 
     def test_aggregates_self_consistent_on_load(self, tmp_path):
         config = small_config(paths=6)
@@ -335,11 +351,17 @@ class TestCLI:
 
     def test_sweep_gamma_command(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        code = main([
-            "sweep-gamma", "--config", str(cfg), "--gammas", "1.5",
-            "--thresholds", "4,8", "--set", "run.paths=4",
-            "--output", str(tmp_path / "out"),
-        ])
-        assert code == 0
+        for gammas in ("1.5", "1.7"):
+            code = main([
+                "sweep-gamma", "--config", str(cfg), "--gammas", gammas,
+                "--thresholds", "4,8", "--set", "run.paths=4",
+                "--output", str(tmp_path / "out"),
+            ])
+            assert code == 0
         captured = capsys.readouterr()
         assert "thr 4" in captured.out
+        # sweeps that differ only in their gamma grid must not share a directory
+        dirs = sorted((tmp_path / "out").glob("sweep-*"))
+        assert len(dirs) == 2
+        assert [json.loads((d / "sweep.json").read_text())["gammas"] for d in dirs] \
+            in ([[1.5], [1.7]], [[1.7], [1.5]])

@@ -28,7 +28,6 @@ from stochheat.noise import (
     kernel_params,
     make_sampler,
     riesz_double_integral,
-    sample_increment,
     verify_decay,
 )
 
@@ -215,10 +214,10 @@ class TestSampler:
         for spec in (SpectralKernel(0.25, 0.0), RieszKernel(0.3), WhiteNoise()):
             if isinstance(spec, WhiteNoise):
                 basis_w = basis_for(1, NEUMANN, n=16)
-                inc = sample_increment(spec, basis_w, 0.0, rng)
+                values = make_sampler(spec, basis_w).sample_values(0.0, rng)
             else:
-                inc = sample_increment(spec, basis, 0.0, rng)
-            assert np.all(inc.values == 0)
+                values = make_sampler(spec, basis).sample_values(0.0, rng)
+            assert np.all(values == 0)
 
     def test_spectral_variance_matches_series(self):
         basis = basis_for(1, DIRICHLET, n=64)
