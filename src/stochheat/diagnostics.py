@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import SpectralKernel, kernel_params, make_sampler
+from .noise import SpectralKernel, SpectralSampler, kernel_params, make_sampler
 from .spectral import SpectralBasis, loglog_slope
 from .stepping import TrajectoryRecord, path_rng
 
@@ -310,11 +310,10 @@ class MomentProbeReport:
         }
 
 
-def convolution_variance_series(basis: SpectralBasis, spec: SpectralKernel,
-                                t: float, x) -> float:
+def convolution_variance_series(sampler: SpectralSampler, t: float, x) -> float:
     """Ito-isometry variance of Z(t,x) for phi = 1 and the spectral kernel:
     sum_k lambda_k^2 (1 - e^(-2 alpha_k t)) / (2 alpha_k) e_k(x)^2."""
-    sampler = make_sampler(spec, basis)
+    basis = sampler.basis
     alpha = basis.eigenvalue_tensor()
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(alpha > 0, (1.0 - np.exp(-2 * alpha * t)) / (2 * alpha), t)
@@ -410,7 +409,7 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     variance_checks = []
     if spectral_fast:
         for j, T in enumerate(T_grid):
-            oracle = convolution_variance_series(basis, noise_spec, T, center)
+            oracle = convolution_variance_series(sampler, T, center)
             emp = float(center_snapshots[j].var())
             se = oracle * math.sqrt(2.0 / max(paths - 1, 1))
             variance_checks.append(

@@ -309,7 +309,8 @@ def run_trajectory(config, seed: int, context: TrajectoryContext | None = None) 
     rng = path_rng(seed)
 
     n_steps = ctx.n_steps
-    t = np.zeros(n_steps + 1)
+    # step s is at time s * dt; summing dt step by step drifts by round-off
+    t = ctx.dt * np.arange(n_steps + 1)
     sup = np.zeros(n_steps + 1)
     l1 = np.zeros(n_steps + 1)
     I_arr = np.zeros(n_steps + 1)
@@ -325,7 +326,6 @@ def run_trajectory(config, seed: int, context: TrajectoryContext | None = None) 
     )
 
     def record(s, st):
-        t[s] = st.t
         sup[s] = float(np.max(st.u))
         l1[s] = basis.integrate(st.u)
         I_arr[s] = st.I
@@ -333,12 +333,12 @@ def run_trajectory(config, seed: int, context: TrajectoryContext | None = None) 
         clamp[s] = st.clamped_mass
 
     record(0, state)
-    stop_flag, stop_time = STOP_HORIZON, ctx.horizon
+    stop_flag = STOP_HORIZON
     last = 0
     if sup[0] >= sigma.truncation:
-        state.hit_tau_n, stop_flag, stop_time = True, STOP_TAU_N, 0.0
+        state.hit_tau_n, stop_flag = True, STOP_TAU_N
     elif I_arr[0] > ctx.mass_bound:
-        state.hit_tau_M, stop_flag, stop_time = True, STOP_TAU_M, 0.0
+        state.hit_tau_M, stop_flag = True, STOP_TAU_M
     else:
         for s in range(1, n_steps + 1):
             dW = sampler.sample_values(ctx.dt, rng)
@@ -349,14 +349,13 @@ def run_trajectory(config, seed: int, context: TrajectoryContext | None = None) 
             record(s, state)
             last = s
             if sup[s] >= sigma.truncation:
-                state.hit_tau_n, stop_flag, stop_time = True, STOP_TAU_N, state.t
+                state.hit_tau_n, stop_flag = True, STOP_TAU_N
                 break
             if I_arr[s] > ctx.mass_bound:
-                state.hit_tau_M, stop_flag, stop_time = True, STOP_TAU_M, state.t
+                state.hit_tau_M, stop_flag = True, STOP_TAU_M
                 break
         else:
             state.hit_horizon = True
-            stop_time = state.t
 
     end = last + 1
     return TrajectoryRecord(
@@ -368,5 +367,5 @@ def run_trajectory(config, seed: int, context: TrajectoryContext | None = None) 
         Q=Q_arr[:end],
         clamped_mass=clamp[:end],
         stop_flag=stop_flag,
-        stop_time=stop_time,
+        stop_time=float(t[last]),
     )

@@ -26,7 +26,9 @@ from stochheat.noise import (
     RieszKernel,
     SpectralKernel,
     WhiteNoise,
+    _unit_cell_mean,
     double_integral,
+    kernel_eval,
     make_sampler,
     verify_decay,
 )
@@ -135,7 +137,11 @@ def test_criterion_4_sampler_covariance():
             xs = basis.axis_points
             cov = lambda i, j: sampler.kernel([xs[i]], [xs[j]]) * dt
         else:
-            cov = lambda i, j: sampler.matrix[i, j] * dt
+            pts = basis.axis_points
+            cell = _unit_cell_mean(spec.alpha, 1) * basis.h ** (-spec.alpha)
+            cov = lambda i, j: (
+                kernel_eval(spec, basis, [pts[i]], [pts[j]]) if i != j else cell
+            ) * dt
         pair_rng = np.random.Generator(np.random.Philox(key=555))
         worst = 0.0
         for _ in range(20):

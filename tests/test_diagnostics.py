@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from stochheat.spectral import DIRICHLET, NEUMANN, PERIODIC, DomainSpec, build_basis
-from stochheat.noise import SpectralKernel, WhiteNoise
+from stochheat.noise import SpectralKernel, WhiteNoise, make_sampler
 from stochheat.stepping import SigmaSpec, TrajectoryRecord, run_trajectory
 from stochheat.diagnostics import (
     DOWN,
@@ -272,7 +272,7 @@ class TestMomentProbe:
         basis = build_basis(DomainSpec(1, NEUMANN, 32))
         spec = SpectralKernel(theta=0.25, a=1.0)
         # zero eigenvalue mode contributes lambda_0^2 * t
-        v_small = convolution_variance_series(basis, spec, 1e-6, [PI / 2])
+        v_small = convolution_variance_series(make_sampler(spec, basis), 1e-6, [PI / 2])
         assert v_small == pytest.approx(0.0, abs=1e-4)
 
     def test_envelope_check_white_noise(self):

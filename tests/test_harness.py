@@ -277,6 +277,17 @@ class TestVerifyAssumptions:
         assert not report.clauses["B"]["passed"]
         assert "eta" in report.clauses["B"]["error"]
 
+    def test_riesz_d3_clause_b_passes(self):
+        # clause B smooths the heat kernel against the Riesz covariance on a
+        # 64^3 grid; a dense covariance there would need terabytes
+        config = small_config(
+            domain=DomainSpec(3, "neumann", 8), noise=RieszKernel(alpha=1.0),
+        )
+        report = verify_assumptions(config)
+        assert report.clauses["B"]["passed"], report.clauses["B"]
+        assert report.clauses["B"]["fitted_slope"] == pytest.approx(-0.5, abs=0.1)
+        assert report.clauses["C"]["passed"]
+
 
 class TestCLI:
     def test_simulate_roundtrip(self, tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 Independent oracles: closed-form eigenvalue series for the spectral kernel
 (sum over odd k of k^-2 and k^-4), a brute-force Monte Carlo quadrature for
-the Riesz double integral, and Monte Carlo covariance estimates against the
-kernel values.
+the Riesz double integral, Monte Carlo covariance estimates against the
+kernel values, and an exact check of the circulant-embedding Riesz sampler:
+fed the unit vectors as its normals, it must reproduce the dense covariance
+built from the kernel's definition.
 """
 
 import math
@@ -21,7 +23,8 @@ from stochheat.noise import (
     RieszKernel,
     SpectralKernel,
     WhiteNoise,
-    _factor_covariance,
+    _clip_spectrum,
+    _unit_cell_mean,
     critical_exponent,
     double_integral,
     kernel_eval,
@@ -36,6 +39,42 @@ PI = math.pi
 
 def basis_for(d=1, bc=DIRICHLET, n=64, **kw):
     return build_basis(DomainSpec(d, bc, n, **kw))
+
+
+def riesz_covariance(spec, basis):
+    """Dense grid covariance of the Riesz kernel from its definition:
+    |x-y|^(-alpha) off the diagonal, the kernel's cell mean on it."""
+    pts = np.stack([g.ravel() for g in basis.grid_coordinates()], axis=1)
+    r = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(r, 1.0)
+    C = r ** (-spec.alpha)
+    np.fill_diagonal(C, _unit_cell_mean(spec.alpha, basis.dimension)
+                     * basis.h ** (-spec.alpha))
+    return C
+
+
+def riesz_covariance_entry(spec, basis, i, j):
+    """One entry of the grid covariance: kernel_eval off the diagonal."""
+    if i == j:
+        return _unit_cell_mean(spec.alpha, basis.dimension) * basis.h ** (-spec.alpha)
+    pts = [g.ravel() for g in basis.grid_coordinates()]
+    return kernel_eval(spec, basis, [p[i] for p in pts], [p[j] for p in pts])
+
+
+class IdentityNormals:
+    """Stub rng: successive standard_normal(shape) calls return successive
+    rows of the identity, reshaped to shape, so row k of a batch is the
+    sampler's linear map applied to the unit vector e_k."""
+
+    def __init__(self):
+        self.drawn = 0
+
+    def standard_normal(self, shape):
+        count, size = shape[0], math.prod(shape[1:])
+        rows = np.zeros((count, size))
+        rows[np.arange(count), self.drawn + np.arange(count)] = 1.0
+        self.drawn += count
+        return rows.reshape(shape)
 
 
 class TestSpecValidation:
@@ -240,27 +279,30 @@ class TestSampler:
         dt = 0.05
         rng = np.random.default_rng(43)
         draws = samp.sample_batch(dt, rng, 100_000)
+        cov = lambda i, j: riesz_covariance_entry(spec, basis, i, j) * dt
         pair_rng = np.random.default_rng(99)
         for _ in range(10):
-            i, j = pair_rng.integers(0, samp.n_points, size=2)
+            i, j = pair_rng.integers(0, draws.shape[1], size=2)
             emp = np.mean(draws[:, i] * draws[:, j])
-            true = samp.matrix[i, j] * dt
-            vi = samp.matrix[i, i] * dt
-            vj = samp.matrix[j, j] * dt
+            true = cov(i, j)
+            vi = cov(i, i)
+            vj = cov(j, j)
             se = math.sqrt((true**2 + vi * vj) / draws.shape[0])
             assert abs(emp - true) < 3 * se, (i, j)
 
     def test_riesz_d3_smoke_covariance(self):
         basis = basis_for(3, NEUMANN, n=8)
-        samp = make_sampler(RieszKernel(1.0), basis)
+        spec = RieszKernel(1.0)
+        samp = make_sampler(spec, basis)
         assert samp.clipped_fraction < 1e-8
         dt = 0.1
         rng = np.random.default_rng(44)
         draws = samp.sample_batch(dt, rng, 20_000)
         flat = draws.reshape(draws.shape[0], -1)
         i, j = 10, 200
-        true = samp.matrix[i, j] * dt
-        vi, vj = samp.matrix[i, i] * dt, samp.matrix[j, j] * dt
+        cov = lambda i, j: riesz_covariance_entry(spec, basis, i, j) * dt
+        true = cov(i, j)
+        vi, vj = cov(i, i), cov(j, j)
         se = math.sqrt((true**2 + vi * vj) / flat.shape[0])
         assert abs(np.mean(flat[:, i] * flat[:, j]) - true) < 3 * se
 
@@ -287,42 +329,80 @@ class TestSampler:
 
     def test_riesz_qv_quadrature_exact_small_grid(self):
         basis = basis_for(1, NEUMANN, n=32)
-        samp = make_sampler(RieszKernel(0.3), basis)
-        assert samp._qv_exact
+        spec = RieszKernel(0.3)
+        samp = make_sampler(spec, basis)
         f = np.sin(basis.axis_points) + 1.5
-        direct = basis.h**2 * f @ samp.matrix @ f
+        direct = basis.h**2 * f @ riesz_covariance(spec, basis) @ f
         assert samp.qv_form(f) == pytest.approx(direct, rel=1e-12)
 
-    def test_riesz_qv_subsampled_unbiased(self):
-        # d=2 grid squared exceeds the pair budget, forcing subsampling
-        basis = basis_for(2, NEUMANN, n=32)
-        samp = make_sampler(RieszKernel(0.5, ), basis)
-        assert not samp._qv_exact
-        X, Y = basis.grid_coordinates()
-        f = np.sin(X) * np.sin(Y) + 1.2
-        exact = basis.cell_volume**2 * f.ravel() @ samp.matrix @ f.ravel()
-        est = samp.qv_form(f)
-        assert est == pytest.approx(exact, rel=0.1)
-        # averaging estimates over independent pair sets tightens the match
-        from stochheat.noise import RieszSampler
-        ests = [
-            RieszSampler(RieszKernel(0.5), basis, qv_pair_seed=s).qv_form(f)
-            for s in range(5)
-        ]
-        assert np.mean(ests) == pytest.approx(exact, rel=0.05)
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN, PERIODIC])
+    @pytest.mark.parametrize("d, alpha", [(1, 0.3), (2, 0.5), (3, 1.0)])
+    def test_circulant_embedding_is_exact(self, d, alpha, bc):
+        # the batch of all M^d unit normals gives Y.T @ Y = the sampled
+        # covariance exactly, with no Monte Carlo error
+        basis = basis_for(d, bc, n=8)
+        spec = RieszKernel(alpha)
+        samp = make_sampler(spec, basis)
+        assert samp.clipped_fraction == 0.0
+        count = math.prod(samp.embed_shape)
+        Y = samp.sample_batch(1.0, IdentityNormals(), count).reshape(count, -1)
+        C = riesz_covariance(spec, basis)
+        assert np.max(np.abs(Y.T @ Y - C) / C) < 1e-12
+        f = 1.5 + np.sin(sum(basis.grid_coordinates()))
+        direct = basis.cell_volume**2 * f.ravel() @ C @ f.ravel()
+        assert samp.qv_form(f) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("d, alpha", [(1, 0.3), (3, 1.0)])
+    def test_riesz_batch_rows_equal_single_draws(self, d, alpha):
+        # chunked batches draw the same normals in the same order
+        samp = make_sampler(RieszKernel(alpha), basis_for(d, NEUMANN, n=16))
+        batch = samp.sample_batch(0.1, np.random.default_rng(3), 90)
+        rng = np.random.default_rng(3)
+        rows = np.stack([samp.sample_values(0.1, rng) for _ in range(90)])
+        assert np.array_equal(batch, rows)
+
+    def test_clipped_spectrum_is_logged_and_shared_by_qv(self, caplog):
+        # d = 3 with alpha well below 1: the embedding's spectrum has a small
+        # negative part, clipped at zero
+        basis = basis_for(3, NEUMANN, n=8)
+        spec = RieszKernel(0.3)
+        with caplog.at_level("WARNING", logger="stochheat.noise"):
+            samp = make_sampler(spec, basis)
+        assert 0.0 < samp.clipped_fraction < 0.01
+        warnings = [r for r in caplog.records if r.name == "stochheat.noise"]
+        assert len(warnings) == 1
+        assert f"{samp.clipped_fraction:.3g}" in warnings[0].getMessage()
+        assert np.all(samp.spectrum >= 0)
+        count = math.prod(samp.embed_shape)
+        Y = samp.sample_batch(1.0, IdentityNormals(), count).reshape(count, -1)
+        sampled = Y.T @ Y
+        C = riesz_covariance(spec, basis)
+        assert np.max(np.abs(sampled - C) / C) < 0.01
+        # qv_form is the quadratic form of the covariance actually sampled
+        f = 1.5 + np.sin(sum(basis.grid_coordinates()))
+        exact = basis.cell_volume**2 * f.ravel() @ sampled @ f.ravel()
+        assert samp.qv_form(f) == pytest.approx(exact, rel=1e-12)
 
     def test_factorization_failure_raises(self):
-        C = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
+        lam = np.array([3.0, -1.0])  # torus of 2 points: eigenvalues 3, -1
         with pytest.raises(FactorizationError):
-            _factor_covariance(C)
+            _clip_spectrum(lam, 2)
 
     def test_factorization_clips_small_negatives(self):
-        C = np.diag([1.0, 1e-9])
-        C[0, 1] = C[1, 0] = 1e-6  # slightly indefinite
-        factor, frac = _factor_covariance(C)
-        assert frac < 0.01
-        approx = factor @ factor.T
-        assert np.all(np.linalg.eigvalsh(approx) >= -1e-15)
+        # a symmetric spectrum on the M x M torus, lam[k] = lam[-k], with
+        # small negative entries inside the half spectrum and on its last
+        # column; the fraction from the half spectrum equals the full one
+        rng = np.random.default_rng(5)
+        for M in (6, 7):
+            full = rng.uniform(0.5, 1.5, size=(M, M))
+            full = (full + np.roll(full[::-1, ::-1], 1, axis=(0, 1))) / 2
+            for i, j in ((1, 2), (0, M // 2)):
+                full[i, j] = full[-i, -j] = -0.002
+            half = full[:, : M // 2 + 1]
+            neg = -np.sum(np.clip(full, None, 0.0))
+            clipped, frac = _clip_spectrum(half, M)
+            assert frac == pytest.approx(neg / np.sum(np.abs(full)), rel=1e-12)
+            assert np.array_equal(clipped, np.clip(half, 0.0, None))
 
 
 class TestVerifyDecay:

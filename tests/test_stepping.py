@@ -222,6 +222,15 @@ class TestRunTrajectory:
         ratio = rec.sup_norm[-1] / rec.sup_norm[0]
         assert ratio == pytest.approx(math.exp(-rec.t[-1]), rel=1e-6)
 
+    def test_horizon_stop_time_is_exact(self):
+        # 500 steps of dt = 2e-4: t is s * dt, not a running sum of dt
+        config = make_config(dt=2e-4, horizon=0.1, init_value=0.5)
+        rec = run_trajectory(config, seed=0)
+        assert rec.stop_flag == STOP_HORIZON
+        assert rec.stop_time == config.horizon
+        assert rec.t[-1] == config.horizon
+        assert np.array_equal(rec.t, 2e-4 * np.arange(len(rec.t)))
+
     def test_deterministic_given_config_and_seed(self):
         config = make_config(horizon=0.01)
         a = run_trajectory(config, seed=11)
