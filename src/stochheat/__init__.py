@@ -11,7 +11,6 @@ from .spectral import (
 )
 from .noise import (
     DecayReport,
-    NoiseIncrement,
     RieszKernel,
     SpectralKernel,
     WhiteNoise,
@@ -25,13 +24,13 @@ from .noise import (
 from .stepping import (
     BlowThroughError,
     SigmaSpec,
-    SimState,
     Stepper,
     TrajectoryContext,
     TrajectoryError,
     TrajectoryRecord,
     build_context,
     initial_field,
+    run_batch,
     run_trajectory,
     sigma_eval,
 )

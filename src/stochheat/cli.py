@@ -41,6 +41,13 @@ def _load_config(args):
     return parse_config(args.config, overrides=_overrides(args.set))
 
 
+def _stamp(experiment) -> str:
+    """Short digest of the config hash plus the command's own arguments,
+    which are part of the experiment: a stamp over the config alone would
+    let two experiments on one config overwrite each other."""
+    return hashlib.sha256(json.dumps(experiment).encode()).hexdigest()[:12]
+
+
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     out_dir = Path(args.output or config.output_dir) / config_hash(config)
@@ -64,10 +71,7 @@ def cmd_sweep_gamma(args) -> int:
     gammas = [float(g) for g in args.gammas.split(",")]
     thresholds = [float(t) for t in args.thresholds.split(",")]
     result = sweep_gamma(config, gammas, thresholds)
-    # the grids are part of the experiment: a stamp over the config alone
-    # would let sweeps with different grids overwrite each other
-    grids = json.dumps([result.config_hash, result.gammas, result.thresholds])
-    stamp = hashlib.sha256(grids.encode()).hexdigest()[:12]
+    stamp = _stamp([result.config_hash, result.gammas, result.thresholds])
     out_dir = Path(args.output or config.output_dir) / f"sweep-{stamp}"
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "sweep.json").write_text(json.dumps(result.to_dict(), indent=2) + "\n")
@@ -104,14 +108,16 @@ def cmd_probe_convolution(args) -> int:
     config = _load_config(args)
     basis = build_basis(config.domain)
     t_grid = [float(t) for t in args.T_grid.split(",")]
+    dt = args.dt if args.dt else config.dt
     report = convolution_moment_probe(
         basis, config.noise, p=args.p, T_grid=t_grid, paths=args.paths,
-        dt=args.dt if args.dt else config.dt, seed=config.base_seed,
+        dt=dt, seed=config.base_seed,
     )
     out_dir = Path(args.output or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / f"probe-{config_hash(config)}.json"
-    payload = {"schema_version": 1, "config_hash": config_hash(config)}
+    chash = config_hash(config)
+    out = out_dir / f"probe-{_stamp([chash, args.p, t_grid, args.paths, dt])}.json"
+    payload = {"schema_version": 1, "config_hash": chash}
     payload.update(report.to_dict())
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"p                 : {report.p}")

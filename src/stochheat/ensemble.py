@@ -2,8 +2,8 @@
 
 Trajectories are pure functions of (config, seed) with seeds base_seed + i.
 One runner serves any worker count: seeds run in blocks of consecutive path
-indices, one context per process, and the blocks are merged in order, so
-results are independent of the worker count.  Row CSVs are written with
+indices, one context per process and one batch per block, and the blocks
+are merged in order, so results are independent of the worker count.  Row CSVs are written with
 repr-exact floats and a stable column order, making repeated runs
 byte-identical; wall-clock metrics go to a separate run_info.json that is
 excluded from the determinism contract.
@@ -35,12 +35,7 @@ from .noise import (
     verify_decay,
 )
 from .spectral import DomainSpec, build_basis, heat_kernel_decay_fit
-from .stepping import (
-    TrajectoryError,
-    TrajectoryRecord,
-    build_context,
-    run_trajectory,
-)
+from .stepping import TrajectoryRecord, build_context, run_batch
 
 SCHEMA_VERSION = 1
 
@@ -183,15 +178,10 @@ def compute_aggregates(rows, u0_l1: float, mass_bound: float) -> dict:
     }
 
 
-def _run_block(config: SimConfig, seeds, context):
-    """Run consecutive seeds on one context; a failed path becomes a message."""
-    records, failures = [], []
-    for seed in seeds:
-        try:
-            records.append(run_trajectory(config, seed, context=context))
-        except TrajectoryError as exc:
-            failures.append(f"seed {seed}: {exc}")
-    return records, failures
+def _run_block(seeds, context):
+    """Run consecutive seeds as one batch; a failed path becomes a message."""
+    records, failures = run_batch(context, seeds)
+    return records, [f"seed {seed}: {exc}" for seed, exc in failures]
 
 
 # (config, context) of a pool worker, built on its first block
@@ -202,7 +192,7 @@ def _run_pooled_block(config: SimConfig, seeds):
     global _worker_context
     if _worker_context is None or _worker_context[0] != config:
         _worker_context = (config, build_context(config))
-    return _run_block(config, seeds, _worker_context[1])
+    return _run_block(seeds, _worker_context[1])
 
 
 def run_ensemble(config: SimConfig, keep_records: bool = False,
@@ -222,7 +212,7 @@ def run_ensemble(config: SimConfig, keep_records: bool = False,
         with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
             results = list(pool.map(_run_pooled_block, [config] * len(blocks), blocks))
     else:
-        results = [_run_block(config, seeds, build_context(config))]
+        results = [_run_block(seeds, build_context(config))]
     ordered = [r for records, _ in results for r in records]
     failures = [f for _, errors in results for f in errors]
     rows = [summarize(r) for r in ordered]

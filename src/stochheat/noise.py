@@ -142,15 +142,6 @@ def critical_exponent(beta: float, eta: float) -> float:
     return 1.0 + (1.0 - eta) / (2.0 * beta)
 
 
-@dataclass
-class NoiseIncrement:
-    """One sampled increment field with covariance Lambda * dt."""
-
-    values: np.ndarray
-    dt: float
-    draw: int | None = None
-
-
 # -- singular-kernel quadrature helpers ---------------------------------
 
 
@@ -232,10 +223,11 @@ class SpectralSampler(_Sampler):
         xi = rng.standard_normal((count,) + self.basis.coeff_shape)
         return self.basis.to_grid_batch(math.sqrt(dt) * self.amplitudes * xi)
 
-    def qv_form(self, f_values: np.ndarray) -> float:
-        """Quadrature of the double integral of Lambda against f (x) f."""
-        c = self.basis.to_spectral(f_values)
-        return float(np.sum(self.weights * c * c))
+    def qv_form(self, f_values: np.ndarray):
+        """Quadrature of the double integral of Lambda against f (x) f, per
+        row of a (P, *grid) batch."""
+        c = self.basis.to_spectral_batch(f_values)
+        return self.basis.field_sum(self.weights * c * c)
 
     def kernel(self, x, y) -> float:
         b = self.basis
@@ -328,7 +320,8 @@ class RieszSampler(_Sampler):
     circulant's spectrum is the ``rfftn`` of its first row; a draw is
     irfftn(sqrt(lam) rfftn(z)) of a standard normal torus field z, cut to
     the grid.  ``qv_form`` is f.(C*f) for f zero-padded to the torus, which
-    by Parseval is sum_k lam_k |rfftn(f)_k|^2 / M^d: one FFT per call.
+    by Parseval is sum_k lam_k |rfftn(f)_k|^2 / M^d: one FFT per field, and
+    one value per row of a (P, *grid) batch.
     """
 
     def __init__(self, spec: RieszKernel, basis: SpectralBasis):
@@ -338,14 +331,13 @@ class RieszSampler(_Sampler):
         d, g = basis.dimension, basis.grid_shape[0]
         M = scipy.fft.next_fast_len(2 * g - 2, real=True)
         self.embed_shape = (M,) * d
-        self._axes = tuple(range(-d, 0))
         wrap = np.minimum(np.arange(M), M - np.arange(M))
         grids = np.meshgrid(*([wrap] * d), indexing="ij", sparse=True)
         r = basis.h * np.sqrt(sum(k * k for k in grids).astype(float))
         with np.errstate(divide="ignore"):
             row = r ** (-spec.alpha)
         row[(0,) * d] = _unit_cell_mean(spec.alpha, d) * basis.h ** (-spec.alpha)
-        lam = scipy.fft.rfftn(row, axes=self._axes).real
+        lam = scipy.fft.rfftn(row, axes=basis.field_axes).real
         self.spectrum, self.clipped_fraction = _clip_spectrum(lam, M)
         self._amplitudes = np.sqrt(self.spectrum)
         self._qv_weights = _rfft_multiplicity(M) * self.spectrum * (
@@ -363,15 +355,17 @@ class RieszSampler(_Sampler):
         chunk = max(1, _CHUNK_TORUS_POINTS // math.prod(self.embed_shape))
         for start in range(0, count, chunk):
             z = rng.standard_normal((min(chunk, count - start),) + self.embed_shape)
-            coeffs = scipy.fft.rfftn(z, axes=self._axes)
+            coeffs = scipy.fft.rfftn(z, axes=self.basis.field_axes)
             coeffs *= amplitudes
-            torus = scipy.fft.irfftn(coeffs, s=self.embed_shape, axes=self._axes)
+            torus = scipy.fft.irfftn(coeffs, s=self.embed_shape,
+                                     axes=self.basis.field_axes)
             out[start:start + len(z)] = torus[self._grid]
         return out
 
-    def qv_form(self, f_values: np.ndarray) -> float:
-        coeffs = scipy.fft.rfftn(f_values, s=self.embed_shape, axes=self._axes)
-        return float(np.sum(self._qv_weights * (coeffs.real**2 + coeffs.imag**2)))
+    def qv_form(self, f_values: np.ndarray):
+        axes = self.basis.field_axes
+        coeffs = scipy.fft.rfftn(f_values, s=self.embed_shape, axes=axes)
+        return self.basis.field_sum(self._qv_weights * (coeffs.real**2 + coeffs.imag**2))
 
 
 class WhiteNoiseSampler(_Sampler):
@@ -388,9 +382,9 @@ class WhiteNoiseSampler(_Sampler):
         scale = math.sqrt(dt / self.basis.cell_volume)
         return scale * rng.standard_normal((count,) + self.basis.grid_shape)
 
-    def qv_form(self, f_values: np.ndarray) -> float:
+    def qv_form(self, f_values: np.ndarray):
         # delta kernel: the double integral collapses to int f^2
-        return float(self.basis.cell_volume * np.sum(f_values**2))
+        return self.basis.integrate(f_values**2)
 
 
 def make_sampler(spec, basis: SpectralBasis):

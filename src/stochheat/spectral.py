@@ -128,6 +128,8 @@ class SpectralBasis:
         self.coeff_shape = (self.axis_mode_count,) * d
         self.mode_count = self.axis_mode_count**d
         self.cell_volume = self.h**d
+        # the trailing d axes of a field (grid, coefficients), batched or not
+        self.field_axes = tuple(range(-d, 0))
         # per-axis integrals <1, psi_k>, used by dirichlet_mass and the
         # spectral-kernel double integral
         self._axis_one_coeffs = self._compute_axis_one_coeffs()
@@ -433,18 +435,21 @@ class SpectralBasis:
             out[n - 1] = (1.0 / math.sqrt(L)) * math.cos(np.pi * n / L * xi)
         return out
 
-    def axis_eigenfunction_grid(self) -> np.ndarray:
-        """Matrix psi_k(x_j), shape (axis points, axis modes)."""
-        cols = [self.axis_eigenfunction(k, self.axis_points) for k in self.axis_valid_indices()]
-        return np.stack(cols, axis=1)
+    def axis_eigenfunction_grid(self, x=None) -> np.ndarray:
+        """Matrix psi_k(x_j) at points x (default the axis grid), shape
+        (points, axis modes)."""
+        x = self.axis_points if x is None else x
+        return np.stack([self.axis_eigenfunction(k, x) for k in self.axis_valid_indices()],
+                        axis=1)
 
     def heat_kernel_diag_max(self, t: float) -> float:
-        """sup over the grid of G_N(t,x,x); per-axis maxima multiply."""
+        """sup of G_N(t,x,x) over the grid points and the walls; per-axis
+        maxima multiply.  For Neumann the sup sits at the walls, half a cell
+        from the nearest grid point."""
         if t <= 0:
             raise ValueError("heat kernel requires t > 0")
-        decay = self.axis_decay(t)
-        E = self.axis_eigenfunction_grid()  # (points, modes)
-        axis_diag = (E * E) @ decay
+        E = self.axis_eigenfunction_grid(np.concatenate([self.axis_points, [0.0, self.length]]))
+        axis_diag = (E * E) @ self.axis_decay(t)
         return float(np.max(axis_diag)) ** self.dimension
 
     def dirichlet_mass(self, t: float, x) -> float:
@@ -468,9 +473,16 @@ class SpectralBasis:
 
     # -- quadrature -------------------------------------------------------
 
-    def integrate(self, values: np.ndarray) -> float:
-        """h^d sum over grid points (trapezoid/midpoint rule for this grid)."""
-        return float(self.cell_volume * np.sum(values))
+    def field_sum(self, values: np.ndarray):
+        """Sum over the trailing d axes: a float for one field, one value
+        per row of a (P, *field) batch."""
+        total = np.sum(values, axis=self.field_axes)
+        return total if np.ndim(total) else float(total)
+
+    def integrate(self, values: np.ndarray):
+        """h^d sum over grid points (trapezoid/midpoint rule for this grid),
+        per row of a batch."""
+        return self.cell_volume * self.field_sum(values)
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         return float(self.cell_volume * np.sum(f * g))

@@ -20,8 +20,13 @@ identity stays checkable.  Alongside I the quadratic variation
 
 is accumulated with the kernel-specific quadrature of the sampler.
 
-Trajectories stop at the first of: sup-norm reaching the truncation level
-(tau_n), the mass martingale exceeding the bound M (tau_M), or the horizon.
+A block of seeds steps as one (P, *grid) batch through ``Stepper.step``.
+Each row draws its increment from its own counter-based stream keyed by
+its seed (Philox; Salmon et al., SC'11), so its values do not depend on the
+batch.  A row leaves the batch at its stop, the first of the sup-norm
+reaching the truncation level (tau_n), the mass martingale exceeding the
+bound M (tau_M) or the horizon, or as a failed path when its field goes
+non-finite.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseIncrement, make_sampler
+from .noise import make_sampler
 from .spectral import SpectralBasis, build_basis
 
 STOP_TAU_N = "tau_n"
@@ -40,6 +45,11 @@ STOP_HORIZON = "horizon"
 
 PAPER_REGIME = "paper regime"
 EXPLOSIVE_REGIME = "conjectured explosive regime"
+
+# grid points per stepped batch (1 MB per float64 field); a larger block of
+# seeds steps as consecutive batches, which bounds the memory of the field
+# temporaries and of the samplers' qv_form buffers
+_BATCH_GRID_POINTS = 2**17
 
 
 class BlowThroughError(RuntimeError):
@@ -91,20 +101,6 @@ def sigma_eval(spec: SigmaSpec, u):
     return out
 
 
-@dataclass
-class SimState:
-    """Discretized field plus running diagnostics at one time point."""
-
-    u: np.ndarray
-    t: float
-    I: float
-    Q: float
-    clamped_mass: float
-    hit_tau_n: bool = False
-    hit_tau_M: bool = False
-    hit_horizon: bool = False
-
-
 class Stepper:
     """Exponential-Euler stepper bound to a basis, coefficient and sampler."""
 
@@ -115,48 +111,28 @@ class Stepper:
         self.sigma = sigma
         self.sampler = sampler
         self.dt = dt
-        d = basis.dimension
-        decay = basis.axis_decay(dt)
-        self._decay_axes = []
-        for axis in range(d):
-            shape = [1] * d
-            shape[axis] = basis.axis_mode_count
-            self._decay_axes.append(decay.reshape(shape))
         # documented heuristic, not enforced: dt <= 0.5 / alpha_max keeps the
         # per-step damping of the stiffest retained mode moderate
         self.dt_heuristic = 0.5 / basis.alpha_max if basis.alpha_max > 0 else math.inf
 
-    def _apply_semigroup(self, coeffs: np.ndarray) -> np.ndarray:
-        for decay in self._decay_axes:
-            coeffs = coeffs * decay
-        return coeffs
+    def step(self, u: np.ndarray, dW: np.ndarray):
+        """Advance a (P, *grid) batch by one step of dt.
 
-    def step(self, state: SimState, increment: NoiseIncrement) -> SimState:
-        if increment.dt != self.dt:
-            raise ValueError(
-                f"increment was generated for dt={increment.dt}, stepper has {self.dt}"
-            )
+        Returns (u_new, I_inc, Q_inc, clamp_inc, finite): the projected
+        fields and, per row, the increments of the mass martingale, of its
+        quadratic variation and of the clamped mass, and whether the
+        unprojected field stayed finite.
+        """
         basis = self.basis
-        f = sigma_eval(self.sigma, state.u)
-        dW = increment.values
-        I_inc = basis.cell_volume * float(np.sum(f * dW))
+        f = sigma_eval(self.sigma, u)
+        noise = f * dW
+        I_inc = basis.integrate(noise)
         Q_inc = self.dt * self.sampler.qv_form(f)
-        coeffs = basis.to_spectral(state.u + f * dW)
-        u_raw = basis.to_grid(self._apply_semigroup(coeffs))
-        if not np.all(np.isfinite(u_raw)):
-            raise BlowThroughError(
-                "non-finite field after step: step size too large for the "
-                "current sup-norm"
-            )
+        coeffs = basis.semigroup(basis.to_spectral_batch(u + noise), self.dt)
+        u_raw = basis.to_grid_batch(coeffs)
+        finite = np.all(np.isfinite(u_raw), axis=basis.field_axes)
         u_new = np.maximum(u_raw, 0.0)
-        clamp_inc = basis.cell_volume * float(np.sum(u_new - u_raw))
-        return SimState(
-            u=u_new,
-            t=state.t + self.dt,
-            I=state.I + I_inc,
-            Q=state.Q + Q_inc,
-            clamped_mass=state.clamped_mass + clamp_inc,
-        )
+        return u_new, I_inc, Q_inc, basis.integrate(u_new - u_raw), finite
 
 
 @dataclass
@@ -266,20 +242,16 @@ def initial_field(basis: SpectralBasis, kind: str, *, value: float = 1.0,
 
 
 def build_context(config) -> TrajectoryContext:
-    """Assemble the shared basis/sampler/initial data for a config object.
-
-    ``config`` provides: domain (DomainSpec), noise (covariance spec),
-    sigma (SigmaSpec), dt, horizon, mass_bound, and the init_* fields.
-    """
+    """Assemble the shared basis/sampler/initial data of a SimConfig."""
     basis = build_basis(config.domain)
     sampler = make_sampler(config.noise, basis)
     u0 = initial_field(
         basis,
         config.init_kind,
-        value=getattr(config, "init_value", 1.0),
-        mode=getattr(config, "init_mode", None),
-        amplitude=getattr(config, "init_amplitude", 1.0),
-        path=getattr(config, "init_path", None),
+        value=config.init_value,
+        mode=config.init_mode,
+        amplitude=config.init_amplitude,
+        path=config.init_path,
     )
     return TrajectoryContext(
         basis=basis,
@@ -297,75 +269,96 @@ def path_rng(seed: int):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def run_batch(context: TrajectoryContext, seeds):
+    """Run one path per seed to min(horizon, tau_n, tau_M) on one context.
+
+    Returns (records, failures) in seed order: the record of every path
+    that stopped, and (seed, TrajectoryError) for every path whose field
+    went non-finite.  The seeds step as batches of at most
+    ``_BATCH_GRID_POINTS`` grid points; every row owns its stream and runs
+    the operations of a batch of one, so no value depends on the batch.
+    """
+    rows = max(1, _BATCH_GRID_POINTS // math.prod(context.basis.grid_shape))
+    records, failures = [], []
+    for start in range(0, len(seeds), rows):
+        done, failed = _run_rows(context, seeds[start:start + rows])
+        records += done
+        failures += failed
+    return records, failures
+
+
+def _run_rows(ctx: TrajectoryContext, seeds):
+    """One batch of run_batch: every seed is a row, stepped until it stops."""
+    basis, sampler, dt = ctx.basis, ctx.sampler, ctx.dt
+    stepper = Stepper(basis, ctx.sigma, sampler, dt)
+    rngs = [path_rng(seed) for seed in seeds]
+    n_steps = ctx.n_steps
+    # step s is at time s * dt; summing dt step by step drifts by round-off
+    t = dt * np.arange(n_steps + 1)
+    sup, l1, I, Q, clamp = np.zeros((5, len(seeds), n_steps + 1))
+    sup[:, 0] = np.max(ctx.u0)
+    l1[:, 0] = I[:, 0] = basis.integrate(ctx.u0)
+    last = np.zeros(len(seeds), dtype=int)
+    flags = np.full(len(seeds), STOP_HORIZON, dtype=object)
+    errors = {}
+    # rows still stepping: their indices into seeds, and their fields
+    live = np.arange(len(seeds))
+    u = np.repeat(ctx.u0[np.newaxis], len(seeds), axis=0)
+    s = 0
+    while True:
+        hit_n = sup[live, s] >= ctx.sigma.truncation
+        hit_M = ~hit_n & (I[live, s] > ctx.mass_bound)
+        flags[live[hit_n]] = STOP_TAU_N
+        flags[live[hit_M]] = STOP_TAU_M
+        go = ~(hit_n | hit_M)
+        live, u = live[go], u[go]
+        if s == n_steps or live.size == 0:
+            break
+        s += 1
+        dW = np.stack([sampler.sample_values(dt, rngs[i]) for i in live])
+        u, dI, dQ, dclamp, finite = stepper.step(u, dW)
+        for i in live[~finite]:
+            errors[i] = TrajectoryError(s, BlowThroughError(
+                "non-finite field after step: step size too large for the "
+                "current sup-norm"))
+        live, u = live[finite], u[finite]
+        I[live, s] = I[live, s - 1] + dI[finite]
+        Q[live, s] = Q[live, s - 1] + dQ[finite]
+        clamp[live, s] = clamp[live, s - 1] + dclamp[finite]
+        sup[live, s] = np.max(u, axis=basis.field_axes)
+        l1[live, s] = basis.integrate(u)
+        last[live] = s
+
+    records, failures = [], []
+    for i, seed in enumerate(seeds):
+        if i in errors:
+            failures.append((seed, errors[i]))
+            continue
+        end = last[i] + 1
+        records.append(TrajectoryRecord(
+            seed=seed,
+            t=t[:end],
+            sup_norm=sup[i, :end],
+            l1_norm=l1[i, :end],
+            I=I[i, :end],
+            Q=Q[i, :end],
+            clamped_mass=clamp[i, :end],
+            stop_flag=flags[i],
+            stop_time=float(t[last[i]]),
+        ))
+    return records, failures
+
+
 def run_trajectory(config, seed: int, context: TrajectoryContext | None = None) -> TrajectoryRecord:
     """Run one path to min(horizon, tau_n, tau_M); deterministic in (config, seed).
 
-    The optional prebuilt context is a pure function of the config, so
-    passing it only saves recomputation and cannot change the result.
+    A batch of one of :func:`run_batch`; raises TrajectoryError when the
+    field goes non-finite.  The optional prebuilt context is a pure function
+    of the config, so passing it only saves recomputation.
     """
     ctx = context if context is not None else build_context(config)
-    basis, sigma, sampler = ctx.basis, ctx.sigma, ctx.sampler
-    stepper = Stepper(basis, sigma, sampler, ctx.dt)
-    rng = path_rng(seed)
-
-    n_steps = ctx.n_steps
-    # step s is at time s * dt; summing dt step by step drifts by round-off
-    t = ctx.dt * np.arange(n_steps + 1)
-    sup = np.zeros(n_steps + 1)
-    l1 = np.zeros(n_steps + 1)
-    I_arr = np.zeros(n_steps + 1)
-    Q_arr = np.zeros(n_steps + 1)
-    clamp = np.zeros(n_steps + 1)
-
-    state = SimState(
-        u=np.array(ctx.u0, copy=True),
-        t=0.0,
-        I=basis.integrate(ctx.u0),
-        Q=0.0,
-        clamped_mass=0.0,
-    )
-
-    def record(s, st):
-        sup[s] = float(np.max(st.u))
-        l1[s] = basis.integrate(st.u)
-        I_arr[s] = st.I
-        Q_arr[s] = st.Q
-        clamp[s] = st.clamped_mass
-
-    record(0, state)
-    stop_flag = STOP_HORIZON
-    last = 0
-    if sup[0] >= sigma.truncation:
-        state.hit_tau_n, stop_flag = True, STOP_TAU_N
-    elif I_arr[0] > ctx.mass_bound:
-        state.hit_tau_M, stop_flag = True, STOP_TAU_M
-    else:
-        for s in range(1, n_steps + 1):
-            dW = sampler.sample_values(ctx.dt, rng)
-            try:
-                state = stepper.step(state, NoiseIncrement(dW, ctx.dt, s))
-            except BlowThroughError as exc:
-                raise TrajectoryError(s, exc) from exc
-            record(s, state)
-            last = s
-            if sup[s] >= sigma.truncation:
-                state.hit_tau_n, stop_flag = True, STOP_TAU_N
-                break
-            if I_arr[s] > ctx.mass_bound:
-                state.hit_tau_M, stop_flag = True, STOP_TAU_M
-                break
-        else:
-            state.hit_horizon = True
-
-    end = last + 1
-    return TrajectoryRecord(
-        seed=seed,
-        t=t[:end],
-        sup_norm=sup[:end],
-        l1_norm=l1[:end],
-        I=I_arr[:end],
-        Q=Q_arr[:end],
-        clamped_mass=clamp[:end],
-        stop_flag=stop_flag,
-        stop_time=float(t[last]),
-    )
+    records, failures = run_batch(ctx, [seed])
+    if failures:
+        error = failures[0][1]
+        raise error from error.cause
+    return records[0]

@@ -7,14 +7,14 @@ ensembles.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from stochheat.spectral import DIRICHLET, NEUMANN, PERIODIC, DomainSpec, build_basis
 from stochheat.noise import SpectralKernel, WhiteNoise, make_sampler
-from stochheat.stepping import SigmaSpec, TrajectoryRecord, run_trajectory
+from stochheat.config import SimConfig
+from stochheat.stepping import SigmaSpec, TrajectoryRecord, build_context, run_batch
 from stochheat.diagnostics import (
     DOWN,
     UP,
@@ -164,7 +164,7 @@ class TestDoublingWindow:
 
 def small_ensemble(noise, sigma, paths=40, bc=NEUMANN, horizon=0.02,
                    init_value=2.0, mass_bound=1e12, dt=2e-4, n=64):
-    config = SimpleNamespace(
+    config = SimConfig(
         domain=DomainSpec(1, bc, n),
         noise=noise,
         sigma=sigma,
@@ -174,7 +174,9 @@ def small_ensemble(noise, sigma, paths=40, bc=NEUMANN, horizon=0.02,
         init_kind="constant",
         init_value=init_value,
     )
-    return [run_trajectory(config, seed) for seed in range(paths)]
+    records, failures = run_batch(build_context(config), list(range(paths)))
+    assert not failures
+    return records
 
 
 class TestDoobCheck:

@@ -26,7 +26,7 @@ from stochheat.ensemble import (
 )
 from stochheat.noise import RieszKernel, SpectralKernel, WhiteNoise
 from stochheat.spectral import DomainSpec
-from stochheat.stepping import SigmaSpec, run_trajectory
+from stochheat.stepping import SigmaSpec, TrajectoryError, run_trajectory
 
 MINIMAL = """
 # minimal white-noise run
@@ -198,6 +198,28 @@ class TestRunEnsemble:
             for seed in (7, 8, 9)
         ]
 
+    def test_batch_rows_equal_single_paths(self):
+        # one batch that mixes horizon and tau_n stops with one path that
+        # blows through mid-run: the failure leaves the other rows unchanged
+        config = small_config(
+            domain=DomainSpec(1, "neumann", 16),
+            noise=SpectralKernel(theta=0.75, a=1.0),
+            sigma=SigmaSpec(1.0, 4.0, 1e100), dt=1e-3, horizon=0.05,
+            mass_bound=float("inf"), paths=16, base_seed=0, init_value=1.5,
+        )
+        with np.errstate(all="ignore"):
+            result = run_ensemble(config)
+            with pytest.raises(TrajectoryError, match="^step 11: non-finite"):
+                run_trajectory(config, 6)
+            singles = [summarize(run_trajectory(config, seed)).csv_row()
+                       for seed in range(16) if seed != 6]
+        assert result.failures == [
+            "seed 6: step 11: non-finite field after step: step size too "
+            "large for the current sup-norm"
+        ]
+        assert {r.stop_flag for r in result.rows} == {"horizon", "tau_n"}
+        assert [r.csv_row() for r in result.rows] == singles
+
     def test_aggregates_self_consistent_on_load(self, tmp_path):
         config = small_config(paths=6)
         run_ensemble(config, out_dir=tmp_path / "run")
@@ -349,6 +371,15 @@ class TestCLI:
         assert "clause (A): PASS" in captured.out
         assert "clause (C): INAPPLICABLE" in captured.out
 
+    def test_verify_assumptions_riesz_3d_passes_clause_a(self, tmp_path, capsys):
+        config = Path(__file__).resolve().parent.parent / "configs" / "riesz_3d.conf"
+        code = main([
+            "verify-assumptions", "--config", str(config),
+            "--output", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        assert "clause (A): PASS" in capsys.readouterr().out
+
     def test_probe_convolution_command(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main([
@@ -359,6 +390,16 @@ class TestCLI:
         assert code == 0
         captured = capsys.readouterr()
         assert "envelope check" in captured.out
+        # probes of one config that differ only in --p must not share a file
+        code = main([
+            "probe-convolution", "--config", str(cfg),
+            "--p", "24", "--T-grid", "0.002,0.004", "--paths", "64",
+            "--dt", "2e-4", "--output", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        reports = sorted((tmp_path / "out").glob("probe-*.json"))
+        assert len(reports) == 2
+        assert sorted(json.loads(r.read_text())["p"] for r in reports) == [20.0, 24.0]
 
     def test_sweep_gamma_command(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

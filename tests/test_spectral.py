@@ -371,6 +371,18 @@ class TestHeatKernel:
         assert slope == pytest.approx(-d / 2, abs=0.05)
         assert c_fit > 0
 
+    @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
+    def test_decay_exponent_3d_on_the_verification_grid(self, bc):
+        # for Neumann the sup of G(t,x,x) sits at a corner, half a cell from
+        # the nearest grid point; the grid points alone give slope -1.41
+        basis = make_basis(3, bc, n=256)
+        slope, _, _ = heat_kernel_decay_fit(basis)
+        assert slope == pytest.approx(-1.5, abs=0.05)
+        if bc == NEUMANN:
+            corner = np.zeros(3)
+            assert basis.heat_kernel_diag_max(1e-3) == pytest.approx(
+                basis.heat_kernel(1e-3, corner, corner), rel=1e-12)
+
 
 class TestDirichletMass:
     def test_rejects_other_boundaries(self):

@@ -6,14 +6,24 @@ level; the Dirichlet domination is checked in distribution.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stochheat.spectral import DIRICHLET, NEUMANN, PERIODIC, DomainSpec, build_basis
+from stochheat import stepping
+from stochheat.config import SimConfig
+from stochheat.spectral import (
+    BOUNDARY_CONDITIONS,
+    DIRICHLET,
+    NEUMANN,
+    PERIODIC,
+    DomainSpec,
+    build_basis,
+)
 from stochheat.noise import (
-    NoiseIncrement,
+    RieszKernel,
     SpectralKernel,
     WhiteNoise,
     double_integral,
@@ -24,12 +34,13 @@ from stochheat.stepping import (
     STOP_TAU_M,
     STOP_TAU_N,
     SigmaSpec,
-    SimState,
     Stepper,
+    TrajectoryError,
     TrajectoryRecord,
     build_context,
     initial_field,
     path_rng,
+    run_batch,
     run_trajectory,
     sigma_eval,
 )
@@ -49,7 +60,13 @@ def make_config(**overrides):
         init_value=2.0,
     )
     base.update(overrides)
-    return SimpleNamespace(**base)
+    return SimConfig(**base)
+
+
+def admissible_kernels(d):
+    """One kernel of each family admissible in dimension d, any boundary."""
+    kernels = [SpectralKernel(theta=0.75, a=1.0), RieszKernel(alpha=min(2.0, d / 2) / 2)]
+    return kernels + [WhiteNoise()] if d == 1 else kernels
 
 
 class TestSigmaEval:
@@ -90,50 +107,36 @@ class TestStep:
         self.sampler = make_sampler(self.kernel, self.basis)
         self.dt = 1e-3
 
-    def initial(self, u):
-        return SimState(u=u, t=0.0, I=self.basis.integrate(u), Q=0.0, clamped_mass=0.0)
+    def heat_flow(self, u):
+        return self.basis.to_grid(self.basis.semigroup(self.basis.to_spectral(u), self.dt))
 
     def test_zero_sigma_reduces_to_heat_flow(self):
         sigma = SigmaSpec(scale=0.0, growth=1.5, truncation=10.0)
         stepper = Stepper(self.basis, sigma, self.sampler, self.dt)
         u = 1.0 + np.sin(2 * self.basis.axis_points) ** 2
-        state = self.initial(u)
         dW = self.sampler.sample_values(self.dt, path_rng(1))
-        out = stepper.step(state, NoiseIncrement(dW, self.dt))
-        expected = self.basis.to_grid(
-            self.basis.semigroup(self.basis.to_spectral(u), self.dt)
-        )
-        assert np.allclose(out.u, expected, atol=1e-12)
-        assert self.basis.integrate(out.u) == pytest.approx(state.I, rel=1e-12)
-        assert out.I == state.I and out.Q == 0.0
+        u_new, dI, dQ, dclamp, finite = stepper.step(u[np.newaxis], dW[np.newaxis])
+        assert np.allclose(u_new[0], self.heat_flow(u), atol=1e-12)
+        assert self.basis.integrate(u_new[0]) == pytest.approx(
+            self.basis.integrate(u), rel=1e-12)
+        assert dI.tolist() == [0.0] and dQ.tolist() == [0.0]
+        assert finite.tolist() == [True]
 
     def test_zero_increment_keeps_I_and_Q(self):
         sigma = SigmaSpec(scale=1.0, growth=1.5, truncation=10.0)
         stepper = Stepper(self.basis, sigma, self.sampler, self.dt)
-        u = np.full(self.basis.grid_shape, 2.0)
-        state = self.initial(u)
-        zero = NoiseIncrement(np.zeros(self.basis.grid_shape), self.dt)
-        out = stepper.step(state, zero)
-        assert out.I == state.I
+        u = np.full((1,) + self.basis.grid_shape, 2.0)
+        u_new, dI, dQ, dclamp, finite = stepper.step(u, np.zeros_like(u))
+        assert dI.tolist() == [0.0]
         # Q accrues the quadrature of sigma even with a zero draw: it is the
         # predictable bracket, not the realized increment
-        assert out.Q == pytest.approx(self.dt * self.sampler.qv_form(sigma_eval(sigma, u)))
-        expected = self.basis.to_grid(
-            self.basis.semigroup(self.basis.to_spectral(u), self.dt)
-        )
-        assert np.allclose(out.u, expected, atol=1e-12)
+        assert dQ[0] == pytest.approx(self.dt * self.sampler.qv_form(sigma_eval(sigma, u[0])))
+        assert np.allclose(u_new[0], self.heat_flow(u[0]), atol=1e-12)
 
     def test_dt_heuristic_documented(self):
         sigma = SigmaSpec(scale=1.0, growth=1.5, truncation=10.0)
         stepper = Stepper(self.basis, sigma, self.sampler, self.dt)
         assert stepper.dt_heuristic == pytest.approx(0.5 / self.basis.alpha_max)
-
-    def test_dt_mismatch_rejected(self):
-        sigma = SigmaSpec(scale=1.0, growth=1.5, truncation=10.0)
-        stepper = Stepper(self.basis, sigma, self.sampler, self.dt)
-        state = self.initial(np.ones(self.basis.grid_shape))
-        with pytest.raises(ValueError):
-            stepper.step(state, NoiseIncrement(np.zeros(self.basis.grid_shape), self.dt / 2))
 
     def test_I_increment_variance_matches_double_integral(self):
         # constant field, sigma constant: dI = h sigma sum dW, whose variance
@@ -148,6 +151,82 @@ class TestStep:
         var_emp = increments.var()
         se = var_true * math.sqrt(2.0 / draws)
         assert abs(var_emp - var_true) < 3 * se
+
+
+def reference_step(stepper, u, dW):
+    """One step of one path on single fields, with the single-field
+    transforms and whole-array sums."""
+    basis = stepper.basis
+    f = sigma_eval(stepper.sigma, u)
+    I_inc = basis.cell_volume * float(np.sum(f * dW))
+    Q_inc = stepper.dt * stepper.sampler.qv_form(f)
+    coeffs = basis.semigroup(basis.to_spectral(u + f * dW), stepper.dt)
+    u_raw = basis.to_grid(coeffs)
+    u_new = np.maximum(u_raw, 0.0)
+    clamp_inc = basis.cell_volume * float(np.sum(u_new - u_raw))
+    return u_new, I_inc, Q_inc, clamp_inc, bool(np.all(np.isfinite(u_raw)))
+
+
+KERNEL_CASES = [
+    (d, bc, kernel)
+    for d in (1, 2, 3)
+    for bc in BOUNDARY_CONDITIONS
+    for kernel in admissible_kernels(d)
+]
+
+
+class TestBatchEquivalence:
+    @pytest.mark.parametrize(
+        "d, bc, kernel", KERNEL_CASES,
+        ids=[f"{d}d-{bc}-{k.variant}" for d, bc, k in KERNEL_CASES])
+    @settings(max_examples=4, deadline=None)
+    @given(rows=st.integers(1, 5), seed=st.integers(0, 2**31 - 1))
+    def test_batched_step_equals_one_row_steps_bitwise(self, d, bc, kernel, rows, seed):
+        # a row's values must not depend on the batch it steps in
+        basis = build_basis(DomainSpec(d, bc, 8))
+        sampler = make_sampler(kernel, basis)
+        dt = 1e-3
+        stepper = Stepper(basis, SigmaSpec(1.0, 1.5, 4.0), sampler, dt)
+        rng = np.random.default_rng(seed)
+        # values above the truncation level exercise the clamp of sigma
+        u = rng.uniform(0.0, 6.0, size=(rows,) + basis.grid_shape)
+        dW = sampler.sample_batch(dt, rng, rows)
+        batched = stepper.step(u, dW)
+        names = ("u", "I", "Q", "clamp", "finite")
+        for i in range(rows):
+            one_row = stepper.step(u[i:i + 1], dW[i:i + 1])
+            reference = reference_step(stepper, u[i], dW[i])
+            for name, got, single, ref in zip(names, batched, one_row, reference):
+                assert np.array_equal(got[i], single[0]), name
+                assert np.array_equal(got[i], ref), name
+        f = sigma_eval(stepper.sigma, u)
+        assert np.array_equal(sampler.qv_form(f), [sampler.qv_form(row) for row in f])
+
+
+class TestRunBatch:
+    def test_batch_size_does_not_change_records(self, monkeypatch):
+        config = make_config(horizon=0.01)
+        ctx = build_context(config)
+        seeds = list(range(5))
+        whole, _ = run_batch(ctx, seeds)
+        # 64 grid points per row: batches of two rows
+        monkeypatch.setattr(stepping, "_BATCH_GRID_POINTS", 128)
+        split, _ = run_batch(ctx, seeds)
+        for a, b in zip(whole, split):
+            assert list(a.csv_rows()) == list(b.csv_rows())
+        assert [r.seed for r in split] == seeds
+
+    def test_batch_where_every_row_fails_returns(self):
+        config = make_config(sigma=SigmaSpec(1.0, 1.5, 1e309), init_value=1e308,
+                             mass_bound=float("inf"))
+        ctx = build_context(config)
+        with np.errstate(all="ignore"):
+            records, failures = run_batch(ctx, [7, 8, 9])
+            with pytest.raises(TrajectoryError) as info:
+                run_trajectory(config, 8, context=ctx)
+        assert records == []
+        assert [(seed, exc.step) for seed, exc in failures] == [(7, 1), (8, 1), (9, 1)]
+        assert str(info.value) == str(failures[1][1])
 
 
 class TestMassIdentity:
