@@ -12,17 +12,22 @@ Derived exponents on the box Laplacian: beta = d/2 always, eta = alpha/2
 (Riesz) or max(d/2 - theta, 0) (spectral), with eta in (0,1) required.
 The critical growth exponent is gamma_c = 1 + (1-eta)/(2 beta).
 
-Increment fields carry pointwise covariance Lambda(x_i, x_j) * dt.  The
-spectral sampler draws one standard normal per retained mode.  The Riesz
-grid covariance (cell-averaged diagonal) depends only on the lattice
+Increment fields carry pointwise covariance Lambda(x_i, x_j) * dt.  Every
+sampler is a linear map ``increments(dt, z)`` of a (P, *normal_shape) batch
+of standard normals to P increment fields; the draws themselves happen in
+one place, ``sample_batch``, or in the stepping core, which fills the batch
+row by row from each path's own stream.  The spectral sampler takes one
+normal per retained mode and the white-noise sampler one per cell.  The
+Riesz grid covariance (cell-averaged diagonal) depends only on the lattice
 offset, so the Riesz sampler embeds it in a circulant on a torus of about
-twice the grid per axis and draws with one FFT pair per increment
-(circulant embedding: Dietrich & Newsam, SIAM J. Sci. Comput. 18, 1997;
-Wood & Chan, J. Comput. Graph. Stat. 3, 1994); its quadratic form is an
-exact FFT convolution.  Negative circulant eigenvalues, which occur for
-d = 3 and small alpha, are clipped at zero, logged and reported as
-``clipped_fraction``; the draws and the quadratic form share the clipped
-spectrum.  Memory and work are O(N log N) in the grid size N.
+twice the grid per axis, takes one normal per torus point and maps a batch
+with one FFT pair (circulant embedding: Dietrich & Newsam, SIAM J. Sci.
+Comput. 18, 1997; Wood & Chan, J. Comput. Graph. Stat. 3, 1994); its
+quadratic form is an exact FFT convolution.  Negative circulant
+eigenvalues, which occur for d = 3 and small alpha, are clipped at zero,
+logged and reported as ``clipped_fraction``; the draws and the quadratic
+form share the clipped spectrum.  Memory and work are O(N log N) in the
+grid size N.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from .spectral import NEUMANN, PERIODIC, SpectralBasis, loglog_slope
 
 logger = logging.getLogger(__name__)
 
-# normal draws per chunk of a batched Riesz draw (16 MB of float64)
-_CHUNK_TORUS_POINTS = 2**21
+# standard normals per chunk of a batched draw (16 MB of float64)
+_CHUNK_NORMALS = 2**21
 
 
 class KernelValidationError(ValueError):
@@ -199,7 +204,19 @@ def riesz_double_integral(alpha: float, dimension: int, length: float,
 
 
 class _Sampler:
-    """A single increment is row 0 of a batched draw of one."""
+    """A sampler is a linear map of standard normals: ``increments(dt, z)``
+    turns (P, *normal_shape) normals into (P, *grid) increments, row by row.
+    Every draw goes through that map; only the normals differ in origin."""
+
+    def sample_batch(self, dt: float, rng, count: int) -> np.ndarray:
+        """(count, *grid) increments from one stream, drawn in chunks of
+        normals, which bounds memory and leaves the values unchanged."""
+        out = np.empty((count,) + self.basis.grid_shape)
+        chunk = max(1, _CHUNK_NORMALS // math.prod(self.normal_shape))
+        for start in range(0, count, chunk):
+            z = rng.standard_normal((min(chunk, count - start),) + self.normal_shape)
+            out[start:start + len(z)] = self.increments(dt, z)
+        return out
 
     def sample_values(self, dt: float, rng) -> np.ndarray:
         return self.sample_batch(dt, rng, 1)[0]
@@ -215,13 +232,11 @@ class SpectralSampler(_Sampler):
         alpha = basis.eigenvalue_tensor()
         self.weights = gamma_fn(spec.theta) * (spec.a + alpha) ** (-spec.theta)
         self.amplitudes = np.sqrt(self.weights)
+        self.normal_shape = basis.coeff_shape
 
-    def sample_batch(self, dt: float, rng, count: int) -> np.ndarray:
-        """(count, *grid) increments in one vectorized draw."""
-        if dt == 0.0:
-            return np.zeros((count,) + self.basis.grid_shape)
-        xi = rng.standard_normal((count,) + self.basis.coeff_shape)
-        return self.basis.to_grid_batch(math.sqrt(dt) * self.amplitudes * xi)
+    def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
+        """One normal per retained mode, scaled and sent to the grid."""
+        return self.basis.to_grid_batch(math.sqrt(dt) * self.amplitudes * z)
 
     def qv_form(self, f_values: np.ndarray):
         """Quadrature of the double integral of Lambda against f (x) f, per
@@ -239,18 +254,6 @@ class SpectralSampler(_Sampler):
             fy = b._axis_eigenfunction_column(y[i])
             out = np.tensordot(out, fx * fy, axes=([0], [0]))
         return float(out)
-
-    def truncation_scale(self) -> float:
-        """Magnitude estimate of the dropped-mode oscillation: the outermost
-        retained shell's total weight times the sup of |e_k e_k|."""
-        b = self.basis
-        m = b.axis_mode_count
-        shell = np.zeros(b.coeff_shape, dtype=bool)
-        for axis in range(b.dimension):
-            sl = [slice(None)] * b.dimension
-            sl[axis] = m - 1
-            shell[tuple(sl)] = True
-        return float(np.sum(self.weights[shell])) * (2.0 / b.length) ** b.dimension
 
     def double_integral(self) -> float:
         ones = self.basis._axis_one_coeffs
@@ -330,7 +333,7 @@ class RieszSampler(_Sampler):
         self.basis = basis
         d, g = basis.dimension, basis.grid_shape[0]
         M = scipy.fft.next_fast_len(2 * g - 2, real=True)
-        self.embed_shape = (M,) * d
+        self.normal_shape = (M,) * d
         wrap = np.minimum(np.arange(M), M - np.arange(M))
         grids = np.meshgrid(*([wrap] * d), indexing="ij", sparse=True)
         r = basis.h * np.sqrt(sum(k * k for k in grids).astype(float))
@@ -345,26 +348,16 @@ class RieszSampler(_Sampler):
         )
         self._grid = (Ellipsis,) + (slice(0, g),) * d
 
-    def sample_batch(self, dt: float, rng, count: int) -> np.ndarray:
-        """(count, *grid) increments; large batches are drawn in chunks of
-        torus fields, which bounds memory and leaves the values unchanged."""
-        out = np.zeros((count,) + self.basis.grid_shape)
-        if dt == 0.0:
-            return out
-        amplitudes = math.sqrt(dt) * self._amplitudes
-        chunk = max(1, _CHUNK_TORUS_POINTS // math.prod(self.embed_shape))
-        for start in range(0, count, chunk):
-            z = rng.standard_normal((min(chunk, count - start),) + self.embed_shape)
-            coeffs = scipy.fft.rfftn(z, axes=self.basis.field_axes)
-            coeffs *= amplitudes
-            torus = scipy.fft.irfftn(coeffs, s=self.embed_shape,
-                                     axes=self.basis.field_axes)
-            out[start:start + len(z)] = torus[self._grid]
-        return out
+    def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
+        """One normal per torus point, one FFT pair, cut to the grid."""
+        axes = self.basis.field_axes
+        coeffs = scipy.fft.rfftn(z, axes=axes)
+        coeffs *= math.sqrt(dt) * self._amplitudes
+        return scipy.fft.irfftn(coeffs, s=self.normal_shape, axes=axes)[self._grid]
 
     def qv_form(self, f_values: np.ndarray):
         axes = self.basis.field_axes
-        coeffs = scipy.fft.rfftn(f_values, s=self.embed_shape, axes=axes)
+        coeffs = scipy.fft.rfftn(f_values, s=self.normal_shape, axes=axes)
         return self.basis.field_sum(self._qv_weights * (coeffs.real**2 + coeffs.imag**2))
 
 
@@ -375,12 +368,10 @@ class WhiteNoiseSampler(_Sampler):
         spec.validate_for(basis.dimension)
         self.spec = spec
         self.basis = basis
+        self.normal_shape = basis.grid_shape
 
-    def sample_batch(self, dt: float, rng, count: int) -> np.ndarray:
-        if dt == 0.0:
-            return np.zeros((count,) + self.basis.grid_shape)
-        scale = math.sqrt(dt / self.basis.cell_volume)
-        return scale * rng.standard_normal((count,) + self.basis.grid_shape)
+    def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
+        return math.sqrt(dt / self.basis.cell_volume) * z
 
     def qv_form(self, f_values: np.ndarray):
         # delta kernel: the double integral collapses to int f^2

@@ -21,12 +21,13 @@ identity stays checkable.  Alongside I the quadratic variation
 is accumulated with the kernel-specific quadrature of the sampler.
 
 A block of seeds steps as one (P, *grid) batch through ``Stepper.step``.
-Each row draws its increment from its own counter-based stream keyed by
-its seed (Philox; Salmon et al., SC'11), so its values do not depend on the
-batch.  A row leaves the batch at its stop, the first of the sup-norm
-reaching the truncation level (tau_n), the mass martingale exceeding the
-bound M (tau_M) or the horizon, or as a failed path when its field goes
-non-finite.
+Each row draws the standard normals of its increment from its own
+counter-based stream keyed by its seed (Philox; Salmon et al., SC'11), so
+its values do not depend on the batch; one linear map of the sampler turns
+the stacked normals into the batch's increments.  A row leaves the batch
+at its stop, the first of the sup-norm reaching the truncation level
+(tau_n), the mass martingale exceeding the bound M (tau_M) or the horizon,
+or as a failed path when its field goes non-finite.
 """
 
 from __future__ import annotations
@@ -178,12 +179,12 @@ class TrajectoryRecord:
 
     def csv_rows(self):
         last = len(self.t) - 1
+        columns = (self.t, self.sup_norm, self.l1_norm, self.I, self.Q,
+                   self.clamped_mass)
         for s in range(len(self.t)):
             flag = self.stop_flag if s == last else "none"
-            yield (
-                f"{s},{self.t[s]!r},{self.sup_norm[s]!r},{self.l1_norm[s]!r},"
-                f"{self.I[s]!r},{self.Q[s]!r},{self.clamped_mass[s]!r},{flag}"
-            )
+            values = ",".join(repr(float(c[s])) for c in columns)
+            yield f"{s},{values},{flag}"
 
 
 @dataclass
@@ -304,6 +305,9 @@ def _run_rows(ctx: TrajectoryContext, seeds):
     # rows still stepping: their indices into seeds, and their fields
     live = np.arange(len(seeds))
     u = np.repeat(ctx.u0[np.newaxis], len(seeds), axis=0)
+    # each live row's standard normals, from its own stream, for one
+    # sampler.increments call per step
+    normals = np.empty((len(seeds),) + sampler.normal_shape)
     s = 0
     while True:
         hit_n = sup[live, s] >= ctx.sigma.truncation
@@ -315,8 +319,10 @@ def _run_rows(ctx: TrajectoryContext, seeds):
         if s == n_steps or live.size == 0:
             break
         s += 1
-        dW = np.stack([sampler.sample_values(dt, rngs[i]) for i in live])
-        u, dI, dQ, dclamp, finite = stepper.step(u, dW)
+        z = normals[:live.size]
+        for k, i in enumerate(live):
+            rngs[i].standard_normal(out=z[k])
+        u, dI, dQ, dclamp, finite = stepper.step(u, sampler.increments(dt, z))
         for i in live[~finite]:
             errors[i] = TrajectoryError(s, BlowThroughError(
                 "non-finite field after step: step size too large for the "

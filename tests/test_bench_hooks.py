@@ -1,11 +1,12 @@
 """The benchmark's hooks into the package still resolve.
 
 ``benches/tracing.py`` wraps the functions and methods listed in its
-``TRACED`` table, and ``benches/op.py`` ends set-up at the first return of
-the functions it passes to ``mark_setup_end``.  Both look names up at run
+``TRACED`` table, ``benches/op.py`` ends set-up at the first return of the
+functions it passes to ``mark_setup_end``, and ``benches/checks.py`` calls
+sampler methods in its output checks.  All of them look names up at run
 time, so a renamed or deleted function breaks ``benches/run.py`` without
-failing any other test.  These checks read the two files and change nothing
-in them or in the package.
+failing any other test.  These checks read the three files and change
+nothing in them or in the package.
 """
 
 import ast
@@ -40,6 +41,14 @@ def setup_markers():
     return names
 
 
+def sampler_calls():
+    """Names of the methods checks.py calls on a variable named sampler."""
+    tree = ast.parse((BENCHES / "checks.py").read_text())
+    return {node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "sampler"}
+
+
 def defined_function(modules, attr):
     """The function ``attr`` as defined (not re-exported) in the package."""
     return next(
@@ -70,3 +79,12 @@ def test_setup_markers_resolve():
     assert {"build_context", "make_sampler"} <= markers
     for attr in markers:
         assert callable(defined_function(MODULES, attr)), f"{attr} is gone"
+
+
+@pytest.mark.parametrize("owner", ["SpectralSampler", "RieszSampler", "WhiteNoiseSampler"])
+def test_checked_sampler_methods_resolve(owner):
+    calls = sampler_calls()
+    assert {"sample_batch", "qv_form"} <= calls
+    cls = TRACING._find_class(MODULES, owner)
+    for attr in calls:
+        assert callable(getattr(cls, attr, None)), f"{owner}.{attr} is gone"

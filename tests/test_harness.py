@@ -246,6 +246,16 @@ class TestRunEnsemble:
         lines = traj.read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
         assert lines[1] == "step,t,sup_norm,l1_norm,I,Q,clamped_mass,stop_flag"
+        # every value is a plain float that reads back bit for bit
+        record = run_trajectory(config, 7)
+        columns = (record.t, record.sup_norm, record.l1_norm, record.I,
+                   record.Q, record.clamped_mass)
+        assert len(lines) == 2 + len(record.t)
+        for s, line in enumerate(lines[2:]):
+            step, *values, flag = line.split(",")
+            assert int(step) == s
+            assert [float(v) for v in values] == [float(c[s]) for c in columns]
+            assert flag == (record.stop_flag if s == record.steps else "none")
 
 
 class TestSweepGamma:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochheat import noise
 from stochheat.spectral import DIRICHLET, NEUMANN, PERIODIC, DomainSpec, build_basis
 from stochheat.noise import (
     DecayFitError,
@@ -35,6 +36,14 @@ from stochheat.noise import (
 )
 
 PI = math.pi
+
+# (dimension, kernel): every sampler class, Riesz in d = 1 and 3
+SAMPLER_CASES = [
+    (1, SpectralKernel(0.25, 1.0)),
+    (1, WhiteNoise()),
+    (1, RieszKernel(0.3)),
+    (3, RieszKernel(1.0)),
+]
 
 
 def basis_for(d=1, bc=DIRICHLET, n=64, **kw):
@@ -191,14 +200,12 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             kernel_eval(WhiteNoise(), basis, [1.0], [2.0])
 
-    def test_spectral_diagonal_positive_and_residue_bounded(self):
+    def test_spectral_diagonal_positive(self):
         basis = basis_for(1, DIRICHLET, n=128)
         samp = make_sampler(SpectralKernel(theta=0.25, a=0.0), basis)
         xs = basis.axis_points[::8]
         vals = np.array([[samp.kernel([x], [y]) for y in xs] for x in xs])
         assert np.all(np.diag(vals) > 0)
-        # off-diagonal truncation residue stays above the reported scale
-        assert vals.min() >= -samp.truncation_scale()
 
     def test_riesz_strictly_positive(self):
         basis = basis_for(1, NEUMANN, n=32)
@@ -344,7 +351,7 @@ class TestSampler:
         spec = RieszKernel(alpha)
         samp = make_sampler(spec, basis)
         assert samp.clipped_fraction == 0.0
-        count = math.prod(samp.embed_shape)
+        count = math.prod(samp.normal_shape)
         Y = samp.sample_batch(1.0, IdentityNormals(), count).reshape(count, -1)
         C = riesz_covariance(spec, basis)
         assert np.max(np.abs(Y.T @ Y - C) / C) < 1e-12
@@ -352,11 +359,24 @@ class TestSampler:
         direct = basis.cell_volume**2 * f.ravel() @ C @ f.ravel()
         assert samp.qv_form(f) == pytest.approx(direct, rel=1e-12)
 
-    @pytest.mark.parametrize("d, alpha", [(1, 0.3), (3, 1.0)])
-    def test_riesz_batch_rows_equal_single_draws(self, d, alpha):
-        # chunked batches draw the same normals in the same order
-        samp = make_sampler(RieszKernel(alpha), basis_for(d, NEUMANN, n=16))
-        batch = samp.sample_batch(0.1, np.random.default_rng(3), 90)
+    @pytest.mark.parametrize("d, spec", SAMPLER_CASES,
+                             ids=[f"{d}d-{s.variant}" for d, s in SAMPLER_CASES])
+    def test_batch_rows_equal_single_draws(self, d, spec, monkeypatch):
+        # a batch spanning several chunks (the last one short) draws the
+        # same normals in the same order as single draws
+        samp = make_sampler(spec, basis_for(d, NEUMANN, n=16))
+        monkeypatch.setattr(noise, "_CHUNK_NORMALS", 39 * math.prod(samp.normal_shape))
+        chunks = []
+
+        class ChunkSpy:
+            inner = np.random.default_rng(3)
+
+            def standard_normal(self, shape):
+                chunks.append(shape[0])
+                return self.inner.standard_normal(shape)
+
+        batch = samp.sample_batch(0.1, ChunkSpy(), 90)
+        assert chunks == [39, 39, 12]
         rng = np.random.default_rng(3)
         rows = np.stack([samp.sample_values(0.1, rng) for _ in range(90)])
         assert np.array_equal(batch, rows)
@@ -373,7 +393,7 @@ class TestSampler:
         assert len(warnings) == 1
         assert f"{samp.clipped_fraction:.3g}" in warnings[0].getMessage()
         assert np.all(samp.spectrum >= 0)
-        count = math.prod(samp.embed_shape)
+        count = math.prod(samp.normal_shape)
         Y = samp.sample_batch(1.0, IdentityNormals(), count).reshape(count, -1)
         sampled = Y.T @ Y
         C = riesz_covariance(spec, basis)

@@ -190,10 +190,12 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(seed)
         # values above the truncation level exercise the clamp of sigma
         u = rng.uniform(0.0, 6.0, size=(rows,) + basis.grid_shape)
-        dW = sampler.sample_batch(dt, rng, rows)
+        z = rng.standard_normal((rows,) + sampler.normal_shape)
+        dW = sampler.increments(dt, z)
         batched = stepper.step(u, dW)
         names = ("u", "I", "Q", "clamp", "finite")
         for i in range(rows):
+            assert np.array_equal(dW[i], sampler.increments(dt, z[i:i + 1])[0]), "dW"
             one_row = stepper.step(u[i:i + 1], dW[i:i + 1])
             reference = reference_step(stepper, u[i], dW[i])
             for name, got, single, ref in zip(names, batched, one_row, reference):
