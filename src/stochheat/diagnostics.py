@@ -310,13 +310,24 @@ class MomentProbeReport:
         }
 
 
-def convolution_variance_series(sampler: SpectralSampler, t: float, x) -> float:
-    """Ito-isometry variance of Z(t,x) for phi = 1 and the spectral kernel:
-    sum_k lambda_k^2 (1 - e^(-2 alpha_k t)) / (2 alpha_k) e_k(x)^2."""
+def convolution_variance_series(sampler: SpectralSampler, t: float, x, dt: float) -> float:
+    """Variance of Z(t,x) for phi = 1 and the spectral kernel, exact for the
+    exponential-Euler scheme with step dt, t = n dt:
+    sum_k lambda_k^2 e_k(x)^2 dt q (1 - q^n) / (1 - q), q = e^(-2 alpha_k dt),
+    which is n dt for alpha_k = 0 and tends to the continuum Ito-isometry
+    series as dt -> 0."""
+    n = round(t / dt)
+    if abs(n * dt - t) > 1e-9 * max(t, 1.0):
+        raise ValueError(f"t = {t} is not a multiple of dt = {dt}")
     basis = sampler.basis
     alpha = basis.eigenvalue_tensor()
     with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(alpha > 0, (1.0 - np.exp(-2 * alpha * t)) / (2 * alpha), t)
+        factor = np.where(
+            alpha > 0,
+            dt * np.exp(-2 * alpha * dt) * np.expm1(-2 * alpha * n * dt)
+            / np.expm1(-2 * alpha * dt),
+            n * dt,
+        )
     w = sampler.weights * factor
     x = np.atleast_1d(np.asarray(x, dtype=float))
     for i in range(basis.dimension):
@@ -334,8 +345,14 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     replaced by the deterministic field phi (default 1).  Heavy tails at
     large p are tamed with a median-of-means estimate over ``batches``
     groups of paths.  For the spectral kernel with phi = 1 the pointwise
-    variance is also compared against the closed-form eigenvalue series.
+    variance is also compared against the scheme's exact eigenvalue series.
+    Needs ``1 <= batches <= paths``.
     """
+    if not 1 <= batches <= paths:
+        raise ValueError(
+            f"paths = {paths} and batches = {batches}: the median of means "
+            "needs 1 <= batches <= paths, at least one path per group"
+        )
     beta, eta = kernel_params(noise_spec, basis.dimension)
     if not moment_admissible(p, beta, eta):
         raise ValueError(
@@ -362,10 +379,12 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     rng = path_rng(seed)
 
     spectral_fast = isinstance(noise_spec, SpectralKernel) and np.all(phi_vals == 1.0)
-    center = basis.center_point()
+    # the grid point nearest the centre, where Z is recorded and the
+    # oracle evaluated (a midpoint grid has no point at the centre itself)
     center_idx = tuple(
-        int(np.argmin(np.abs(basis.axis_points - c))) for c in center
+        int(np.argmin(np.abs(basis.axis_points - c))) for c in basis.center_point()
     )
+    center = basis.axis_points[list(center_idx)]
 
     Z = np.zeros((paths,) + basis.coeff_shape)
     running_max = np.zeros(paths)
@@ -393,7 +412,7 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
                 break
 
     # median of means over batches for E sup^p
-    group = max(1, paths // batches)
+    group = paths // batches
     estimates = []
     for row in sup_snapshots:
         vals = row[: group * batches].reshape(batches, group) ** p
@@ -409,7 +428,7 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     variance_checks = []
     if spectral_fast:
         for j, T in enumerate(T_grid):
-            oracle = convolution_variance_series(sampler, T, center)
+            oracle = convolution_variance_series(sampler, T, center, dt)
             emp = float(center_snapshots[j].var())
             se = oracle * math.sqrt(2.0 / max(paths - 1, 1))
             variance_checks.append(

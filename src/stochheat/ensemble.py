@@ -179,8 +179,15 @@ def compute_aggregates(rows, u0_l1: float, mass_bound: float) -> dict:
 
 
 def _run_block(seeds, context):
-    """Run consecutive seeds as one batch; a failed path becomes a message."""
-    records, failures = run_batch(context, seeds)
+    """Run consecutive seeds as one batch; a failed path becomes a message.
+
+    Any other exception raised while the block steps fails every seed of
+    the block, with its class and message, and leaves the other blocks
+    running."""
+    try:
+        records, failures = run_batch(context, seeds)
+    except Exception as exc:
+        return [], [f"seed {seed}: {type(exc).__name__}: {exc}" for seed in seeds]
     return records, [f"seed {seed}: {exc}" for seed, exc in failures]
 
 
@@ -202,7 +209,9 @@ def run_ensemble(config: SimConfig, keep_records: bool = False,
     Deterministic given (config, base seed): seeds run in blocks of
     consecutive path indices, merged in block order, and each path owns its
     own counter-based stream, so the worker count cannot change any output
-    byte.  A pool worker builds its context once, on its first block.
+    byte.  A pool worker builds its context once, on its first block.  A
+    block that raises records all its seeds as failed and the other blocks
+    go on; an error while building a context is raised.
     """
     t0 = time.monotonic()
     seeds = [config.base_seed + i for i in range(config.paths)]

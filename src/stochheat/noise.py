@@ -20,10 +20,13 @@ row by row from each path's own stream.  The spectral sampler takes one
 normal per retained mode and the white-noise sampler one per cell.  The
 Riesz grid covariance (cell-averaged diagonal) depends only on the lattice
 offset, so the Riesz sampler embeds it in a circulant on a torus of about
-twice the grid per axis, takes one normal per torus point and maps a batch
-with one FFT pair (circulant embedding: Dietrich & Newsam, SIAM J. Sci.
-Comput. 18, 1997; Wood & Chan, J. Comput. Graph. Stat. 3, 1994); its
-quadratic form is an exact FFT convolution.  Negative circulant
+twice the grid per axis (circulant embedding: Dietrich & Newsam, SIAM J.
+Sci. Comput. 18, 1997; Wood & Chan, J. Comput. Graph. Stat. 3, 1994).  It
+synthesizes a draw in Fourier space: two normals (real and imaginary
+part) per entry of the torus's real-FFT half spectrum, scaled by the
+square root of the circulant spectrum and mapped to the grid by one
+inverse FFT, pruned to the grid corner.  Its quadratic form is an exact
+FFT convolution, transformed from the grid corner only.  Negative circulant
 eigenvalues, which occur for d = 3 and small alpha, are clipped at zero,
 logged and reported as ``clipped_fraction``; the draws and the quadratic
 form share the clipped spectrum.  Memory and work are O(N log N) in the
@@ -319,12 +322,22 @@ class RieszSampler(_Sampler):
 
     The grid covariance depends only on the lattice offset k, as
     c(k) = |h k|^(-alpha) off the diagonal and the cell mean at k = 0, so it
-    is the restriction of a circulant on the M^d torus, M >= 2g - 2.  The
-    circulant's spectrum is the ``rfftn`` of its first row; a draw is
-    irfftn(sqrt(lam) rfftn(z)) of a standard normal torus field z, cut to
-    the grid.  ``qv_form`` is f.(C*f) for f zero-padded to the torus, which
-    by Parseval is sum_k lam_k |rfftn(f)_k|^2 / M^d: one FFT per field, and
-    one value per row of a (P, *grid) batch.
+    is the restriction of a circulant on the M^d torus, M >= 2g - 2, whose
+    spectrum lam is the ``rfftn`` of its first row.
+
+    A draw is synthesized in Fourier space.  The normals are the real and
+    imaginary parts of the ``rfftn`` half spectrum, ``normal_shape =
+    (M,)*(d-1) + (M//2+1, 2)``.  They are scaled by sqrt(lam dt M^d / m),
+    where m is 2 on the interior last-axis columns and 1 on the zero and
+    Nyquist columns, of which ``irfft`` keeps only the Hermitian part.  The
+    inverse transform is pruned to the grid: an ``ifft`` over each leading
+    axis keeps its first g outputs before the next, and an ``irfft`` of M
+    points over the last axis is cut to g.
+
+    ``qv_form`` is f.(C*f) for f zero-padded to the torus, by Parseval
+    sum_k m lam_k |F_k|^2 / M^d over the half spectrum F of f, which is
+    transformed from the unpadded field, one axis at a time; one value per
+    row of a (P, *grid) batch.
     """
 
     def __init__(self, spec: RieszKernel, basis: SpectralBasis):
@@ -333,7 +346,8 @@ class RieszSampler(_Sampler):
         self.basis = basis
         d, g = basis.dimension, basis.grid_shape[0]
         M = scipy.fft.next_fast_len(2 * g - 2, real=True)
-        self.normal_shape = (M,) * d
+        self._embed_len = M
+        self.normal_shape = (M,) * (d - 1) + (M // 2 + 1, 2)
         wrap = np.minimum(np.arange(M), M - np.arange(M))
         grids = np.meshgrid(*([wrap] * d), indexing="ij", sparse=True)
         r = basis.h * np.sqrt(sum(k * k for k in grids).astype(float))
@@ -342,22 +356,26 @@ class RieszSampler(_Sampler):
         row[(0,) * d] = _unit_cell_mean(spec.alpha, d) * basis.h ** (-spec.alpha)
         lam = scipy.fft.rfftn(row, axes=basis.field_axes).real
         self.spectrum, self.clipped_fraction = _clip_spectrum(lam, M)
-        self._amplitudes = np.sqrt(self.spectrum)
-        self._qv_weights = _rfft_multiplicity(M) * self.spectrum * (
-            basis.cell_volume**2 / M**d
-        )
-        self._grid = (Ellipsis,) + (slice(0, g),) * d
+        mult = _rfft_multiplicity(M)
+        # the unnormalized inverse ("forward" norm) leaves 1/M^d to the scales
+        self._scales = np.sqrt(self.spectrum / (mult * M**d))
+        self._qv_weights = mult * self.spectrum * (basis.cell_volume**2 / M**d)
 
     def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
-        """One normal per torus point, one FFT pair, cut to the grid."""
-        axes = self.basis.field_axes
-        coeffs = scipy.fft.rfftn(z, axes=axes)
-        coeffs *= math.sqrt(dt) * self._amplitudes
-        return scipy.fft.irfftn(coeffs, s=self.normal_shape, axes=axes)[self._grid]
+        """Normals on the half spectrum, scaled, one pruned inverse FFT."""
+        g = self.basis.grid_shape[0]
+        coeffs = z.view(complex)[..., 0] * (math.sqrt(dt) * self._scales)
+        for axis in self.basis.field_axes[:-1]:
+            coeffs = scipy.fft.ifft(coeffs, axis=axis, norm="forward", overwrite_x=True)
+            coeffs = coeffs[(Ellipsis, slice(g)) + (slice(None),) * (-1 - axis)]
+        return scipy.fft.irfft(coeffs, n=self._embed_len, norm="forward",
+                               overwrite_x=True)[..., :g]
 
     def qv_form(self, f_values: np.ndarray):
-        axes = self.basis.field_axes
-        coeffs = scipy.fft.rfftn(f_values, s=self.normal_shape, axes=axes)
+        M = self._embed_len
+        coeffs = scipy.fft.rfft(f_values, n=M)
+        for axis in self.basis.field_axes[-2::-1]:
+            coeffs = scipy.fft.fft(coeffs, n=M, axis=axis, overwrite_x=True)
         return self.basis.field_sum(self._qv_weights * (coeffs.real**2 + coeffs.imag**2))
 
 

@@ -270,12 +270,58 @@ class TestMomentProbe:
         assert report.variance_checks, "spectral phi=1 probe must report the oracle"
         assert report.variance_passed, report.variance_checks
 
+    def test_variance_oracle_at_recorded_grid_point(self):
+        # the Neumann midpoint grid has no point at the centre: the oracle
+        # is taken where Z is recorded, the nearest grid point
+        basis = build_basis(DomainSpec(1, NEUMANN, 32))
+        spec = SpectralKernel(theta=0.25, a=1.0)
+        report = convolution_moment_probe(
+            basis, spec, p=20, T_grid=[0.01], paths=64, dt=1e-3)
+        x = basis.axis_points[np.argmin(np.abs(basis.axis_points - PI / 2))]
+        assert x != PI / 2
+        oracle = convolution_variance_series(make_sampler(spec, basis), 0.01, [x], 1e-3)
+        assert report.variance_checks[0]["oracle"] == oracle
+
     def test_variance_series_alpha_zero_limit(self):
         basis = build_basis(DomainSpec(1, NEUMANN, 32))
         spec = SpectralKernel(theta=0.25, a=1.0)
         # zero eigenvalue mode contributes lambda_0^2 * t
-        v_small = convolution_variance_series(make_sampler(spec, basis), 1e-6, [PI / 2])
+        v_small = convolution_variance_series(make_sampler(spec, basis), 1e-6, [PI / 2], 1e-6)
         assert v_small == pytest.approx(0.0, abs=1e-4)
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+    def test_variance_series_is_exact_for_the_scheme(self, bc):
+        # Z_n = sum_{m=1..n} S^m (sqrt(dt) lambda_k xi_m) per mode, so the
+        # variance is the finite geometric sum, summed term by term here
+        basis = build_basis(DomainSpec(1, bc, 32))
+        sampler = make_sampler(SpectralKernel(theta=0.25, a=1.0), basis)
+        x, dt, n = [1.1], 5e-4, 40
+        e2 = basis._axis_eigenfunction_column(x[0]) ** 2
+        alpha = basis.eigenvalue_tensor()
+        direct = sum(
+            float(np.sum(sampler.weights * e2 * dt * np.exp(-2 * alpha * m * dt)))
+            for m in range(1, n + 1)
+        )
+        got = convolution_variance_series(sampler, n * dt, x, dt)
+        assert got == pytest.approx(direct, rel=1e-12)
+        # and tends to the continuum Ito-isometry series as dt -> 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = np.where(alpha > 0, -np.expm1(-2 * alpha * n * dt) / (2 * alpha), n * dt)
+        continuum = float(np.sum(sampler.weights * e2 * factor))
+        fine = convolution_variance_series(sampler, n * dt, x, dt / 1000)
+        assert fine == pytest.approx(continuum, rel=1e-3)
+        assert abs(got - continuum) > 10 * abs(fine - continuum)
+        with pytest.raises(ValueError, match="not a multiple"):
+            convolution_variance_series(sampler, 1.5 * dt, x, dt)
+
+    @pytest.mark.parametrize("paths, batches", [(16, 32), (16, 0), (16, -2)])
+    def test_batches_outside_one_to_paths_rejected(self, paths, batches):
+        basis = build_basis(DomainSpec(1, PERIODIC, 32))
+        with pytest.raises(ValueError, match=f"paths = {paths} and batches = {batches}"):
+            convolution_moment_probe(
+                basis, WhiteNoise(), p=20, T_grid=[0.01], paths=paths, dt=1e-3,
+                batches=batches,
+            )
 
     def test_envelope_check_white_noise(self):
         basis = build_basis(DomainSpec(1, PERIODIC, 64))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stochheat import stepping
 from stochheat.cli import main
 from stochheat.config import (
     ConfigError,
@@ -196,6 +197,32 @@ class TestRunEnsemble:
             f"seed {seed}: step 1: non-finite field after step: step size "
             "too large for the current sup-norm"
             for seed in (7, 8, 9)
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_that_raises_fails_its_seeds_only(self, monkeypatch, workers):
+        # an exception inside run_batch fails every seed of its block; with
+        # two workers the blocks are pairs of seeds and the others run on
+        # (the pool forks, so its workers see the patched stream)
+        make_rng = stepping.path_rng
+
+        def path_rng(seed):
+            if seed == 12:
+                raise FloatingPointError("stream unavailable")
+            return make_rng(seed)
+
+        monkeypatch.setattr(stepping, "path_rng", path_rng)
+        config = small_config(paths=16, workers=workers)
+        result = run_ensemble(config)
+        failed = list(range(7, 23)) if workers == 1 else [11, 12]
+        assert result.failures == [
+            f"seed {seed}: FloatingPointError: stream unavailable" for seed in failed
+        ]
+        assert result.aggregates["failure_count"] == len(failed)
+        survivors = [seed for seed in range(7, 23) if seed not in failed]
+        monkeypatch.undo()
+        assert [r.csv_row() for r in result.rows] == [
+            summarize(run_trajectory(config, seed)).csv_row() for seed in survivors
         ]
 
     def test_batch_rows_equal_single_paths(self):

@@ -2,7 +2,10 @@
 
 The discrete mass identity (integral u = I + clamped mass) is structural
 for Neumann/periodic conditions and is asserted per step at round-off
-level; the Dirichlet domination is checked in distribution.
+level; the Dirichlet domination is checked in distribution.  The law of
+the field itself is checked on additive noise, against the scheme's
+exact variance built from the basis transforms and the kernel's grid
+covariance.
 """
 
 import math
@@ -22,6 +25,7 @@ from stochheat.spectral import (
     DomainSpec,
     build_basis,
 )
+from stochheat.diagnostics import convolution_variance_series
 from stochheat.noise import (
     RieszKernel,
     SpectralKernel,
@@ -44,6 +48,8 @@ from stochheat.stepping import (
     run_trajectory,
     sigma_eval,
 )
+
+from test_noise import riesz_covariance
 
 PI = math.pi
 
@@ -229,6 +235,86 @@ class TestRunBatch:
         assert records == []
         assert [(seed, exc.step) for seed, exc in failures] == [(7, 1), (8, 1), (9, 1)]
         assert str(info.value) == str(failures[1][1])
+
+
+def scheme_variance(basis, C, dt, n, center):
+    """dt sum_{m=1..n} (S^m C S^m^T)_cc for the one-step semigroup S of the
+    scheme, built column by column from the basis transforms of unit
+    fields, and C the grid covariance of the increments per unit dt."""
+    size = math.prod(basis.grid_shape)
+    units = np.eye(size).reshape((size,) + basis.grid_shape)
+    S = basis.to_grid_batch(basis.semigroup(basis.to_spectral_batch(units), dt))
+    S = S.reshape(size, size).T
+    row = np.eye(size)[np.ravel_multi_index(center, basis.grid_shape)]
+    total = 0.0
+    for _ in range(n):
+        row = row @ S
+        total += row @ C @ row
+    return dt * total
+
+
+class TestStepperLaw:
+    # additive noise, sigma = 1: u_n = S^n u0 + sum_{m=1..n} S^m dW_m, so
+    # Var u(T, x_c) = dt sum_m (S^m C S^m^T)_cc; constant data far above
+    # the noise keeps the projection idle
+    PATHS = 2000
+    N_STEPS = 10
+    DT = 1e-3
+
+    def final_fields(self, monkeypatch, domain, kernel):
+        config = make_config(
+            domain=domain, noise=kernel,
+            sigma=SigmaSpec(scale=1.0, growth=0.0, truncation=1e6),
+            dt=self.DT, horizon=self.N_STEPS * self.DT, mass_bound=float("inf"),
+            init_value=50.0,
+        )
+        last = []
+        step = stepping.Stepper.step
+
+        def spy(stepper, u, dW):
+            out = step(stepper, u, dW)
+            last[:] = [out[0]]
+            return out
+
+        monkeypatch.setattr(stepping.Stepper, "step", spy)
+        ctx = build_context(config)
+        records, failures = run_batch(ctx, list(range(self.PATHS)))
+        assert failures == []
+        assert all(r.stop_flag == STOP_HORIZON and r.steps == self.N_STEPS
+                   for r in records)
+        assert all(np.all(r.clamped_mass == 0) for r in records)
+        u = last[0]
+        assert u.shape == (self.PATHS,) + ctx.basis.grid_shape
+        return ctx, u
+
+    def assert_variance(self, u, center, oracle):
+        emp = float(u[(slice(None),) + center].var())
+        se = oracle * math.sqrt(2.0 / (self.PATHS - 1))
+        assert abs(emp - oracle) < 3 * se, (emp, oracle, se)
+
+    def test_spectral_kernel_closed_form(self, monkeypatch):
+        domain = DomainSpec(1, NEUMANN, 32)
+        ctx, u = self.final_fields(monkeypatch, domain, SpectralKernel(0.25, 1.0))
+        basis, sampler = ctx.basis, ctx.sampler
+        center = (len(basis.axis_points) // 2,)
+        x_c = [basis.axis_points[center[0]]]
+        oracle = convolution_variance_series(
+            sampler, self.N_STEPS * self.DT, x_c, self.DT)
+        # the closed form is the matrix form with the kernel's grid covariance
+        G = basis.to_grid_batch(np.eye(basis.coeff_shape[0])).T
+        C = G @ np.diag(sampler.weights) @ G.T
+        assert scheme_variance(basis, C, self.DT, self.N_STEPS, center) == (
+            pytest.approx(oracle, rel=1e-10))
+        self.assert_variance(u, center, oracle)
+
+    def test_riesz_kernel(self, monkeypatch):
+        spec = RieszKernel(0.5)
+        ctx, u = self.final_fields(monkeypatch, DomainSpec(2, NEUMANN, 8), spec)
+        basis = ctx.basis
+        center = (4, 4)
+        C = riesz_covariance(spec, basis)
+        oracle = scheme_variance(basis, C, self.DT, self.N_STEPS, center)
+        self.assert_variance(u, center, oracle)
 
 
 class TestMassIdentity:
