@@ -86,6 +86,10 @@ class SimConfig:
             raise ConfigError("run.paths: must be >= 1")
         if self.workers < 1:
             raise ConfigError("run.workers: must be >= 1")
+        if self.max_failures < 0:
+            raise ConfigError("run.max_failures: must be >= 0")
+        if self.save_trajectories < 0:
+            raise ConfigError("run.save_trajectories: must be >= 0")
         if self.init_kind not in ("constant", "eigenmode", "file"):
             raise ConfigError(
                 f"init.kind: {self.init_kind!r} not one of constant|eigenmode|file"

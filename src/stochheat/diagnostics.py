@@ -138,12 +138,16 @@ class DoobReport:
         return {"u0_l1": self.u0_l1, "entries": self.entries, "passed": self.passed}
 
 
-def doob_check(records, M_grid) -> DoobReport:
-    """Fraction of paths whose running L1 exceeds M, against the Doob bound."""
+def doob_check(records, M_grid, u0_l1: float | None = None) -> DoobReport:
+    """Fraction of paths whose running L1 exceeds M, against the Doob bound.
+
+    ``records`` may be trajectory records or summary rows: only their
+    ``max_l1`` is read.  The initial mass is the first record's unless
+    ``u0_l1`` is given."""
     records = list(records)
     if not records:
         raise ValueError("empty ensemble")
-    u0 = float(records[0].l1_norm[0])
+    u0 = float(records[0].l1_norm[0]) if u0_l1 is None else float(u0_l1)
     maxima = np.array([r.max_l1 for r in records])
     n = len(records)
     report = DoobReport(u0_l1=u0)
@@ -204,16 +208,18 @@ def q_at_mass_stop(record: TrajectoryRecord, M: float):
 
 
 def qv_bound_check(records, M: float) -> QVReport:
-    records = list(records)
-    vals, hits = [], 0
-    for r in records:
-        q, hit = q_at_mass_stop(r, M)
-        vals.append(q)
-        hits += int(hit)
-    vals = np.array(vals)
+    """E Q(tau_M ∧ stop) over all paths, against M^2."""
+    stops = [q_at_mass_stop(r, M) for r in records]
+    return qv_report([q for q, _ in stops], sum(hit for _, hit in stops), M)
+
+
+def qv_report(q_values, n_hit: int, M: float) -> QVReport:
+    """The QV bound's fold over Q at each path's stop tau_M ∧ stop."""
+    vals = np.array(q_values, dtype=float)
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return QVReport(M=float(M), mean_Q=mean, se=se, n_paths=len(vals), n_hit=hits)
+    return QVReport(M=float(M), mean_Q=mean, se=se, n_paths=len(vals),
+                    n_hit=int(n_hit))
 
 
 @dataclass

@@ -1,13 +1,14 @@
 """Seeded ensemble orchestration, the gamma sweep, and assumption checks.
 
 Trajectories are pure functions of (config, seed) with seeds base_seed + i.
-One runner serves any worker count: seeds run in blocks of consecutive path
-indices, one context per process and one batch per block, and the blocks
-are merged in order, so results are independent of the worker count.  Row CSVs are written with
-repr-exact floats and a stable column order, making repeated runs
-byte-identical; wall-clock metrics go to a separate run_info.json that is
-excluded from the determinism contract.
-"""
+One runner serves any worker count: the seeds run in one block of
+consecutive path indices per worker, each block builds its own context,
+steps its seeds as one batch and summarizes its own paths, and the blocks
+are merged in order, so results are independent of the worker count.  Row
+CSVs are written with repr-exact floats and a stable column order, making
+repeated runs byte-identical; wall-clock metrics and the seconds of each
+phase go to a separate run_info.json that is excluded from the determinism
+contract."""
 
 from __future__ import annotations
 
@@ -23,8 +24,10 @@ import numpy as np
 from .config import SimConfig, config_hash
 from .diagnostics import (
     detect_doubling,
+    doob_check,
     doubling_threshold_level,
     doubling_window,
+    qv_report,
     up_event_count,
 )
 from .noise import (
@@ -37,7 +40,7 @@ from .noise import (
 from .spectral import DomainSpec, build_basis, heat_kernel_decay_fit
 from .stepping import TrajectoryRecord, build_context, run_batch
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 ROW_COLUMNS = (
     "seed", "stop_flag", "stop_time", "max_sup_norm", "max_l1",
@@ -99,12 +102,19 @@ class EnsembleResult:
     failures: list = field(default_factory=list)
     wall_clock: float = 0.0
     records: list | None = None
+    # records written as trajectories/seed<k>.csv
+    trajectories: list = field(default_factory=list)
+    # workers, blocks and seconds per phase, for run_info.json
+    run_info: dict = field(default_factory=dict)
 
     @property
     def throughput(self) -> float:
         return len(self.rows) / self.wall_clock if self.wall_clock > 0 else math.inf
 
     def write(self, out_dir) -> Path:
+        """rows.csv, aggregates.json, the trajectories and, last, run_info.json
+        with the seconds this write took."""
+        t0 = time.monotonic()
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         lines = [f"# config_hash={self.config_hash} schema_version={SCHEMA_VERSION}"]
@@ -118,52 +128,49 @@ class EnsembleResult:
             "failures": self.failures,
         }
         (out / "aggregates.json").write_text(json.dumps(payload, indent=2) + "\n")
+        if self.trajectories:
+            traj_dir = out / "trajectories"
+            traj_dir.mkdir(exist_ok=True)
+            for r in self.trajectories:
+                write_trajectory_csv(r, traj_dir / f"seed{r.seed}.csv",
+                                     config_hash=self.config_hash)
         info = {
             "schema_version": SCHEMA_VERSION,
             "config_hash": self.config_hash,
             "wall_clock_seconds": self.wall_clock,
             "paths_per_second": self.throughput,
+            **self.run_info,
         }
+        info["phase_seconds"] = dict(info.get("phase_seconds", {}),
+                                     write=time.monotonic() - t0)
         (out / "run_info.json").write_text(json.dumps(info, indent=2) + "\n")
         return out
 
 
 def compute_aggregates(rows, u0_l1: float, mass_bound: float) -> dict:
     """Aggregate statistics; a pure function of the summary rows so that
-    stored aggregates can be recomputed and cross-checked on load."""
+    stored aggregates can be recomputed and cross-checked on load.
+
+    The bounds are the diagnostics' folds over the rows.  A path stops at
+    the first step where I exceeds the mass bound, so its final_Q is Q at
+    tau_M ∧ stop and ``qv_at_mass_bound`` equals qv_bound_check of its
+    records."""
     n = len(rows)
     if n == 0:
-        return {"paths": 0}
+        return {"paths": 0, "mass_bound": mass_bound}
     max_l1 = np.array([r.max_l1 for r in rows])
     final_I = np.array([r.final_I for r in rows])
     flags = [r.stop_flag for r in rows]
-    doob = []
-    for mult in (2.0, 4.0, 8.0):
-        M = mult * u0_l1
-        emp = float(np.mean(max_l1 > M))
-        bound = min(1.0, u0_l1 / M)
-        se = math.sqrt(max(emp * (1 - emp), 1.0 / n) / n)
-        doob.append(
-            {"M": M, "empirical": emp, "bound": bound, "se": se,
-             "passed": emp <= bound + 3 * se}
-        )
-    tau_m_rows = [r for r in rows if r.stop_flag == "tau_M"]
-    qv = None
-    if tau_m_rows:
-        q = np.array([r.final_Q for r in tau_m_rows])
-        qv = {
-            "M": mass_bound,
-            "mean_Q_at_stop": float(np.mean(q)),
-            "se": float(np.std(q, ddof=1) / math.sqrt(len(q))) if len(q) > 1 else 0.0,
-            "bound": mass_bound**2,
-            "n_hit": len(tau_m_rows),
-        }
+    doob = doob_check(rows, [2.0 * u0_l1, 4.0 * u0_l1, 8.0 * u0_l1], u0_l1=u0_l1)
+    qv = qv_report([r.final_Q for r in rows],
+                   int(np.count_nonzero(final_I > mass_bound)), mass_bound)
     counts = {}
     for r in rows:
         counts[r.doubling_count] = counts.get(r.doubling_count, 0) + 1
     return {
         "paths": n,
         "u0_l1": u0_l1,
+        "mass_bound": mass_bound,
         "stop_fractions": {
             flag: flags.count(flag) / n for flag in ("tau_n", "tau_M", "horizon")
         },
@@ -172,78 +179,97 @@ def compute_aggregates(rows, u0_l1: float, mass_bound: float) -> dict:
         "mean_max_l1": float(np.mean(max_l1)),
         "max_max_sup": float(np.max([r.max_sup_norm for r in rows])),
         "mean_clamped_fraction": float(np.mean([r.clamped_fraction for r in rows])),
-        "doob": doob,
-        "qv_at_mass_bound": qv,
+        "doob": doob.entries,
+        "qv_at_mass_bound": qv.to_dict(),
         "doubling_count_histogram": {str(k): v for k, v in sorted(counts.items())},
     }
 
 
-def _run_block(seeds, context):
-    """Run consecutive seeds as one batch; a failed path becomes a message.
+def _run_isolated(context, seeds):
+    """run_batch, with a batch that raises split in halves and rerun.
 
-    Any other exception raised while the block steps fails every seed of
-    the block, with its class and message, and leaves the other blocks
-    running."""
+    A failed path becomes ``seed s: <message>``; a seed that raises on its
+    own becomes ``seed s: <Class>: <message>``.  The halves are rerun down
+    to single seeds, so only the seeds that raise are lost, whatever the
+    blocks."""
     try:
         records, failures = run_batch(context, seeds)
     except Exception as exc:
-        return [], [f"seed {seed}: {type(exc).__name__}: {exc}" for seed in seeds]
+        if len(seeds) == 1:
+            return [], [f"seed {seeds[0]}: {type(exc).__name__}: {exc}"]
+        half = len(seeds) // 2
+        head, head_failures = _run_isolated(context, seeds[:half])
+        tail, tail_failures = _run_isolated(context, seeds[half:])
+        return head + tail, head_failures + tail_failures
     return records, [f"seed {seed}: {exc}" for seed, exc in failures]
 
 
-# (config, context) of a pool worker, built on its first block
-_worker_context = None
+def _run_block(config: SimConfig, seeds, keep_records: bool):
+    """Run and summarize one block of consecutive seeds on its own context.
 
-
-def _run_pooled_block(config: SimConfig, seeds):
-    global _worker_context
-    if _worker_context is None or _worker_context[0] != config:
-        _worker_context = (config, build_context(config))
-    return _run_block(seeds, _worker_context[1])
+    Returns (rows, failures, records, u0_l1): the summary rows and failure
+    messages in seed order, the records the caller uses (all of them with
+    keep_records, else the first config.save_trajectories) and the initial
+    mass.  An error while building the context is raised."""
+    context = build_context(config)
+    records, failures = _run_isolated(context, seeds)
+    rows = [summarize(r) for r in records]
+    kept = records if keep_records else records[:config.save_trajectories]
+    u0_l1 = float(context.basis.integrate(context.u0))
+    return rows, failures, kept, u0_l1
 
 
 def run_ensemble(config: SimConfig, keep_records: bool = False,
                  out_dir=None) -> EnsembleResult:
     """Run config.paths seeded trajectories and aggregate the results.
 
-    Deterministic given (config, base seed): seeds run in blocks of
-    consecutive path indices, merged in block order, and each path owns its
+    The seeds are split into min(workers, paths) blocks of consecutive path
+    indices, whose sizes differ by at most one.  One block runs in this
+    process; more run on a pool with one process per block.  Each block
+    builds its context, runs its seeds as one run_batch call and summarizes
+    its own paths, and the blocks are merged in order.  Every path owns its
     own counter-based stream, so the worker count cannot change any output
-    byte.  A pool worker builds its context once, on its first block.  A
-    block that raises records all its seeds as failed and the other blocks
-    go on; an error while building a context is raised.
+    byte.  A block that raises is split in halves and rerun down to single
+    seeds, so only the seeds that raise are recorded as failed; an error
+    while building a context is raised.
     """
     t0 = time.monotonic()
     seeds = [config.base_seed + i for i in range(config.paths)]
-    if config.workers > 1 and config.paths > 1:
-        size = max(1, config.paths // (4 * config.workers))
-        blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
-        with concurrent.futures.ProcessPoolExecutor(config.workers) as pool:
-            results = list(pool.map(_run_pooled_block, [config] * len(blocks), blocks))
+    count = min(config.workers, config.paths)
+    size, extra = divmod(config.paths, count)
+    bounds = [k * size + min(k, extra) for k in range(count + 1)]
+    blocks = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+    if count > 1:
+        with concurrent.futures.ProcessPoolExecutor(count) as pool:
+            results = list(pool.map(_run_block, [config] * count, blocks,
+                                    [keep_records] * count))
     else:
-        results = [_run_block(seeds, build_context(config))]
-    ordered = [r for records, _ in results for r in records]
-    failures = [f for _, errors in results for f in errors]
-    rows = [summarize(r) for r in ordered]
-    u0_l1 = float(ordered[0].l1_norm[0]) if ordered else 0.0
-    aggregates = compute_aggregates(rows, u0_l1, config.mass_bound)
+        results = [_run_block(config, blocks[0], keep_records)]
+    block_rows, block_failures, block_records, u0_l1s = zip(*results)
+    rows = [r for part in block_rows for r in part]
+    failures = [f for part in block_failures for f in part]
+    records = [r for part in block_records for r in part]
+    t_blocks = time.monotonic()
+    aggregates = compute_aggregates(rows, u0_l1s[0], config.mass_bound)
     aggregates["failure_count"] = len(failures)
+    t_aggregates = time.monotonic()
     result = EnsembleResult(
         rows=rows,
         aggregates=aggregates,
         config_hash=config_hash(config),
         failures=failures,
-        wall_clock=time.monotonic() - t0,
-        records=ordered if keep_records else None,
+        wall_clock=t_aggregates - t0,
+        records=records if keep_records else None,
+        trajectories=records[:config.save_trajectories],
+        run_info={
+            "workers": config.workers,
+            "blocks": count,
+            "phase_seconds": {"blocks": t_blocks - t0,
+                              "aggregates": t_aggregates - t_blocks},
+        },
     )
     if out_dir is not None:
         result.write(out_dir)
-        if config.save_trajectories > 0:
-            traj_dir = Path(out_dir) / "trajectories"
-            traj_dir.mkdir(exist_ok=True)
-            for r in ordered[: config.save_trajectories]:
-                write_trajectory_csv(r, traj_dir / f"seed{r.seed}.csv",
-                                     config_hash=result.config_hash)
     return result
 
 
@@ -268,11 +294,14 @@ def load_ensemble(out_dir) -> EnsembleResult:
         raise ValueError(f"unexpected rows.csv header: {header}")
     rows = [TrajectorySummary.from_csv_row(r) for r in rows_raw]
     payload = json.loads((out / "aggregates.json").read_text())
+    if payload.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(
+            f"aggregates.json has schema_version {payload.get('schema_version')}; "
+            f"this version reads {SCHEMA_VERSION}"
+        )
     stored = payload["aggregates"]
-    u0_l1 = stored.get("u0_l1", 0.0)
-    qv = stored.get("qv_at_mass_bound")
-    mass_bound = qv["M"] if qv else 1.0
-    recomputed = compute_aggregates(rows, u0_l1, mass_bound)
+    recomputed = compute_aggregates(rows, stored.get("u0_l1", 0.0),
+                                    stored["mass_bound"])
     recomputed["failure_count"] = len(payload.get("failures", []))
     mismatch = {
         k for k in recomputed

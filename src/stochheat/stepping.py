@@ -24,7 +24,9 @@ A block of seeds steps as one (P, *grid) batch through ``Stepper.step``.
 Each row draws the standard normals of its increment from its own
 counter-based stream keyed by its seed (Philox; Salmon et al., SC'11), so
 its values do not depend on the batch; one linear map of the sampler turns
-the stacked normals into the batch's increments.  A row leaves the batch
+the stacked normals into the batch's increments.  A row draws the normals
+of several steps in one call, which takes the same values from its stream
+in the same order as one call per step.  A row leaves the batch
 at its stop, the first of the sup-norm reaching the truncation level
 (tau_n), the mass martingale exceeding the bound M (tau_M) or the horizon,
 or as a failed path when its field goes non-finite.
@@ -51,6 +53,12 @@ EXPLOSIVE_REGIME = "conjectured explosive regime"
 # seeds steps as consecutive batches, which bounds the memory of the field
 # temporaries and of the samplers' qv_form buffers
 _BATCH_GRID_POINTS = 2**17
+
+# normals a row draws per call: ceil(_DRAW_NORMALS / normals per step) steps
+# of them, at most the whole horizon; fewer when the batch's buffer would
+# pass _BATCH_NORMALS values (16 MB)
+_DRAW_NORMALS = 2**11
+_BATCH_NORMALS = 2**21
 
 
 class BlowThroughError(RuntimeError):
@@ -305,32 +313,42 @@ def _run_rows(ctx: TrajectoryContext, seeds):
     # rows still stepping: their indices into seeds, and their fields
     live = np.arange(len(seeds))
     u = np.repeat(ctx.u0[np.newaxis], len(seeds), axis=0)
-    # each live row's standard normals, from its own stream, for one
-    # sampler.increments call per step
-    normals = np.empty((len(seeds),) + sampler.normal_shape)
+    # the standard normals of `depth` steps per row, each row's from its own
+    # stream, refilled for the live rows every `depth` steps; a row that
+    # stops mid-chunk leaves the rest of its chunk unused
+    per_step = math.prod(sampler.normal_shape)
+    depth = max(1, min(n_steps, -(-_DRAW_NORMALS // per_step),
+                       _BATCH_NORMALS // (len(seeds) * per_step)))
+    normals = np.empty((len(seeds), depth) + sampler.normal_shape)
     s = 0
     while True:
         hit_n = sup[live, s] >= ctx.sigma.truncation
         hit_M = ~hit_n & (I[live, s] > ctx.mass_bound)
-        flags[live[hit_n]] = STOP_TAU_N
-        flags[live[hit_M]] = STOP_TAU_M
         go = ~(hit_n | hit_M)
-        live, u = live[go], u[go]
+        if not go.all():
+            flags[live[hit_n]] = STOP_TAU_N
+            flags[live[hit_M]] = STOP_TAU_M
+            live, u = live[go], u[go]
         if s == n_steps or live.size == 0:
             break
+        j = s % depth
+        if j == 0:
+            ahead = min(depth, n_steps - s)
+            for i in live:
+                rngs[i].standard_normal(out=normals[i, :ahead])
         s += 1
-        z = normals[:live.size]
-        for k, i in enumerate(live):
-            rngs[i].standard_normal(out=z[k])
+        z = normals[:, j] if live.size == len(seeds) else normals[live, j]
         u, dI, dQ, dclamp, finite = stepper.step(u, sampler.increments(dt, z))
-        for i in live[~finite]:
-            errors[i] = TrajectoryError(s, BlowThroughError(
-                "non-finite field after step: step size too large for the "
-                "current sup-norm"))
-        live, u = live[finite], u[finite]
-        I[live, s] = I[live, s - 1] + dI[finite]
-        Q[live, s] = Q[live, s - 1] + dQ[finite]
-        clamp[live, s] = clamp[live, s - 1] + dclamp[finite]
+        if not finite.all():
+            for i in live[~finite]:
+                errors[i] = TrajectoryError(s, BlowThroughError(
+                    "non-finite field after step: step size too large for "
+                    "the current sup-norm"))
+            live, u = live[finite], u[finite]
+            dI, dQ, dclamp = dI[finite], dQ[finite], dclamp[finite]
+        I[live, s] = I[live, s - 1] + dI
+        Q[live, s] = Q[live, s - 1] + dQ
+        clamp[live, s] = clamp[live, s - 1] + dclamp
         sup[live, s] = np.max(u, axis=basis.field_axes)
         l1[live, s] = basis.integrate(u)
         last[live] = s

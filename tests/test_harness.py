@@ -18,6 +18,7 @@ from stochheat.config import (
     parse_config_lines,
     _DEFAULTS,
 )
+from stochheat.diagnostics import doob_check, qv_bound_check
 from stochheat.ensemble import (
     load_ensemble,
     run_ensemble,
@@ -112,6 +113,13 @@ class TestParseConfig:
         config = parse_config(write_config(tmp_path), overrides={"run.horizon": "0.0102"})
         assert config.horizon == 0.0102
 
+    @pytest.mark.parametrize("key", ["run.max_failures", "run.save_trajectories"])
+    def test_negative_output_counts_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=rf"^{key}:"):
+            parse_config(write_config(tmp_path), overrides={key: "-1"})
+        assert getattr(parse_config(write_config(tmp_path), overrides={key: "0"}),
+                       key.split(".")[1]) == 0
+
 
 class TestConfigHash:
     def base(self):
@@ -199,10 +207,10 @@ class TestRunEnsemble:
             for seed in (7, 8, 9)
         ]
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_block_that_raises_fails_its_seeds_only(self, monkeypatch, workers):
-        # an exception inside run_batch fails every seed of its block; with
-        # two workers the blocks are pairs of seeds and the others run on
+        # an exception inside run_batch splits its block in halves down to
+        # single seeds, so only the raising seed fails, whatever the blocks
         # (the pool forks, so its workers see the patched stream)
         make_rng = stepping.path_rng
 
@@ -214,16 +222,42 @@ class TestRunEnsemble:
         monkeypatch.setattr(stepping, "path_rng", path_rng)
         config = small_config(paths=16, workers=workers)
         result = run_ensemble(config)
-        failed = list(range(7, 23)) if workers == 1 else [11, 12]
-        assert result.failures == [
-            f"seed {seed}: FloatingPointError: stream unavailable" for seed in failed
-        ]
-        assert result.aggregates["failure_count"] == len(failed)
-        survivors = [seed for seed in range(7, 23) if seed not in failed]
+        assert result.failures == ["seed 12: FloatingPointError: stream unavailable"]
+        assert result.aggregates["failure_count"] == 1
+        survivors = [seed for seed in range(7, 23) if seed != 12]
         monkeypatch.undo()
         assert [r.csv_row() for r in result.rows] == [
             summarize(run_trajectory(config, seed)).csv_row() for seed in survivors
         ]
+
+    def test_raising_seed_gives_the_same_files_for_any_worker_count(
+            self, monkeypatch, tmp_path):
+        # seed 8 raises on its first draw; the failure list and the saved
+        # trajectories (the first five successful paths) do not depend on
+        # how the seeds are split into blocks
+        make_rng = stepping.path_rng
+
+        def path_rng(seed):
+            if seed == 8:
+                raise FloatingPointError("stream unavailable")
+            return make_rng(seed)
+
+        monkeypatch.setattr(stepping, "path_rng", path_rng)
+        outputs = []
+        for workers in (1, 2, 3):
+            config = small_config(paths=7, workers=workers, save_trajectories=5)
+            out = tmp_path / f"workers{workers}"
+            result = run_ensemble(config, out_dir=out)
+            assert result.failures == ["seed 8: FloatingPointError: stream unavailable"]
+            files = sorted((out / "trajectories").iterdir())
+            outputs.append((
+                json.loads((out / "aggregates.json").read_text()),
+                (out / "rows.csv").read_bytes(),
+                {f.name: f.read_bytes() for f in files},
+            ))
+        assert set(outputs[0][2]) == {f"seed{s}.csv" for s in (7, 9, 10, 11, 12)}
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
     def test_batch_rows_equal_single_paths(self):
         # one batch that mixes horizon and tau_n stops with one path that
@@ -252,6 +286,44 @@ class TestRunEnsemble:
         run_ensemble(config, out_dir=tmp_path / "run")
         loaded = load_ensemble(tmp_path / "run")
         assert loaded.aggregates["paths"] == 6
+
+    def test_qv_aggregate_is_the_bound_over_all_paths(self, tmp_path):
+        # a mass bound of 100 stops some paths at tau_M; the aggregate is
+        # E Q(tau_M ∧ stop) over all paths, as in qv_bound_check
+        config = small_config(paths=24, horizon=0.1, init_value=30.0,
+                              mass_bound=100.0, sigma=SigmaSpec(1.0, 1.5, 1e6))
+        result = run_ensemble(config, keep_records=True, out_dir=tmp_path / "run")
+        agg = result.aggregates
+        assert 0 < agg["stop_fractions"]["tau_M"] < 1
+        assert agg["mass_bound"] == 100.0
+        expected = qv_bound_check(result.records, 100.0).to_dict()
+        assert agg["qv_at_mass_bound"] == expected
+        assert expected["n_paths"] == 24 and expected["n_hit"] > 0
+        assert agg["qv_at_mass_bound"]["passed"] is True
+        u0 = agg["u0_l1"]
+        assert agg["doob"] == doob_check(result.records, [2 * u0, 4 * u0, 8 * u0]).entries
+        loaded = load_ensemble(tmp_path / "run")
+        assert loaded.aggregates == json.loads(json.dumps(agg))
+
+    def test_older_schema_rejected_on_load(self, tmp_path):
+        run_ensemble(small_config(), out_dir=tmp_path / "run")
+        path = tmp_path / "run/aggregates.json"
+        payload = json.loads(path.read_text())
+        payload["schema_version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="schema_version 1"):
+            load_ensemble(tmp_path / "run")
+
+    def test_run_info_reports_workers_blocks_and_phases(self, tmp_path):
+        config = small_config(paths=5, workers=2)
+        result = run_ensemble(config, out_dir=tmp_path / "run")
+        info = json.loads((tmp_path / "run/run_info.json").read_text())
+        assert info["workers"] == 2 and info["blocks"] == 2
+        assert set(info["phase_seconds"]) == {"blocks", "aggregates", "write"}
+        assert all(v >= 0 for v in info["phase_seconds"].values())
+        assert info["wall_clock_seconds"] == result.wall_clock
+        serial = run_ensemble(small_config(paths=5), out_dir=tmp_path / "serial")
+        assert (serial.run_info["workers"], serial.run_info["blocks"]) == (1, 1)
 
     def test_tampered_rows_detected(self, tmp_path):
         config = small_config(paths=6)

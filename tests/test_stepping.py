@@ -224,6 +224,51 @@ class TestRunBatch:
             assert list(a.csv_rows()) == list(b.csv_rows())
         assert [r.seed for r in split] == seeds
 
+    @pytest.mark.parametrize("draw_normals, batch_normals, depth", [
+        (7 * 16, 2**21, 7),        # does not divide the 50 steps
+        (2**11, 2**21, 50),        # the shipped constants: 128, capped at 50
+        (2**20, 2**21, 50),        # far above the horizon
+        (2**11, 3 * 16 * 16, 3),   # capped by the batch's normals buffer
+    ])
+    def test_normals_depth_does_not_change_records(self, monkeypatch, draw_normals,
+                                                   batch_normals, depth):
+        # 16 rows of 16 normals per step over 50 steps; rows stop at tau_n
+        # mid-chunk and seed 6 goes non-finite at step 11.  The reference
+        # draws one step of normals per call, as a depth of 1 does.
+        config = make_config(
+            domain=DomainSpec(1, NEUMANN, 16), noise=SpectralKernel(0.75, 1.0),
+            sigma=SigmaSpec(1.0, 4.0, 1e100), dt=1e-3, horizon=0.05,
+            mass_bound=float("inf"), init_value=1.5)
+        ctx = build_context(config)
+        seeds = list(range(16))
+        draws = []  # steps of normals per draw call
+
+        class CountedStream:
+            def __init__(self, seed):
+                self.rng = path_rng(seed)
+
+            def standard_normal(self, out):
+                draws.append(len(out))
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(stepping, "path_rng", CountedStream)
+        monkeypatch.setattr(stepping, "_DRAW_NORMALS", 1)
+        with np.errstate(all="ignore"):
+            reference, ref_failures = run_batch(ctx, seeds)
+            assert set(draws) == {1}
+            draws.clear()
+            monkeypatch.setattr(stepping, "_DRAW_NORMALS", draw_normals)
+            monkeypatch.setattr(stepping, "_BATCH_NORMALS", batch_normals)
+            records, failures = run_batch(ctx, seeds)
+        assert max(draws) == depth
+        assert [(seed, exc.step) for seed, exc in failures] == [(6, 11)]
+        assert [(seed, str(exc)) for seed, exc in failures] == [
+            (seed, str(exc)) for seed, exc in ref_failures]
+        assert any(r.stop_flag == STOP_TAU_N and r.steps % depth for r in records)
+        assert [r.seed for r in records] == [r.seed for r in reference]
+        for a, b in zip(reference, records):
+            assert list(a.csv_rows()) == list(b.csv_rows())
+
     def test_batch_where_every_row_fails_returns(self):
         config = make_config(sigma=SigmaSpec(1.0, 1.5, 1e309), init_value=1e308,
                              mass_bound=float("inf"))
