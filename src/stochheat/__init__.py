@@ -39,6 +39,7 @@ from .diagnostics import (
     DoublingEvent,
     MartingaleMeanReport,
     MomentProbeReport,
+    ProbeArgumentError,
     QVReport,
     convolution_moment_probe,
     convolution_variance_series,

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, config_hash, parse_config
-from .diagnostics import convolution_moment_probe
+from .diagnostics import ProbeArgumentError, convolution_moment_probe
 from .ensemble import load_ensemble, run_ensemble, sweep_gamma, verify_assumptions
 from .spectral import build_basis
 
@@ -107,12 +107,19 @@ def cmd_verify_assumptions(args) -> int:
 def cmd_probe_convolution(args) -> int:
     config = _load_config(args)
     basis = build_basis(config.domain)
-    t_grid = [float(t) for t in args.T_grid.split(",")]
-    dt = args.dt if args.dt else config.dt
-    report = convolution_moment_probe(
-        basis, config.noise, p=args.p, T_grid=t_grid, paths=args.paths,
-        dt=dt, seed=config.base_seed,
-    )
+    try:
+        t_grid = [float(t) for t in args.T_grid.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--T-grid: {exc}") from exc
+    dt = config.dt if args.dt is None else args.dt
+    try:
+        report = convolution_moment_probe(
+            basis, config.noise, p=args.p, T_grid=t_grid, paths=args.paths,
+            dt=dt, seed=config.base_seed,
+        )
+    except ProbeArgumentError as exc:
+        # the probe's argument names are the flags' names: T_grid is --T-grid
+        raise ConfigError(f"--{exc.argument.replace('_', '-')}: {exc}") from exc
     out_dir = Path(args.output or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
@@ -140,10 +147,25 @@ def cmd_report(args) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"result files inconsistent or missing: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    agg = result.aggregates
     print(f"config hash : {result.config_hash}")
     print("aggregates (recomputed from rows and verified):")
-    print(json.dumps(result.aggregates, indent=2))
+    print(json.dumps(agg, indent=2))
+    # one verdict per paper bound, from the stored passed flags
+    for entry in agg.get("doob", []):
+        print(f"Doob bound at M = {entry['M']:.6g}: {_verdict(entry['passed'])}  "
+              f"(P(max L1 > M) = {entry['empirical']:.4g}, bound u0_L1/M = "
+              f"{entry['bound']:.4g}, margin {entry['margin_se']:.2f} se)")
+    qv = agg.get("qv_at_mass_bound")
+    if qv is not None:
+        print(f"QV bound at M = {qv['M']:.6g}: {_verdict(qv['passed'])}  "
+              f"(E Q(min(tau_M, stop)) = {qv['mean_Q']:.4g}, bound M^2 = "
+              f"{qv['bound']:.4g}, se {qv['se']:.3g})")
     return EXIT_OK
+
+
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
 
 
 def build_parser() -> argparse.ArgumentParser:

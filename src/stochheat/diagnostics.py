@@ -16,6 +16,7 @@ is ever emitted.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -316,6 +317,15 @@ class MomentProbeReport:
         }
 
 
+class ProbeArgumentError(ValueError):
+    """An argument of the moment probe that cannot give a probe; ``argument``
+    is its name."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
+
+
 def convolution_variance_series(sampler: SpectralSampler, t: float, x, dt: float) -> float:
     """Variance of Z(t,x) for phi = 1 and the spectral kernel, exact for the
     exponential-Euler scheme with step dt, t = n dt:
@@ -352,25 +362,35 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     large p are tamed with a median-of-means estimate over ``batches``
     groups of paths.  For the spectral kernel with phi = 1 the pointwise
     variance is also compared against the scheme's exact eigenvalue series.
-    Needs ``1 <= batches <= paths``.
+    On that path the (paths, modes) normals of step s+1 are drawn from the
+    one stream on a helper thread while step s transforms, which gives the
+    values of a serial draw per step.  Needs ``1 <= batches <= paths``; an
+    argument that cannot give a probe raises ProbeArgumentError.
     """
     if not 1 <= batches <= paths:
-        raise ValueError(
+        raise ProbeArgumentError(
+            "paths",
             f"paths = {paths} and batches = {batches}: the median of means "
-            "needs 1 <= batches <= paths, at least one path per group"
+            "needs 1 <= batches <= paths, at least one path per group",
         )
     beta, eta = kernel_params(noise_spec, basis.dimension)
     if not moment_admissible(p, beta, eta):
-        raise ValueError(
+        raise ProbeArgumentError(
+            "p",
             f"p = {p} is inadmissible for beta={beta}, eta={eta}: requires "
-            "(1+beta)/p < (1-eta)/2 - beta/(p-2)"
+            "(1+beta)/p < (1-eta)/2 - beta/(p-2)",
         )
+    if not dt > 0:
+        raise ProbeArgumentError("dt", f"dt = {dt} must be positive")
     T_grid = sorted(float(T) for T in T_grid)
+    if not T_grid or T_grid[0] <= 0:
+        raise ProbeArgumentError(
+            "T_grid", f"T_grid = {T_grid} needs at least one horizon, all positive")
     steps_at = []
     for T in T_grid:
         k = int(round(T / dt))
         if abs(k * dt - T) > 1e-9 * max(T, 1.0):
-            raise ValueError(f"T = {T} is not a multiple of dt = {dt}")
+            raise ProbeArgumentError("T_grid", f"T = {T} is not a multiple of dt = {dt}")
         steps_at.append(k)
     n_steps = steps_at[-1]
 
@@ -397,25 +417,40 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     sup_snapshots = np.empty((len(steps_at), paths))
     center_snapshots = np.empty((len(steps_at), paths))
     snap = 0
-    sqrt_dt = math.sqrt(dt)
-    for s in range(1, n_steps + 1):
+    center_flat = np.ravel_multi_index(center_idx, basis.grid_shape)
+    if spectral_fast:
+        scale = math.sqrt(dt) * sampler.amplitudes
+        # step s's normals sit in buffer s % 2; step s+1's are drawn from the
+        # one stream on the helper thread while step s transforms
+        normals = np.empty((2, paths) + basis.coeff_shape)
+    # the helper runs only the generator's fills; leaving the block waits for
+    # its last fill and joins it, on every exit
+    with ThreadPoolExecutor(1) as helper:
         if spectral_fast:
-            xi = rng.standard_normal((paths,) + basis.coeff_shape)
-            incr = sqrt_dt * sampler.amplitudes * xi
-        else:
-            dW = sampler.sample_batch(dt, rng, paths)
-            incr = basis.to_spectral_batch(phi_vals * dW)
-        Z += incr  # in place: one (paths, modes) temporary fewer at peak
-        Z = basis.semigroup(Z, dt)
-        Z_grid = basis.to_grid_batch(Z)
-        flat = np.abs(Z_grid.reshape(paths, -1))
-        running_max = np.maximum(running_max, flat.max(axis=1))
-        if s == steps_at[snap]:
-            sup_snapshots[snap] = running_max
-            center_snapshots[snap] = Z_grid[(slice(None),) + center_idx]
-            snap += 1
-            if snap == len(steps_at):
-                break
+            pending = helper.submit(rng.standard_normal, out=normals[1])
+        for s in range(1, n_steps + 1):
+            if spectral_fast:
+                pending.result()
+                incr = normals[s % 2]
+                if s < n_steps:
+                    pending = helper.submit(rng.standard_normal,
+                                            out=normals[(s + 1) % 2])
+                incr *= scale
+            else:
+                dW = sampler.sample_batch(dt, rng, paths)
+                incr = basis.to_spectral_batch(phi_vals * dW)
+            Z += incr  # in place: one (paths, modes) temporary fewer at peak
+            Z = basis.semigroup(Z, dt)
+            Z_grid = basis.to_grid_batch(Z).reshape(paths, -1)
+            # max |Z| per row without an |Z| copy
+            running_max = np.maximum(
+                running_max, np.maximum(Z_grid.max(axis=1), -Z_grid.min(axis=1)))
+            if s == steps_at[snap]:
+                sup_snapshots[snap] = running_max
+                center_snapshots[snap] = Z_grid[:, center_flat]
+                snap += 1
+                if snap == len(steps_at):
+                    break
 
     # median of means over batches for E sup^p
     group = paths // batches

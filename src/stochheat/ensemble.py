@@ -38,7 +38,7 @@ from .noise import (
     verify_decay,
 )
 from .spectral import DomainSpec, build_basis, heat_kernel_decay_fit
-from .stepping import TrajectoryRecord, build_context, run_batch
+from .stepping import Stepper, TrajectoryRecord, build_context, run_batch
 
 SCHEMA_VERSION = 2
 
@@ -204,19 +204,31 @@ def _run_isolated(context, seeds):
     return records, [f"seed {seed}: {exc}" for seed, exc in failures]
 
 
+def _context_telemetry(context) -> dict:
+    """Numerical safeguards of a context, for run_info.json: the Riesz
+    covariance's clipped spectral mass (None for other kernels) and dt over
+    the stepper's stiffness heuristic."""
+    stepper = Stepper(context.basis, context.sigma, context.sampler, context.dt)
+    return {
+        "clipped_fraction": getattr(context.sampler, "clipped_fraction", None),
+        "dt_over_heuristic": context.dt / stepper.dt_heuristic,
+    }
+
+
 def _run_block(config: SimConfig, seeds, keep_records: bool):
     """Run and summarize one block of consecutive seeds on its own context.
 
-    Returns (rows, failures, records, u0_l1): the summary rows and failure
-    messages in seed order, the records the caller uses (all of them with
-    keep_records, else the first config.save_trajectories) and the initial
-    mass.  An error while building the context is raised."""
+    Returns (rows, failures, records, u0_l1, telemetry): the summary rows and
+    failure messages in seed order, the records the caller uses (all of them
+    with keep_records, else the first config.save_trajectories), the initial
+    mass and the context's telemetry.  An error while building the context
+    is raised."""
     context = build_context(config)
     records, failures = _run_isolated(context, seeds)
     rows = [summarize(r) for r in records]
     kept = records if keep_records else records[:config.save_trajectories]
     u0_l1 = float(context.basis.integrate(context.u0))
-    return rows, failures, kept, u0_l1
+    return rows, failures, kept, u0_l1, _context_telemetry(context)
 
 
 def run_ensemble(config: SimConfig, keep_records: bool = False,
@@ -245,7 +257,7 @@ def run_ensemble(config: SimConfig, keep_records: bool = False,
                                     [keep_records] * count))
     else:
         results = [_run_block(config, blocks[0], keep_records)]
-    block_rows, block_failures, block_records, u0_l1s = zip(*results)
+    block_rows, block_failures, block_records, u0_l1s, telemetry = zip(*results)
     rows = [r for part in block_rows for r in part]
     failures = [f for part in block_failures for f in part]
     records = [r for part in block_records for r in part]
@@ -264,6 +276,7 @@ def run_ensemble(config: SimConfig, keep_records: bool = False,
         run_info={
             "workers": config.workers,
             "blocks": count,
+            **telemetry[0],
             "phase_seconds": {"blocks": t_blocks - t0,
                               "aggregates": t_aggregates - t_blocks},
         },

@@ -25,16 +25,20 @@ Each row draws the standard normals of its increment from its own
 counter-based stream keyed by its seed (Philox; Salmon et al., SC'11), so
 its values do not depend on the batch; one linear map of the sampler turns
 the stacked normals into the batch's increments.  A row draws the normals
-of several steps in one call, which takes the same values from its stream
-in the same order as one call per step.  A row leaves the batch
-at its stop, the first of the sup-norm reaching the truncation level
-(tau_n), the mass martingale exceeding the bound M (tau_M) or the horizon,
-or as a failed path when its field goes non-finite.
+of several steps (a chunk) in one call, which takes the same values from
+its stream in the same order as one call per step.  The next chunk is
+drawn on one helper thread while the batch steps through the current one:
+the fills release the GIL, so they overlap the transforms, and every value
+stays as a serial draw gives it.  A row leaves the batch at its stop, the
+first of the sup-norm reaching the truncation level (tau_n), the mass
+martingale exceeding the bound M (tau_M) or the horizon, or as a failed
+path when its field goes non-finite.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +59,11 @@ EXPLOSIVE_REGIME = "conjectured explosive regime"
 _BATCH_GRID_POINTS = 2**17
 
 # normals a row draws per call: ceil(_DRAW_NORMALS / normals per step) steps
-# of them, at most the whole horizon; fewer when the batch's buffer would
-# pass _BATCH_NORMALS values (16 MB)
-_DRAW_NORMALS = 2**11
-_BATCH_NORMALS = 2**21
+# of them, at most the whole horizon; fewer when a chunk buffer of the batch
+# would pass _BATCH_NORMALS values (8 MB).  A batch holds two such buffers,
+# the chunk being stepped and the next one being drawn.
+_DRAW_NORMALS = 2**10
+_BATCH_NORMALS = 2**20
 
 
 class BlowThroughError(RuntimeError):
@@ -313,45 +318,60 @@ def _run_rows(ctx: TrajectoryContext, seeds):
     # rows still stepping: their indices into seeds, and their fields
     live = np.arange(len(seeds))
     u = np.repeat(ctx.u0[np.newaxis], len(seeds), axis=0)
-    # the standard normals of `depth` steps per row, each row's from its own
-    # stream, refilled for the live rows every `depth` steps; a row that
-    # stops mid-chunk leaves the rest of its chunk unused
+    # chunk k holds the standard normals of steps k*depth .. (k+1)*depth - 1,
+    # each row's from its own stream, in buffer k % 2.  Chunk k+1 is drawn on
+    # the helper thread, for the rows live when chunk k starts, while chunk k
+    # steps; a row that stops mid-chunk leaves at most one chunk unused.
     per_step = math.prod(sampler.normal_shape)
     depth = max(1, min(n_steps, -(-_DRAW_NORMALS // per_step),
                        _BATCH_NORMALS // (len(seeds) * per_step)))
-    normals = np.empty((len(seeds), depth) + sampler.normal_shape)
-    s = 0
-    while True:
-        hit_n = sup[live, s] >= ctx.sigma.truncation
-        hit_M = ~hit_n & (I[live, s] > ctx.mass_bound)
-        go = ~(hit_n | hit_M)
-        if not go.all():
-            flags[live[hit_n]] = STOP_TAU_N
-            flags[live[hit_M]] = STOP_TAU_M
-            live, u = live[go], u[go]
-        if s == n_steps or live.size == 0:
-            break
-        j = s % depth
-        if j == 0:
-            ahead = min(depth, n_steps - s)
-            for i in live:
-                rngs[i].standard_normal(out=normals[i, :ahead])
-        s += 1
-        z = normals[:, j] if live.size == len(seeds) else normals[live, j]
-        u, dI, dQ, dclamp, finite = stepper.step(u, sampler.increments(dt, z))
-        if not finite.all():
-            for i in live[~finite]:
-                errors[i] = TrajectoryError(s, BlowThroughError(
-                    "non-finite field after step: step size too large for "
-                    "the current sup-norm"))
-            live, u = live[finite], u[finite]
-            dI, dQ, dclamp = dI[finite], dQ[finite], dclamp[finite]
-        I[live, s] = I[live, s - 1] + dI
-        Q[live, s] = Q[live, s - 1] + dQ
-        clamp[live, s] = clamp[live, s - 1] + dclamp
-        sup[live, s] = np.max(u, axis=basis.field_axes)
-        l1[live, s] = basis.integrate(u)
-        last[live] = s
+    buffers = np.empty((2, len(seeds), depth) + sampler.normal_shape)
+
+    def draw(chunk, rows):
+        out = buffers[chunk % 2, :, :min(depth, n_steps - chunk * depth)]
+        for i in rows:
+            rngs[i].standard_normal(out=out[i])
+
+    # the helper runs only the generators' fills; leaving the block waits
+    # for its last fill and joins it, on every exit
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(draw, 0, live)
+        s = 0
+        while True:
+            hit_n = sup[live, s] >= ctx.sigma.truncation
+            hit_M = ~hit_n & (I[live, s] > ctx.mass_bound)
+            go = ~(hit_n | hit_M)
+            if not go.all():
+                flags[live[hit_n]] = STOP_TAU_N
+                flags[live[hit_M]] = STOP_TAU_M
+                live, u = live[go], u[go]
+            if s == n_steps or live.size == 0:
+                break
+            chunk, j = divmod(s, depth)
+            if j == 0:
+                pending.result()
+                normals = buffers[chunk % 2]
+                if s + depth < n_steps:
+                    pending = helper.submit(draw, chunk + 1, live)
+            s += 1
+            z = normals[:, j] if live.size == len(seeds) else normals[live, j]
+            u, dI, dQ, dclamp, finite = stepper.step(u, sampler.increments(dt, z))
+            if not finite.all():
+                for i in live[~finite]:
+                    errors[i] = TrajectoryError(s, BlowThroughError(
+                        "non-finite field after step: step size too large for "
+                        "the current sup-norm"))
+                live, u = live[finite], u[finite]
+                dI, dQ, dclamp = dI[finite], dQ[finite], dclamp[finite]
+            I[live, s] = I[live, s - 1] + dI
+            Q[live, s] = Q[live, s - 1] + dQ
+            clamp[live, s] = clamp[live, s - 1] + dclamp
+            sup[live, s] = np.max(u, axis=basis.field_axes)
+            l1[live, s] = basis.integrate(u)
+            last[live] = s
+        # a chunk drawn ahead for rows that have all stopped: its error, if
+        # any, is still this batch's
+        pending.result()
 
     records, failures = [], []
     for i, seed in enumerate(seeds):

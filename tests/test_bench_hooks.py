@@ -10,7 +10,9 @@ nothing in them or in the package.
 """
 
 import ast
+import functools
 import importlib.util
+import threading
 from pathlib import Path
 
 import pytest
@@ -88,3 +90,58 @@ def test_checked_sampler_methods_resolve(owner):
     cls = TRACING._find_class(MODULES, owner)
     for attr in calls:
         assert callable(getattr(cls, attr, None)), f"{owner}.{attr} is gone"
+
+
+class ThreadTracer(TRACING.Tracer):
+    """The benchmark's tracer, also noting the threads its wrappers run on."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = set()
+
+    def wrap(self, name, fn, batch=False):
+        traced = super().wrap(name, fn, batch)
+        threads = self.threads
+
+        @functools.wraps(fn)
+        def noted(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return traced(*args, **kwargs)
+
+        return noted
+
+
+def test_traced_spans_nest_inside_their_parents(monkeypatch):
+    # the stepping loop and the probe draw normals on a helper thread; only
+    # generator fills run there, so every traced function runs on the
+    # calling thread and every span the tracer's one stack records lies
+    # inside its parent's interval
+    for _, owner, attr in TRACING.TRACED:
+        targets = ([TRACING._find_class(MODULES, owner)] if owner
+                   else [m for m in MODULES if hasattr(m, attr)])
+        for target in targets:  # restored when the test ends
+            monkeypatch.setattr(target, attr, getattr(target, attr))
+    tracer = ThreadTracer()
+    tracer.install(stochheat)
+    # 128 normals per step: 8 steps per chunk, 7 chunks over 50 steps
+    config = stochheat.SimConfig(
+        domain=stochheat.DomainSpec(1, "neumann", 128), noise=stochheat.WhiteNoise(),
+        sigma=stochheat.SigmaSpec(1.0, 1.5, 64.0), dt=2e-4, horizon=0.01,
+        mass_bound=1e12, paths=6, base_seed=3, init_value=2.0)
+    stochheat.ensemble.run_ensemble(config)
+    stochheat.diagnostics.convolution_moment_probe(
+        stochheat.build_basis(stochheat.DomainSpec(1, "dirichlet", 32)),
+        stochheat.SpectralKernel(theta=0.25, a=0.0), p=20, T_grid=[0.002, 0.004],
+        paths=64, dt=2e-4)
+    assert tracer.threads == {threading.get_ident()}
+    code, parent, start, end, _ = tracer.arrays()
+    names = [tracer.names[c] for c in code]
+    assert {"stepping.step", "noise.qv_form", "spectral.to_grid_batch",
+            "diagnostics.convolution_moment_probe"} <= set(names)
+    assert (end >= start).all() and (start > 0).all()
+    child = parent >= 0
+    assert (start[parent[child]] <= start[child]).all()
+    assert (end[child] <= end[parent[child]]).all()
+    probe = names.index("diagnostics.convolution_moment_probe")
+    assert sum(1 for n, q in zip(names, parent)
+               if n == "spectral.to_grid_batch" and q == probe) == 20

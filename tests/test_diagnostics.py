@@ -7,6 +7,7 @@ ensembles.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,10 +15,17 @@ import pytest
 from stochheat.spectral import DIRICHLET, NEUMANN, PERIODIC, DomainSpec, build_basis
 from stochheat.noise import SpectralKernel, WhiteNoise, make_sampler
 from stochheat.config import SimConfig
-from stochheat.stepping import SigmaSpec, TrajectoryRecord, build_context, run_batch
+from stochheat.stepping import (
+    SigmaSpec,
+    TrajectoryRecord,
+    build_context,
+    path_rng,
+    run_batch,
+)
 from stochheat.diagnostics import (
     DOWN,
     UP,
+    ProbeArgumentError,
     convolution_moment_probe,
     convolution_variance_series,
     detect_doubling,
@@ -338,3 +346,52 @@ class TestMomentProbe:
             convolution_moment_probe(
                 basis, WhiteNoise(), p=20, T_grid=[0.0105], paths=8, dt=1e-3
             )
+
+    @pytest.mark.parametrize("argument, kwargs", [
+        ("paths", {"paths": 4}),
+        ("p", {"p": 4}),
+        ("dt", {"dt": 0.0}),
+        ("T_grid", {"T_grid": []}),
+        ("T_grid", {"T_grid": [0.0, 0.01]}),
+        ("T_grid", {"T_grid": [0.0105]}),
+    ])
+    def test_bad_argument_is_named(self, argument, kwargs):
+        basis = build_basis(DomainSpec(1, PERIODIC, 32))
+        args = dict(p=20, T_grid=[0.01], paths=8, dt=1e-3, batches=8)
+        args.update(kwargs)
+        with pytest.raises(ProbeArgumentError) as info:
+            convolution_moment_probe(basis, WhiteNoise(), **args)
+        assert info.value.argument == argument
+
+    def test_probe_equals_a_serial_reference_loop(self):
+        # the probe draws step s+1's normals on a helper thread while step s
+        # transforms; its values are those of one draw per step, in order,
+        # and the helper is joined when it returns
+        basis = build_basis(DomainSpec(1, DIRICHLET, 32))
+        spec = SpectralKernel(theta=0.25, a=0.0)
+        paths, dt, seed, batches = 64, 5e-4, 5, 8
+        start = threading.active_count()
+        report = convolution_moment_probe(
+            basis, spec, p=20, T_grid=[0.01, 0.02], paths=paths, dt=dt,
+            seed=seed, batches=batches)
+        assert threading.active_count() == start
+
+        amplitudes = make_sampler(spec, basis).amplitudes
+        rng = path_rng(seed)
+        centre = np.argmin(np.abs(basis.axis_points - basis.center_point()[0]))
+        Z = np.zeros((paths,) + basis.coeff_shape)
+        sup = np.zeros(paths)
+        sups, centres = [], []
+        for s in range(1, 41):
+            xi = rng.standard_normal((paths,) + basis.coeff_shape)
+            Z = basis.semigroup(Z + math.sqrt(dt) * amplitudes * xi, dt)
+            grid = basis.to_grid_batch(Z)
+            sup = np.maximum(sup, np.abs(grid).max(axis=1))
+            if s in (20, 40):
+                sups.append(sup)
+                centres.append(grid[:, centre])
+        assert report.moment_estimates == [
+            float(np.median((row.reshape(batches, -1) ** 20).mean(axis=1)))
+            for row in sups]
+        assert [v["empirical"] for v in report.variance_checks] == [
+            float(c.var()) for c in centres]

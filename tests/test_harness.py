@@ -2,13 +2,14 @@
 
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stochheat import stepping
-from stochheat.cli import main
+from stochheat import ensemble, stepping
+from stochheat.cli import EXIT_CONFIG, main
 from stochheat.config import (
     ConfigError,
     SimConfig,
@@ -20,6 +21,9 @@ from stochheat.config import (
 )
 from stochheat.diagnostics import doob_check, qv_bound_check
 from stochheat.ensemble import (
+    EnsembleResult,
+    TrajectorySummary,
+    compute_aggregates,
     load_ensemble,
     run_ensemble,
     summarize,
@@ -28,7 +32,13 @@ from stochheat.ensemble import (
 )
 from stochheat.noise import RieszKernel, SpectralKernel, WhiteNoise
 from stochheat.spectral import DomainSpec
-from stochheat.stepping import SigmaSpec, TrajectoryError, run_trajectory
+from stochheat.stepping import (
+    SigmaSpec,
+    Stepper,
+    TrajectoryError,
+    build_context,
+    run_trajectory,
+)
 
 MINIMAL = """
 # minimal white-noise run
@@ -221,7 +231,10 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(stepping, "path_rng", path_rng)
         config = small_config(paths=16, workers=workers)
+        threads = threading.active_count()
         result = run_ensemble(config)
+        # every stepping loop's draw helper is joined, the failed ones too
+        assert threading.active_count() == threads
         assert result.failures == ["seed 12: FloatingPointError: stream unavailable"]
         assert result.aggregates["failure_count"] == 1
         survivors = [seed for seed in range(7, 23) if seed != 12]
@@ -314,7 +327,7 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="schema_version 1"):
             load_ensemble(tmp_path / "run")
 
-    def test_run_info_reports_workers_blocks_and_phases(self, tmp_path):
+    def test_run_info_reports_workers_blocks_and_phases(self, tmp_path, monkeypatch):
         config = small_config(paths=5, workers=2)
         result = run_ensemble(config, out_dir=tmp_path / "run")
         info = json.loads((tmp_path / "run/run_info.json").read_text())
@@ -322,8 +335,29 @@ class TestRunEnsemble:
         assert set(info["phase_seconds"]) == {"blocks", "aggregates", "write"}
         assert all(v >= 0 for v in info["phase_seconds"].values())
         assert info["wall_clock_seconds"] == result.wall_clock
+        ctx = build_context(config)
+        heuristic = Stepper(ctx.basis, ctx.sigma, ctx.sampler, ctx.dt).dt_heuristic
+        assert info["dt_over_heuristic"] == config.dt / heuristic
+        assert info["dt_over_heuristic"] > 1  # dt = 2e-4 on 64 Neumann modes
+        assert info["clipped_fraction"] is None  # white noise clips nothing
         serial = run_ensemble(small_config(paths=5), out_dir=tmp_path / "serial")
         assert (serial.run_info["workers"], serial.run_info["blocks"]) == (1, 1)
+        # the telemetry stays out of the rows and the aggregates
+        monkeypatch.setattr(ensemble, "_context_telemetry", lambda context: {})
+        run_ensemble(config, out_dir=tmp_path / "plain")
+        plain = json.loads((tmp_path / "plain/run_info.json").read_text())
+        assert "dt_over_heuristic" not in plain and "clipped_fraction" not in plain
+        for name in ("rows.csv", "aggregates.json"):
+            assert (tmp_path / "run" / name).read_bytes() == (
+                tmp_path / "plain" / name).read_bytes()
+
+    def test_run_info_reports_riesz_clipped_fraction(self, tmp_path):
+        config = small_config(domain=DomainSpec(2, "neumann", 8),
+                              noise=RieszKernel(alpha=0.5), paths=2)
+        run_ensemble(config, out_dir=tmp_path / "run")
+        info = json.loads((tmp_path / "run/run_info.json").read_text())
+        assert info["clipped_fraction"] == build_context(config).sampler.clipped_fraction
+        assert 0.0 <= info["clipped_fraction"] < 0.01
 
     def test_tampered_rows_detected(self, tmp_path):
         config = small_config(paths=6)
@@ -457,6 +491,35 @@ class TestCLI:
         captured = capsys.readouterr()
         assert "aggregates" in captured.out
 
+    def test_report_prints_one_verdict_per_bound(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "out")])
+        run_dir = next((tmp_path / "out").iterdir())
+        capsys.readouterr()
+        assert main(["report", "--input", str(run_dir)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        doob = [ln for ln in lines if ln.startswith("Doob bound at M = ")]
+        qv = [ln for ln in lines if ln.startswith("QV bound at M = ")]
+        assert len(doob) == 3 and len(qv) == 1
+        assert all(": PASS  (" in ln for ln in doob + qv)
+
+    def test_report_prints_failed_bounds(self, tmp_path, capsys):
+        # every path's running mass passes 2, 4 and 8 times u0_L1 and stops
+        # at tau_M with Q above M^2: all four bounds fail
+        rows = [TrajectorySummary(
+            seed=i, stop_flag="tau_M", stop_time=0.01, max_sup_norm=1.0,
+            max_l1=10.0, final_I=1.0, final_Q=0.5, clamped_fraction=0.0,
+            doubling_count=0) for i in range(8)]
+        aggregates = compute_aggregates(rows, u0_l1=1.0, mass_bound=0.5)
+        aggregates["failure_count"] = 0
+        EnsembleResult(rows=rows, aggregates=aggregates,
+                       config_hash="0" * 12).write(tmp_path / "run")
+        assert main(["report", "--input", str(tmp_path / "run")]) == 0
+        verdicts = [ln.split("  (")[0] for ln in capsys.readouterr().out.splitlines()
+                    if " bound at M = " in ln]
+        assert verdicts == ["Doob bound at M = 2: FAIL", "Doob bound at M = 4: FAIL",
+                            "Doob bound at M = 8: FAIL", "QV bound at M = 0.5: FAIL"]
+
     def test_report_detects_corruption(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "out")])
@@ -509,6 +572,25 @@ class TestCLI:
         reports = sorted((tmp_path / "out").glob("probe-*.json"))
         assert len(reports) == 2
         assert sorted(json.loads(r.read_text())["p"] for r in reports) == [20.0, 24.0]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--paths", "16"),       # fewer paths than the 32 median-of-means groups
+        ("--p", "3"),            # inadmissible moment order
+        ("--T-grid", "0.0003"),  # not a multiple of dt = 2e-4
+        ("--dt", "0"),           # not positive (and not replaced by run.dt)
+    ])
+    def test_probe_convolution_rejects_bad_argument(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path)
+        args = {"--p": "20", "--T-grid": "0.002,0.004", "--paths": "64", "--dt": "2e-4"}
+        args[flag] = value
+        code = main(["probe-convolution", "--config", str(cfg),
+                     "--output", str(tmp_path / "out"),
+                     *[item for pair in args.items() for item in pair]])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {flag}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_gamma_command(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -9,6 +9,7 @@ covariance.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -226,7 +227,7 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("draw_normals, batch_normals, depth", [
         (7 * 16, 2**21, 7),        # does not divide the 50 steps
-        (2**11, 2**21, 50),        # the shipped constants: 128, capped at 50
+        (2**11, 2**21, 50),        # 128, capped at 50
         (2**20, 2**21, 50),        # far above the horizon
         (2**11, 3 * 16 * 16, 3),   # capped by the batch's normals buffer
     ])
@@ -268,6 +269,56 @@ class TestRunBatch:
         assert [r.seed for r in records] == [r.seed for r in reference]
         for a, b in zip(reference, records):
             assert list(a.csv_rows()) == list(b.csv_rows())
+
+    def test_draws_run_on_one_helper_thread_joined_on_every_exit(self, monkeypatch):
+        # the next chunk of normals is drawn on one helper thread while the
+        # batch steps; it is joined when run_batch returns, when rows go
+        # non-finite and when a stream raises on the helper
+        start = threading.active_count()
+        fillers = set()  # threads that ran a fill
+
+        class Stream:
+            def __init__(self, seed):
+                self.rng = path_rng(seed)
+                self.fills = 0
+
+            def standard_normal(self, out):
+                fillers.add(threading.get_ident())
+                self.fills += 1
+                if self.fills == raising_fill:
+                    raise FloatingPointError("stream unavailable")
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(stepping, "path_rng", Stream)
+        monkeypatch.setattr(stepping, "_DRAW_NORMALS", 64)  # one step per chunk
+        raising_fill = None
+        ctx = build_context(make_config())
+        records, failures = run_batch(ctx, [1, 2, 3])
+        assert len(records) == 3 and not failures
+        assert threading.active_count() == start
+        assert len(fillers) == 1 and threading.get_ident() not in fillers
+
+        blow_up = build_context(make_config(
+            sigma=SigmaSpec(1.0, 1.5, 1e309), init_value=1e308,
+            mass_bound=float("inf")))
+        with np.errstate(all="ignore"):
+            records, failures = run_batch(blow_up, [7, 8])
+        assert records == [] and len(failures) == 2
+        assert threading.active_count() == start
+
+        # the second chunk is drawn ahead, on the helper, and its error is
+        # raised in the caller when the batch reaches that chunk
+        raising_fill = 2
+        with pytest.raises(FloatingPointError, match="stream unavailable"):
+            run_batch(ctx, [1, 2, 3])
+        assert threading.active_count() == start
+        # every row stops at step 0 (tau_n), before the first chunk is read:
+        # the error of that chunk is raised when the batch ends
+        raising_fill = 1
+        at_truncation = build_context(make_config(init_value=64.0))
+        with pytest.raises(FloatingPointError, match="stream unavailable"):
+            run_batch(at_truncation, [1, 2, 3])
+        assert threading.active_count() == start
 
     def test_batch_where_every_row_fails_returns(self):
         config = make_config(sigma=SigmaSpec(1.0, 1.5, 1e309), init_value=1e308,
