@@ -19,7 +19,13 @@ from pathlib import Path
 
 from .config import ConfigError, config_hash, parse_config
 from .diagnostics import ProbeArgumentError, convolution_moment_probe
-from .ensemble import load_ensemble, run_ensemble, sweep_gamma, verify_assumptions
+from .ensemble import (
+    load_ensemble,
+    run_ensemble,
+    sweep_gamma,
+    sweep_thresholds,
+    verify_assumptions,
+)
 from .spectral import build_basis
 
 EXIT_OK = 0
@@ -66,10 +72,21 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _float_list(flag: str, text: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def cmd_sweep_gamma(args) -> int:
     config = _load_config(args)
-    gammas = [float(g) for g in args.gammas.split(",")]
-    thresholds = [float(t) for t in args.thresholds.split(",")]
+    gammas = _float_list("--gammas", args.gammas)
+    thresholds = _float_list("--thresholds", args.thresholds)
+    try:
+        thresholds = sweep_thresholds(thresholds)
+    except ValueError as exc:
+        raise ConfigError(f"--thresholds: {exc}") from exc
     result = sweep_gamma(config, gammas, thresholds)
     stamp = _stamp([result.config_hash, result.gammas, result.thresholds])
     out_dir = Path(args.output or config.output_dir) / f"sweep-{stamp}"
@@ -107,10 +124,7 @@ def cmd_verify_assumptions(args) -> int:
 def cmd_probe_convolution(args) -> int:
     config = _load_config(args)
     basis = build_basis(config.domain)
-    try:
-        t_grid = [float(t) for t in args.T_grid.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--T-grid: {exc}") from exc
+    t_grid = _float_list("--T-grid", args.T_grid)
     dt = config.dt if args.dt is None else args.dt
     try:
         report = convolution_moment_probe(

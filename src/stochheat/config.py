@@ -39,8 +39,8 @@ from .noise import (
     critical_exponent,
     kernel_params,
 )
-from .spectral import DomainSpec
-from .stepping import SigmaSpec
+from .spectral import DomainSpec, build_basis
+from .stepping import SigmaSpec, initial_field
 
 
 class ConfigError(ValueError):
@@ -105,6 +105,27 @@ class SimConfig:
             self.noise.validate_for(self.domain.dimension, self.domain.boundary)
         except KernelValidationError as exc:
             raise ConfigError(f"noise: {exc}") from exc
+        sup = self._initial_sup()
+        if sup is not None and sup >= self.sigma.truncation:
+            key = "init.value" if self.init_kind == "constant" else "init.amplitude"
+            raise ConfigError(
+                f"{key}: initial sup-norm {sup:g} is at or above sigma.truncation "
+                f"= {self.sigma.truncation:g}, so every path would stop at step 0 (tau_n)"
+            )
+
+    def _initial_sup(self) -> float | None:
+        """sup of the initial field on the grid; None for file data, and for
+        an eigenmode that building the context rejects."""
+        if self.init_kind == "constant":
+            return self.init_value
+        if self.init_kind != "eigenmode":
+            return None
+        try:
+            u0 = initial_field(build_basis(self.domain), "eigenmode",
+                               mode=self.init_mode, amplitude=self.init_amplitude)
+        except (ValueError, IndexError):
+            return None
+        return float(u0.max())
 
     def gamma_c(self) -> float | None:
         """Critical exponent for this noise, or None outside eta in (0,1)."""

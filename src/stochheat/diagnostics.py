@@ -414,6 +414,7 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
 
     Z = np.zeros((paths,) + basis.coeff_shape)
     running_max = np.zeros(paths)
+    abs_grid = np.empty((paths, math.prod(basis.grid_shape)))
     sup_snapshots = np.empty((len(steps_at), paths))
     center_snapshots = np.empty((len(steps_at), paths))
     snap = 0
@@ -442,9 +443,9 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
             Z += incr  # in place: one (paths, modes) temporary fewer at peak
             Z = basis.semigroup(Z, dt)
             Z_grid = basis.to_grid_batch(Z).reshape(paths, -1)
-            # max |Z| per row without an |Z| copy
-            running_max = np.maximum(
-                running_max, np.maximum(Z_grid.max(axis=1), -Z_grid.min(axis=1)))
+            # max |Z| per row, with |Z| in a buffer of the probe
+            np.maximum(running_max, np.abs(Z_grid, out=abs_grid).max(axis=1),
+                       out=running_max)
             if s == steps_at[snap]:
                 sup_snapshots[snap] = running_max
                 center_snapshots[snap] = Z_grid[:, center_flat]

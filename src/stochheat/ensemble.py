@@ -362,6 +362,16 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def sweep_thresholds(threshold_grid) -> list:
+    """The sweep's sup-norm thresholds, sorted; raises ValueError unless
+    every one is a power of two."""
+    thresholds = sorted(float(t) for t in threshold_grid)
+    for thr in thresholds:
+        if not (0 < thr < math.inf and abs(math.log2(thr) - round(math.log2(thr))) <= 1e-9):
+            raise ValueError(f"threshold {thr} is not a power of two")
+    return thresholds
+
+
 def sweep_gamma(config: SimConfig, gamma_grid, threshold_grid) -> SweepResult:
     """Exit fractions per (gamma, threshold) plus doubling counts per gamma.
 
@@ -371,11 +381,7 @@ def sweep_gamma(config: SimConfig, gamma_grid, threshold_grid) -> SweepResult:
     observable.  All gamma cells share the same base seed (common random
     numbers).
     """
-    thresholds = sorted(float(t) for t in threshold_grid)
-    for thr in thresholds:
-        m = math.log2(thr)
-        if abs(m - round(m)) > 1e-9:
-            raise ValueError(f"threshold {thr} is not a power of two")
+    thresholds = sweep_thresholds(threshold_grid)
     gammas = [float(g) for g in gamma_grid]
 
     fit_basis = _verification_basis(config.domain)

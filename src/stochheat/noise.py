@@ -31,6 +31,16 @@ eigenvalues, which occur for d = 3 and small alpha, are clipped at zero,
 logged and reported as ``clipped_fraction``; the draws and the quadratic
 form share the clipped spectrum.  Memory and work are O(N log N) in the
 grid size N.
+
+The Riesz sampler is the one user of scipy: it imports ``scipy.fft`` when
+it is built, so that ``import stochheat`` and every run with other noise
+load no scipy module.  Its multi-axis torus transforms stay on scipy
+because ``numpy.fft`` gives the same values more slowly (2 vCPU, numpy
+2.4.6, scipy 1.17.1; µs per call, two runs each): ``increments`` at
+8^3 x 50 rows took 1574/1454 with scipy and 1950/2009 with numpy, even
+with the transformed axis rotated last, and at 16^3 x 4 rows 994/1055
+against 1201/1254; ``qv_form`` at 8^3 x 50 rows took 1951/2157 against
+2733/3002.  The spectral sampler's Gamma(theta) is ``math.gamma``.
 """
 
 from __future__ import annotations
@@ -40,8 +50,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-from scipy.special import gamma as gamma_fn
 
 from .spectral import NEUMANN, PERIODIC, SpectralBasis, loglog_slope
 
@@ -233,7 +241,7 @@ class SpectralSampler(_Sampler):
         self.spec = spec
         self.basis = basis
         alpha = basis.eigenvalue_tensor()
-        self.weights = gamma_fn(spec.theta) * (spec.a + alpha) ** (-spec.theta)
+        self.weights = math.gamma(spec.theta) * (spec.a + alpha) ** (-spec.theta)
         self.amplitudes = np.sqrt(self.weights)
         self.normal_shape = basis.coeff_shape
 
@@ -341,6 +349,8 @@ class RieszSampler(_Sampler):
     """
 
     def __init__(self, spec: RieszKernel, basis: SpectralBasis):
+        import scipy.fft
+
         spec.validate_for(basis.dimension)
         self.spec = spec
         self.basis = basis
@@ -363,6 +373,8 @@ class RieszSampler(_Sampler):
 
     def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
         """Normals on the half spectrum, scaled, one pruned inverse FFT."""
+        import scipy.fft
+
         g = self.basis.grid_shape[0]
         coeffs = z.view(complex)[..., 0] * (math.sqrt(dt) * self._scales)
         for axis in self.basis.field_axes[:-1]:
@@ -372,6 +384,8 @@ class RieszSampler(_Sampler):
                                overwrite_x=True)[..., :g]
 
     def qv_form(self, f_values: np.ndarray):
+        import scipy.fft
+
         M = self._embed_len
         coeffs = scipy.fft.rfft(f_values, n=M)
         for axis in self.basis.field_axes[-2::-1]:

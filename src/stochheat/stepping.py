@@ -142,8 +142,7 @@ class Stepper:
         noise = f * dW
         I_inc = basis.integrate(noise)
         Q_inc = self.dt * self.sampler.qv_form(f)
-        coeffs = basis.semigroup(basis.to_spectral_batch(u + noise), self.dt)
-        u_raw = basis.to_grid_batch(coeffs)
+        u_raw = basis.heat_flow(u + noise, self.dt)
         finite = np.all(np.isfinite(u_raw), axis=basis.field_axes)
         u_new = np.maximum(u_raw, 0.0)
         return u_new, I_inc, Q_inc, basis.integrate(u_new - u_raw), finite

@@ -123,6 +123,20 @@ class TestParseConfig:
         config = parse_config(write_config(tmp_path), overrides={"run.horizon": "0.0102"})
         assert config.horizon == 0.0102
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"init.value": "64"}, "init.value"),
+        ({"init.value": "100"}, "init.value"),
+        # 30 e_1 = 30 sqrt(2/pi) sin(x) peaks at 23.9 at the grid point pi/2
+        ({"init.kind": "eigenmode", "init.amplitude": "30", "domain.boundary": "dirichlet",
+          "sigma.truncation": "20"}, "init.amplitude"),
+    ])
+    def test_initial_sup_at_truncation_rejected(self, tmp_path, overrides, key):
+        # every path would stop at step 0 as tau_n
+        with pytest.raises(ConfigError, match=rf"^{key}: .*sigma\.truncation"):
+            parse_config(write_config(tmp_path), overrides=overrides)
+        below = dict(overrides, **{"sigma.truncation": "1e3"})
+        assert parse_config(write_config(tmp_path), overrides=below).sigma.truncation == 1e3
+
     @pytest.mark.parametrize("key", ["run.max_failures", "run.save_trajectories"])
     def test_negative_output_counts_rejected(self, tmp_path, key):
         with pytest.raises(ConfigError, match=rf"^{key}:"):
@@ -584,6 +598,23 @@ class TestCLI:
         args = {"--p": "20", "--T-grid": "0.002,0.004", "--paths": "64", "--dt": "2e-4"}
         args[flag] = value
         code = main(["probe-convolution", "--config", str(cfg),
+                     "--output", str(tmp_path / "out"),
+                     *[item for pair in args.items() for item in pair]])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {flag}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--thresholds", "3"),     # not a power of two
+        ("--gammas", "1.0,x"),     # not a number
+    ])
+    def test_sweep_gamma_rejects_bad_argument(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path)
+        args = {"--gammas": "1.5", "--thresholds": "4,8"}
+        args[flag] = value
+        code = main(["sweep-gamma", "--config", str(cfg), "--set", "run.paths=2",
                      "--output", str(tmp_path / "out"),
                      *[item for pair in args.items() for item in pair]])
         assert code == EXIT_CONFIG

@@ -9,12 +9,18 @@ built from the kernel's definition.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stochheat
 from stochheat import noise
 from stochheat.spectral import DIRICHLET, NEUMANN, PERIODIC, DomainSpec, build_basis
 from stochheat.noise import (
@@ -463,3 +469,36 @@ class TestVerifyDecay:
             "fitted_slope", "expected_eta", "fitted_C", "residual",
         }
         assert d["variant"] == "spectral"
+
+
+SCIPY_IMPORT_CHECK = textwrap.dedent("""
+    import sys
+    import stochheat as sh
+
+    def scipy_loaded():
+        return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+    assert not scipy_loaded(), f"import stochheat loaded {scipy_loaded()}"
+    for kernel, boundary in ((sh.WhiteNoise(), "neumann"), (sh.SpectralKernel(0.25), "dirichlet")):
+        config = sh.SimConfig(
+            domain=sh.DomainSpec(1, boundary, 16), noise=kernel,
+            sigma=sh.SigmaSpec(1.0, 1.5, 64.0), dt=1e-3, horizon=5e-3,
+            mass_bound=1e12, paths=2, init_value=1.0)
+        sh.run_batch(sh.build_context(config), [0, 1])
+    sh.convolution_moment_probe(
+        sh.build_basis(sh.DomainSpec(1, "dirichlet", 16)), sh.SpectralKernel(0.25),
+        p=20, T_grid=[2e-3], paths=4, dt=1e-3, batches=2)
+    assert not scipy_loaded(), f"white, spectral and probe runs loaded {scipy_loaded()}"
+    sh.make_sampler(sh.RieszKernel(0.3), sh.build_basis(sh.DomainSpec(1, "neumann", 16)))
+    assert "scipy.fft" in sys.modules
+""")
+
+
+def test_scipy_is_loaded_by_the_riesz_sampler_only():
+    # the cold start of every run without Riesz noise skips scipy's import
+    src = str(Path(stochheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_IMPORT_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,17 +1,20 @@
 """Eigenbasis, transform, semigroup and heat-kernel checks.
 
 Oracles used here are independent of the fast-transform implementation:
-a dense eigenfunction-matrix transform at n=16, and method-of-images sums
-for the 1-d Dirichlet heat kernel and the Brownian exit probability.
+a dense eigenfunction-matrix transform at n=16, scipy's DST-I, DCT-II and
+DCT-III (a test-only dependency for these transforms), and
+method-of-images sums for the 1-d Dirichlet heat kernel and the Brownian
+exit probability.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stochheat import spectral
 from stochheat.spectral import (
     BOUNDARY_CONDITIONS,
     DIRICHLET,
@@ -57,6 +60,54 @@ def images_exit_mass_1d(t, x, L=PI, terms=40):
 
 def make_basis(d=1, bc=DIRICHLET, n=32, N=None, L=PI):
     return build_basis(DomainSpec(d, bc, n, N, L))
+
+
+def scipy_transform(basis, array, inverse=False):
+    """Oracle: the sine/cosine transforms of the trailing d axes by
+    scipy.fft, scaled to the orthonormal basis, first axis first."""
+    import scipy.fft
+
+    h, L, n = basis.h, basis.length, basis.spec.grid_points
+    m = basis.axis_mode_count
+    full = n - 1 if basis.boundary == DIRICHLET else n
+    out = np.asarray(array, dtype=float)
+    for axis in basis.field_axes:
+        first = [slice(None)] * out.ndim
+        first[axis] = slice(0, 1)
+        first = tuple(first)
+        if not inverse:
+            if basis.boundary == DIRICHLET:
+                c = (h * math.sqrt(2.0 / L) / 2.0) * scipy.fft.dst(out, 1, axis=axis)
+            else:
+                c = (h * math.sqrt(2.0 / L) / 2.0) * scipy.fft.dct(out, 2, axis=axis)
+                c[first] /= math.sqrt(2.0)
+            out = np.take(c, np.arange(m), axis=axis)
+            continue
+        pad = [(0, 0)] * out.ndim
+        pad[axis] = (0, full - m)
+        c = np.pad(out, pad)
+        if basis.boundary == DIRICHLET:
+            out = (math.sqrt(2.0 / L) / 2.0) * scipy.fft.dst(c, 1, axis=axis)
+        else:
+            z = c * (math.sqrt(2.0 / L) / 2.0)
+            z[first] = c[first] / math.sqrt(L)
+            out = scipy.fft.dct(z, 3, axis=axis)
+    return out
+
+
+def grid_eigenfunction(basis, k):
+    """e_k on the grid, as the outer product of its axis factors."""
+    out = np.ones(())
+    for ki in k:
+        out = np.multiply.outer(out, basis.axis_eigenfunction(ki, basis.axis_points))
+    return out
+
+
+# a basis of any dimension, boundary, resolution and mode cutoff
+any_basis = st.builds(
+    lambda d, bc, n, fraction: make_basis(d, bc, n=n, N=max(1, round(fraction * n))),
+    st.integers(1, 3), st.sampled_from(BOUNDARY_CONDITIONS), st.sampled_from([8, 16]),
+    st.floats(0.0, 1.0))
 
 
 class TestDomainSpec:
@@ -214,16 +265,18 @@ class TestTransforms:
         with pytest.raises(ValueError):
             basis.to_grid(np.zeros(16))
 
-    @settings(max_examples=20, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        bc=st.sampled_from(BOUNDARY_CONDITIONS),
-    )
-    def test_roundtrip_property(self, seed, bc):
-        basis = make_basis(1, bc, n=16)
-        f = np.random.default_rng(seed).normal(size=basis.grid_shape)
-        back = basis.to_grid(basis.to_spectral(f))
-        assert np.max(np.abs(back - f)) < 1e-10 * max(1.0, np.max(np.abs(f)))
+    @settings(max_examples=60, deadline=None)
+    @given(basis=any_basis, seed=st.integers(0, 2**31 - 1))
+    def test_roundtrip_property(self, basis, seed):
+        rng = np.random.default_rng(seed)
+        # coefficients survive the trip to the grid and back at any cutoff
+        c = rng.normal(size=basis.coeff_shape)
+        back = basis.to_spectral(basis.to_grid(c))
+        assert np.max(np.abs(back - c)) < 1e-12 * np.max(np.abs(c))
+        if basis.coeff_shape == basis.grid_shape:  # no mode cut off
+            f = rng.normal(size=basis.grid_shape)
+            back = basis.to_grid(basis.to_spectral(f))
+            assert np.max(np.abs(back - f)) < 1e-12 * np.max(np.abs(f))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -256,6 +309,84 @@ class TestTransforms:
             basis.semigroup(coeffs, t),
             np.stack([basis.semigroup(c, t) for c in coeffs]),
         )
+        assert np.array_equal(
+            basis.heat_flow(values, t),
+            np.stack([basis.heat_flow(v, t) for v in values]),
+        )
+
+
+class TestFastTransforms:
+    """The numpy transforms, in every dimension, boundary and mode cutoff."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(basis=any_basis, data=st.data())
+    def test_grid_eigenfunction_is_a_unit_vector(self, basis, data):
+        valid = [int(k) for k in basis.axis_valid_indices()]
+        k = tuple(data.draw(st.sampled_from(valid)) for _ in range(basis.dimension))
+        c = basis.to_spectral(grid_eigenfunction(basis, k))
+        unit = np.zeros(basis.coeff_shape)
+        unit[tuple(valid.index(ki) for ki in k)] = 1.0
+        assert np.max(np.abs(c - unit)) < 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(basis=any_basis, rows=st.integers(0, 3), seed=st.integers(0, 2**31 - 1))
+    def test_sine_cosine_transforms_match_scipy(self, basis, rows, seed):
+        assume(basis.boundary != PERIODIC)  # a real FFT, no sine or cosine transform
+        rng = np.random.default_rng(seed)
+        lead = (rows,) if rows else ()
+        f = rng.normal(size=lead + basis.grid_shape)
+        c = rng.normal(size=lead + basis.coeff_shape)
+        forward, inverse = scipy_transform(basis, f), scipy_transform(basis, c, inverse=True)
+        got_forward = basis.to_spectral_batch(f) if rows else basis.to_spectral(f)
+        got_inverse = basis.to_grid_batch(c) if rows else basis.to_grid(c)
+        assert np.max(np.abs(got_forward - forward)) <= 1e-14 * np.max(np.abs(forward))
+        assert np.max(np.abs(got_inverse - inverse)) <= 1e-14 * np.max(np.abs(inverse))
+
+    @settings(max_examples=60, deadline=None)
+    @given(basis=any_basis, rows=st.integers(0, 3), t=st.floats(0.0, 0.1),
+           seed=st.integers(0, 2**31 - 1))
+    def test_heat_flow_equals_the_three_transforms(self, basis, rows, t, seed):
+        f = np.random.default_rng(seed).normal(size=((rows,) if rows else ()) + basis.grid_shape)
+        explicit = basis.to_grid_batch(basis.semigroup(basis.to_spectral_batch(f), t))
+        assert np.max(np.abs(basis.heat_flow(f, t) - explicit)) < 1e-13 * np.max(np.abs(f))
+
+    @settings(max_examples=40, deadline=None)
+    @given(basis=any_basis, rows=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+    def test_outputs_are_c_contiguous(self, basis, rows, seed):
+        # inputs of other layouts: Fortran order and every other row
+        rng = np.random.default_rng(seed)
+        f = np.asfortranarray(rng.normal(size=(2 * rows,) + basis.grid_shape))[::2]
+        c = np.asfortranarray(rng.normal(size=(2 * rows,) + basis.coeff_shape))[::2]
+        outputs = [basis.to_spectral_batch(f), basis.to_grid_batch(c),
+                   basis.heat_flow(f, 1e-3), basis.to_spectral(f[0]), basis.to_grid(c[0]),
+                   basis.heat_flow(f[0], 1e-3)]
+        assert all(out.flags.c_contiguous for out in outputs)
+        assert np.array_equal(outputs[0], basis.to_spectral_batch(np.ascontiguousarray(f)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(basis=any_basis, rows=st.integers(0, 5), seed=st.integers(0, 2**31 - 1))
+    def test_blocks_do_not_change_values(self, basis, rows, seed):
+        # blocks of one line of the leading axis against one block for all
+        rng = np.random.default_rng(seed)
+        lead = (rows,) if rows else ()
+        f = rng.normal(size=lead + basis.grid_shape)
+        c = rng.normal(size=lead + basis.coeff_shape)
+
+        def outputs():
+            return [basis.to_spectral_batch(f), basis.to_grid_batch(c), basis.heat_flow(f, 1e-3)]
+
+        whole = outputs()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_BLOCK_VALUES", 1)
+            blocked = outputs()
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+    def test_heat_flow_rejects_bad_time_and_shape(self):
+        basis = make_basis(2, NEUMANN, n=8)
+        with pytest.raises(ValueError, match="time"):
+            basis.heat_flow(np.zeros(basis.grid_shape), -1e-3)
+        with pytest.raises(ValueError, match="grid shape"):
+            basis.heat_flow(np.zeros((3, 8, 4)), 1e-3)
 
 
 class TestSemigroup:

@@ -10,6 +10,7 @@ covariance.
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,14 +162,13 @@ class TestStep:
 
 
 def reference_step(stepper, u, dW):
-    """One step of one path on single fields, with the single-field
-    transforms and whole-array sums."""
+    """One step of one path on single fields, with the single-field heat
+    flow and whole-array sums."""
     basis = stepper.basis
     f = sigma_eval(stepper.sigma, u)
     I_inc = basis.cell_volume * float(np.sum(f * dW))
     Q_inc = stepper.dt * stepper.sampler.qv_form(f)
-    coeffs = basis.semigroup(basis.to_spectral(u + f * dW), stepper.dt)
-    u_raw = basis.to_grid(coeffs)
+    u_raw = basis.heat_flow(u + f * dW, stepper.dt)
     u_new = np.maximum(u_raw, 0.0)
     clamp_inc = basis.cell_volume * float(np.sum(u_new - u_raw))
     return u_new, I_inc, Q_inc, clamp_inc, bool(np.all(np.isfinite(u_raw)))
@@ -315,7 +315,7 @@ class TestRunBatch:
         # every row stops at step 0 (tau_n), before the first chunk is read:
         # the error of that chunk is raised when the batch ends
         raising_fill = 1
-        at_truncation = build_context(make_config(init_value=64.0))
+        at_truncation = replace(ctx, u0=np.full_like(ctx.u0, 64.0))
         with pytest.raises(FloatingPointError, match="stream unavailable"):
             run_batch(at_truncation, [1, 2, 3])
         assert threading.active_count() == start
@@ -456,8 +456,11 @@ class TestMassIdentity:
 
 class TestRunTrajectory:
     def test_immediate_stop_on_truncation(self):
-        config = make_config(sigma=SigmaSpec(1.0, 1.5, truncation=1.5), init_value=2.0)
-        rec = run_trajectory(config, seed=0)
+        # SimConfig rejects initial data at the truncation level; a context
+        # built around it still stops every path at step 0
+        config = make_config(init_value=2.0)
+        ctx = replace(build_context(config), sigma=SigmaSpec(1.0, 1.5, truncation=1.5))
+        rec = run_trajectory(config, seed=0, context=ctx)
         assert rec.stop_flag == STOP_TAU_N
         assert rec.stop_time == 0.0
         assert len(rec.t) == 1
