@@ -18,9 +18,6 @@ from stochheat import (
     WhiteNoise,
     build_basis,
     critical_exponent,
-    double_integral,
-    kernel_eval,
-    kernel_params,
     make_sampler,
     verify_decay,
 )
@@ -38,7 +35,7 @@ cases = [
     ("spectral theta=0.75, d=2", SpectralKernel(0.75, 0.0), 2),
 ]
 for label, spec, d in cases:
-    beta, eta = kernel_params(spec, d)
+    beta, eta = spec.params(d)
     gc = critical_exponent(beta, eta)
     print(f"  {label:28}: beta={beta:4.2f} eta={eta:4.2f} gamma_c={gc:.4f}")
 print("  (the classical d=1 white-noise case recovers gamma_c = 3/2)")
@@ -48,13 +45,13 @@ print("=" * 70)
 print("2. Kernel values and closed forms")
 print("=" * 70)
 b3 = build_basis(DomainSpec(3, NEUMANN, 8))
-r = kernel_eval(RieszKernel(1.0), b3, [0.5, 0.5, 0.5], [0.5 + PI / 2, 0.5, 0.5])
+r = RieszKernel(1.0).kernel(b3, [0.5, 0.5, 0.5], [0.5 + PI / 2, 0.5, 0.5])
 print(f"  Riesz d=3 alpha=1 at |x-y|=pi/2: {r:.6f} (2/pi = {2 / PI:.6f})")
 
 b1 = build_basis(DomainSpec(1, DIRICHLET, 1024))
-v = kernel_eval(SpectralKernel(1.0, 0.0), b1, [PI / 2], [PI / 2])
+v = SpectralKernel(1.0, 0.0).kernel(b1, [PI / 2], [PI / 2])
 print(f"  spectral theta=1 diagonal at pi/2: {v:.6f} (pi/4 = {PI / 4:.6f})")
-di = double_integral(SpectralKernel(1.0, 0.0), b1)
+di = SpectralKernel(1.0, 0.0).double_integral(b1)
 print(f"  its double integral: {di:.6f} (pi^3/12 = {PI**3 / 12:.6f})")
 
 print()

@@ -15,9 +15,6 @@ from .noise import (
     SpectralKernel,
     WhiteNoise,
     critical_exponent,
-    double_integral,
-    kernel_eval,
-    kernel_params,
     make_sampler,
     verify_decay,
 )

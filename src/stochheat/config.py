@@ -31,14 +31,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .noise import (
-    KernelValidationError,
-    RieszKernel,
-    SpectralKernel,
-    WhiteNoise,
-    critical_exponent,
-    kernel_params,
-)
+from .noise import KERNELS, KernelValidationError, critical_exponent
 from .spectral import DomainSpec, build_basis
 from .stepping import SigmaSpec, initial_field
 
@@ -107,30 +100,34 @@ class SimConfig:
             raise ConfigError(f"noise: {exc}") from exc
         sup = self._initial_sup()
         if sup is not None and sup >= self.sigma.truncation:
-            key = "init.value" if self.init_kind == "constant" else "init.amplitude"
+            key = {"constant": "init.value", "eigenmode": "init.amplitude",
+                   "file": "init.path"}[self.init_kind]
             raise ConfigError(
                 f"{key}: initial sup-norm {sup:g} is at or above sigma.truncation "
                 f"= {self.sigma.truncation:g}, so every path would stop at step 0 (tau_n)"
             )
 
     def _initial_sup(self) -> float | None:
-        """sup of the initial field on the grid; None for file data, and for
-        an eigenmode that building the context rejects."""
+        """sup of the initial field on the grid; None for an eigenmode that
+        building the context rejects.  A file that cannot give initial data
+        (missing, empty, not one array, of the wrong shape, non-finite or
+        negative) raises ConfigError naming init.path."""
         if self.init_kind == "constant":
             return self.init_value
-        if self.init_kind != "eigenmode":
-            return None
         try:
-            u0 = initial_field(build_basis(self.domain), "eigenmode",
-                               mode=self.init_mode, amplitude=self.init_amplitude)
-        except (ValueError, IndexError):
+            u0 = initial_field(build_basis(self.domain), self.init_kind,
+                               mode=self.init_mode, amplitude=self.init_amplitude,
+                               path=self.init_path)
+        except (OSError, EOFError, ValueError, IndexError) as exc:
+            if self.init_kind == "file":
+                raise ConfigError(f"init.path: {exc}") from exc
             return None
         return float(u0.max())
 
     def gamma_c(self) -> float | None:
         """Critical exponent for this noise, or None outside eta in (0,1)."""
         try:
-            beta, eta = kernel_params(self.noise, self.domain.dimension)
+            beta, eta = self.noise.params(self.domain.dimension)
             return critical_exponent(beta, eta)
         except (KernelValidationError, ValueError):
             return None
@@ -143,11 +140,8 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         noise = {"kind": self.noise.variant}
-        if isinstance(self.noise, RieszKernel):
-            noise["alpha"] = self.noise.alpha
-        elif isinstance(self.noise, SpectralKernel):
-            noise["theta"] = self.noise.theta
-            noise["shift"] = self.noise.a
+        for key, name in self.noise.config_keys.items():
+            noise[key] = getattr(self.noise, name)
         return {
             "domain": {
                 "dimension": self.domain.dimension,
@@ -186,10 +180,15 @@ def config_hash(config: SimConfig) -> str:
     """Stable 12-hex-digit digest of all config fields.
 
     Worker count and output directory are excluded: they must not affect
-    results, and the hash certifies result-determining inputs only.
+    results, and the hash certifies result-determining inputs only.  For
+    file initial data the SHA-256 of the file's bytes is included, so two
+    files saved at one path give two hashes.
     """
     payload = config.to_dict()
     payload["run"].pop("workers", None)
+    if config.init_kind == "file":
+        payload["init"]["sha256"] = hashlib.sha256(
+            Path(config.init_path).read_bytes()).hexdigest()
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
@@ -293,18 +292,14 @@ def build_config(values: dict) -> SimConfig:
         raise ConfigError(f"domain: {exc}") from exc
 
     kind = values["noise.kind"]
-    if kind == "riesz":
-        if "noise.alpha" not in values:
-            raise ConfigError("noise.alpha: required for the riesz kernel")
-        noise = RieszKernel(values["noise.alpha"])
-    elif kind == "spectral":
-        if "noise.theta" not in values:
-            raise ConfigError("noise.theta: required for the spectral kernel")
-        noise = SpectralKernel(theta=values["noise.theta"], a=values["noise.shift"])
-    elif kind == "white":
-        noise = WhiteNoise()
-    else:
-        raise ConfigError(f"noise.kind: {kind!r} not one of riesz|spectral|white")
+    if kind not in KERNELS:
+        raise ConfigError(f"noise.kind: {kind!r} not one of {'|'.join(KERNELS)}")
+    fields = {}
+    for key, name in KERNELS[kind].config_keys.items():
+        if f"noise.{key}" not in values:
+            raise ConfigError(f"noise.{key}: required for the {kind} kernel")
+        fields[name] = values[f"noise.{key}"]
+    noise = KERNELS[kind](**fields)
 
     try:
         sigma = SigmaSpec(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import SpectralKernel, SpectralSampler, kernel_params, make_sampler
+from .noise import SpectralKernel, SpectralSampler, make_sampler
 from .spectral import SpectralBasis, loglog_slope
 from .stepping import TrajectoryRecord, path_rng
 
@@ -373,7 +373,7 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
             f"paths = {paths} and batches = {batches}: the median of means "
             "needs 1 <= batches <= paths, at least one path per group",
         )
-    beta, eta = kernel_params(noise_spec, basis.dimension)
+    beta, eta = noise_spec.params(basis.dimension)
     if not moment_admissible(p, beta, eta):
         raise ProbeArgumentError(
             "p",

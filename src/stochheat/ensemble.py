@@ -30,13 +30,7 @@ from .diagnostics import (
     qv_report,
     up_event_count,
 )
-from .noise import (
-    DecayFitError,
-    KernelValidationError,
-    WhiteNoise,
-    double_integral,
-    verify_decay,
-)
+from .noise import DecayFitError, KernelValidationError, verify_decay
 from .spectral import DomainSpec, build_basis, heat_kernel_decay_fit
 from .stepping import Stepper, TrajectoryRecord, build_context, run_batch
 
@@ -210,7 +204,7 @@ def _context_telemetry(context) -> dict:
     the stepper's stiffness heuristic."""
     stepper = Stepper(context.basis, context.sigma, context.sampler, context.dt)
     return {
-        "clipped_fraction": getattr(context.sampler, "clipped_fraction", None),
+        "clipped_fraction": context.sampler.clipped_fraction,
         "dt_over_heuristic": context.dt / stepper.dt_heuristic,
     }
 
@@ -490,7 +484,7 @@ def verify_assumptions(config: SimConfig) -> AssumptionReport:
     except (KernelValidationError, DecayFitError) as exc:
         clauses["B"] = {"passed": False, "error": str(exc)}
 
-    if isinstance(config.noise, WhiteNoise):
+    if not config.noise.integrable:
         clauses["C"] = {
             "inapplicable": True,
             "note": "delta kernel has no finite double integral",
@@ -500,7 +494,7 @@ def verify_assumptions(config: SimConfig) -> AssumptionReport:
         quad_basis = build_basis(
             DomainSpec(d, config.domain.boundary, quad_n, length=config.domain.length)
         )
-        value = double_integral(config.noise, quad_basis)
+        value = config.noise.double_integral(quad_basis)
         clauses["C"] = {"value": value, "passed": bool(np.isfinite(value))}
 
     return AssumptionReport(clauses=clauses, config_hash=config_hash(config))

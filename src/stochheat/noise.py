@@ -12,6 +12,12 @@ Derived exponents on the box Laplacian: beta = d/2 always, eta = alpha/2
 (Riesz) or max(d/2 - theta, 0) (spectral), with eta in (0,1) required.
 The critical growth exponent is gamma_c = 1 + (1-eta)/(2 beta).
 
+Kernel behaviour lives on the kernel classes, one code path per family:
+``params(d)`` (one shared check of eta), ``sampler(basis)``,
+``kernel(basis, x, y)``, ``double_integral(basis)``, ``decay_values(basis,
+t_grid)``, the ``config_keys`` and ``integrable``.  ``KERNELS`` maps each
+``noise.kind`` to its class; ``verify_decay`` holds the log-log fit.
+
 Increment fields carry pointwise covariance Lambda(x_i, x_j) * dt.  Every
 sampler is a linear map ``increments(dt, z)`` of a (P, *normal_shape) batch
 of standard normals to P increment fields; the draws themselves happen in
@@ -47,7 +53,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -71,13 +77,32 @@ class DecayFitError(RuntimeError):
     """Log-log fit residual too large: not in the power-law regime."""
 
 
+class _Kernel:
+    """A kernel family: its ``variant``, ``config_keys`` (key under
+    ``noise.`` -> field), ``eta(d)`` and the kernel questions as methods."""
+
+    # False for a kernel outside the finite-double-integral assumption
+    integrable = True
+
+    def params(self, dimension: int):
+        """(beta, eta) for the box Laplacian setting; raises if eta not in (0,1)."""
+        self.validate_for(dimension)
+        eta = self.eta(dimension)
+        if not 0.0 < eta < 1.0:
+            raise KernelValidationError(
+                f"eta = {eta} outside (0,1): model outside the assumed decay regime"
+            )
+        return dimension / 2.0, eta
+
+
 @dataclass(frozen=True)
-class RieszKernel:
+class RieszKernel(_Kernel):
     """Spatially homogeneous singular kernel |x-y|^(-alpha)."""
 
     alpha: float
 
     variant = "riesz"
+    config_keys = {"alpha": "alpha"}
 
     def validate_for(self, dimension: int, boundary: str | None = None):
         limit = min(2.0, dimension / 2.0)
@@ -87,15 +112,53 @@ class RieszKernel:
                 f"min(2, d/2) = {limit} in dimension {dimension}"
             )
 
+    def eta(self, dimension: int) -> float:
+        return self.alpha / 2.0
+
+    def sampler(self, basis: SpectralBasis):
+        return RieszSampler(self, basis)
+
+    def kernel(self, basis: SpectralBasis, x, y) -> float:
+        """Pointwise Lambda(x,y) = |x-y|^(-alpha), off the diagonal."""
+        self.validate_for(basis.dimension)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        r = float(np.sqrt(np.sum((x - y) ** 2)))
+        if r == 0.0:
+            raise ValueError("Riesz kernel is singular on the diagonal")
+        return r ** (-self.alpha)
+
+    def double_integral(self, basis: SpectralBasis) -> float:
+        """Integral of Lambda over D x D; a quadrature, no sampler."""
+        self.validate_for(basis.dimension)
+        return riesz_double_integral(self.alpha, basis.dimension, basis.length)
+
+    def decay_values(self, basis: SpectralBasis, t_grid) -> np.ndarray:
+        """Quadrature of int int G G Lambda at the centre: the sampler's
+        quadratic form of G(t, x_c, .) on the grid."""
+        sampler = self.sampler(basis)
+        x_c = basis.center_point()
+        vals = []
+        for t in t_grid:
+            # G(t, x_c, .) on the grid = inverse transform of e^{-alpha_k t} e_k(x_c)
+            decay = basis.axis_decay(t)
+            cols = [decay * basis._axis_eigenfunction_column(xc) for xc in x_c]
+            coeffs = cols[0]
+            for col in cols[1:]:
+                coeffs = np.multiply.outer(coeffs, col)
+            vals.append(sampler.qv_form(basis.to_grid(coeffs)))
+        return np.array(vals)
+
 
 @dataclass(frozen=True)
-class SpectralKernel:
+class SpectralKernel(_Kernel):
     """Kernel diagonal in the eigenbasis, lambda_k^2 = Gamma(theta) (a+alpha_k)^(-theta)."""
 
     theta: float
     a: float = 0.0
 
     variant = "spectral"
+    config_keys = {"theta": "theta", "shift": "a"}
 
     def validate_for(self, dimension: int, boundary: str | None = None):
         if self.theta <= dimension / 2.0 - 1.0:
@@ -110,43 +173,74 @@ class SpectralKernel:
                 "shift a must be positive for periodic/Neumann conditions "
                 "(alpha_0 = 0 makes the zero mode weight infinite at a = 0)"
             )
-        # the eta in (0,1) range is enforced by kernel_params, where the
-        # derived exponents are actually consumed; smoother kernels (larger
-        # theta) stay constructible for evaluation and quadrature
+        # the eta in (0,1) range is enforced by params, where the derived
+        # exponents are actually consumed; smoother kernels (larger theta)
+        # stay constructible for evaluation and quadrature
+
+    def eta(self, dimension: int) -> float:
+        return max(dimension / 2.0 - self.theta, 0.0)
+
+    def sampler(self, basis: SpectralBasis):
+        return SpectralSampler(self, basis)
+
+    def kernel(self, basis: SpectralBasis, x, y) -> float:
+        """Pointwise Lambda(x,y), the series truncated at the retained modes."""
+        return self.sampler(basis).kernel(x, y)
+
+    def double_integral(self, basis: SpectralBasis) -> float:
+        ones = basis._axis_one_coeffs
+        out = self.sampler(basis).weights
+        for _ in range(basis.dimension):
+            out = np.tensordot(out, ones * ones, axes=([0], [0]))
+        return float(out)
+
+    def decay_values(self, basis: SpectralBasis, t_grid) -> np.ndarray:
+        """F(t) = sum_k lambda_k^2 e^(-2 alpha_k t) e_k(x_c)^2, exact."""
+        w = self.sampler(basis).weights
+        for i, x in enumerate(basis.center_point()):
+            shape = [1] * basis.dimension
+            shape[i] = basis.axis_mode_count
+            w = w * (basis._axis_eigenfunction_column(x) ** 2).reshape(shape)
+        alpha = basis.eigenvalue_tensor().ravel()
+        w = w.ravel()
+        return np.array([float(np.sum(w * np.exp(-2.0 * alpha * t))) for t in t_grid])
 
 
 @dataclass(frozen=True)
-class WhiteNoise:
+class WhiteNoise(_Kernel):
     """Space-time white noise reference mode, d = 1 only (beta = eta = 1/2)."""
 
     variant = "white"
+    config_keys = {}
+    integrable = False
 
     def validate_for(self, dimension: int, boundary: str | None = None):
         if dimension != 1:
             raise KernelValidationError("white-noise mode is restricted to d = 1")
 
+    def eta(self, dimension: int) -> float:
+        return 0.5
 
-CovarianceSpec = RieszKernel | SpectralKernel | WhiteNoise
+    def sampler(self, basis: SpectralBasis):
+        return WhiteNoiseSampler(self, basis)
 
+    def kernel(self, basis: SpectralBasis, x, y) -> float:
+        raise ValueError("white noise has a distributional (delta) kernel")
 
-def kernel_params(spec, dimension: int):
-    """(beta, eta) for the box Laplacian setting; raises if eta not in (0,1)."""
-    beta = dimension / 2.0
-    if isinstance(spec, RieszKernel):
-        spec.validate_for(dimension)
-        eta = spec.alpha / 2.0
-    elif isinstance(spec, SpectralKernel):
-        eta = max(dimension / 2.0 - spec.theta, 0.0)
-    elif isinstance(spec, WhiteNoise):
-        spec.validate_for(dimension)
-        return 0.5, 0.5
-    else:
-        raise TypeError(f"unknown covariance spec {spec!r}")
-    if not 0.0 < eta < 1.0:
-        raise KernelValidationError(
-            f"eta = {eta} outside (0,1): model outside the assumed decay regime"
+    def double_integral(self, basis: SpectralBasis) -> float:
+        raise ValueError(
+            "white noise has no finite double integral (outside the "
+            "integrable-covariance assumption)"
         )
-    return beta, eta
+
+    def decay_values(self, basis: SpectralBasis, t_grid) -> np.ndarray:
+        """F(t) = G(2t, x_c, x_c)."""
+        x_c = basis.center_point()
+        return np.array([basis.heat_kernel(2 * t, x_c, x_c) for t in t_grid])
+
+
+# the kernel class of each noise.kind
+KERNELS = {k.variant: k for k in (RieszKernel, SpectralKernel, WhiteNoise)}
 
 
 def critical_exponent(beta: float, eta: float) -> float:
@@ -219,6 +313,9 @@ class _Sampler:
     turns (P, *normal_shape) normals into (P, *grid) increments, row by row.
     Every draw goes through that map; only the normals differ in origin."""
 
+    # share of the covariance's spectral mass clipped; only Riesz clips
+    clipped_fraction = None
+
     def sample_batch(self, dt: float, rng, count: int) -> np.ndarray:
         """(count, *grid) increments from one stream, drawn in chunks of
         normals, which bounds memory and leaves the values unchanged."""
@@ -265,28 +362,6 @@ class SpectralSampler(_Sampler):
             fy = b._axis_eigenfunction_column(y[i])
             out = np.tensordot(out, fx * fy, axes=([0], [0]))
         return float(out)
-
-    def double_integral(self) -> float:
-        ones = self.basis._axis_one_coeffs
-        out = self.weights
-        for _ in range(self.basis.dimension):
-            out = np.tensordot(out, ones * ones, axes=([0], [0]))
-        return float(out)
-
-    def decay_series(self, t_grid, x) -> np.ndarray:
-        """F(t) = sum_k lambda_k^2 e^(-2 alpha_k t) e_k(x)^2, exact."""
-        b = self.basis
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        w = self.weights.copy()
-        for i in range(b.dimension):
-            fx = b._axis_eigenfunction_column(x[i])
-            shape = [1] * b.dimension
-            shape[i] = b.axis_mode_count
-            w = w * (fx**2).reshape(shape)
-        alpha = b.eigenvalue_tensor().ravel()
-        w = w.ravel()
-        t_grid = np.asarray(t_grid, dtype=float)
-        return np.array([float(np.sum(w * np.exp(-2.0 * alpha * t))) for t in t_grid])
 
 
 def _rfft_multiplicity(embed_len: int) -> np.ndarray:
@@ -411,56 +486,20 @@ class WhiteNoiseSampler(_Sampler):
 
 
 def make_sampler(spec, basis: SpectralBasis):
-    if isinstance(spec, SpectralKernel):
-        return SpectralSampler(spec, basis)
-    if isinstance(spec, RieszKernel):
-        return RieszSampler(spec, basis)
-    if isinstance(spec, WhiteNoise):
-        return WhiteNoiseSampler(spec, basis)
-    raise TypeError(f"unknown covariance spec {spec!r}")
+    """The sampler of kernel ``spec`` on ``basis``."""
+    return spec.sampler(basis)
 
 
-def kernel_eval(spec, basis: SpectralBasis, x, y) -> float:
-    """Pointwise Lambda(x,y); truncated series for the spectral variant."""
-    if isinstance(spec, RieszKernel):
-        spec.validate_for(basis.dimension)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        r = float(np.sqrt(np.sum((x - y) ** 2)))
-        if r == 0.0:
-            raise ValueError("Riesz kernel is singular on the diagonal")
-        return r ** (-spec.alpha)
-    if isinstance(spec, SpectralKernel):
-        return SpectralSampler(spec, basis).kernel(x, y)
-    if isinstance(spec, WhiteNoise):
-        raise ValueError("white noise has a distributional (delta) kernel")
-    raise TypeError(f"unknown covariance spec {spec!r}")
-
-
-def double_integral(spec, basis: SpectralBasis) -> float:
-    """Integral of Lambda over D x D; a quadrature, no sampler for Riesz."""
-    if isinstance(spec, RieszKernel):
-        spec.validate_for(basis.dimension)
-        return riesz_double_integral(spec.alpha, basis.dimension, basis.length)
-    if isinstance(spec, SpectralKernel):
-        return SpectralSampler(spec, basis).double_integral()
-    if isinstance(spec, WhiteNoise):
-        raise ValueError(
-            "white noise has no finite double integral (outside the "
-            "integrable-covariance assumption)"
-        )
-    raise TypeError(f"unknown covariance spec {spec!r}")
-
-
-@dataclass
+@dataclass(kw_only=True)
 class DecayReport:
     """Fit of the kernel-smoothed heat decay F(t) ~ C t^(-eta)."""
 
     variant: str
     d: int
-    theta: float | None
-    alpha: float | None
-    a: float | None
+    # the kernel's own fields; None where its family has no such field
+    theta: float | None = None
+    alpha: float | None = None
+    a: float | None = None
     fitted_slope: float
     expected_eta: float
     fitted_C: float
@@ -469,63 +508,30 @@ class DecayReport:
     values: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "variant": self.variant,
-            "d": self.d,
-            "theta": self.theta,
-            "alpha": self.alpha,
-            "a": self.a,
-            "fitted_slope": self.fitted_slope,
-            "expected_eta": self.expected_eta,
-            "fitted_C": self.fitted_C,
-            "residual": self.residual,
-        }
+        out = asdict(self)
+        del out["t_grid"], out["values"]
+        return out
 
     @property
     def passed(self) -> bool:
         return abs(self.fitted_slope + self.expected_eta) <= 0.1
 
 
-def _riesz_decay_values(spec, basis, t_grid):
-    """Quadrature estimate of sup-point of int int G G Lambda for Riesz."""
-    sampler = make_sampler(spec, basis)
-    x_c = basis.center_point()
-    vals = []
-    for t in t_grid:
-        # G(t, x_c, .) on the grid = inverse transform of e^{-alpha_k t} e_k(x_c)
-        decay = basis.axis_decay(t)
-        cols = [decay * basis._axis_eigenfunction_column(xc) for xc in x_c]
-        coeffs = cols[0]
-        for col in cols[1:]:
-            coeffs = np.multiply.outer(coeffs, col)
-        vals.append(sampler.qv_form(basis.to_grid(coeffs)))
-    return np.array(vals)
-
-
 def verify_decay(spec, basis: SpectralBasis, t_grid=None,
                  residual_tolerance: float = 0.1) -> DecayReport:
     """Fit the decay exponent of the kernel-smoothed squared heat flow.
 
-    For the spectral kernel the series form is exact; for Riesz a grid
-    quadrature against the truncated heat kernel is used; for white noise
-    F(t) = G(2t, x, x).  Raises DecayFitError when the log-log residual is
+    The values are the kernel's ``decay_values``: the exact series for the
+    spectral kernel, a grid quadrature against the truncated heat kernel for
+    Riesz, F(t) = G(2t, x, x) for white noise.  Raises DecayFitError when the log-log residual is
     too large (the t-grid is outside the power-law regime).
     """
     if t_grid is None:
         t_grid = np.logspace(-4, -2, 25)
     t_grid = np.asarray(t_grid, dtype=float)
     d = basis.dimension
-    beta, eta = kernel_params(spec, d)
-    x_c = basis.center_point()
-    if isinstance(spec, SpectralKernel):
-        vals = SpectralSampler(spec, basis).decay_series(t_grid, x_c)
-        theta, alpha, a = spec.theta, None, spec.a
-    elif isinstance(spec, RieszKernel):
-        vals = _riesz_decay_values(spec, basis, t_grid)
-        theta, alpha, a = None, spec.alpha, None
-    else:
-        vals = np.array([basis.heat_kernel(2 * t, x_c, x_c) for t in t_grid])
-        theta, alpha, a = None, None, None
+    _, eta = spec.params(d)
+    vals = spec.decay_values(basis, t_grid)
     slope, intercept, rms = loglog_slope(t_grid, vals)
     if rms > residual_tolerance:
         raise DecayFitError(
@@ -536,13 +542,11 @@ def verify_decay(spec, basis: SpectralBasis, t_grid=None,
     return DecayReport(
         variant=spec.variant,
         d=d,
-        theta=theta,
-        alpha=alpha,
-        a=a,
         fitted_slope=slope,
         expected_eta=eta,
         fitted_C=float(np.exp(intercept)),
         residual=rms,
         t_grid=list(map(float, t_grid)),
         values=list(map(float, vals)),
+        **asdict(spec),
     )

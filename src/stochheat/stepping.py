@@ -242,6 +242,9 @@ def initial_field(basis: SpectralBasis, kind: str, *, value: float = 1.0,
         if path is None:
             raise ValueError("file initial condition needs a path")
         u0 = np.load(path)
+        if not isinstance(u0, np.ndarray):
+            u0.close()
+            raise ValueError(f"{path} holds an archive of arrays, not one array")
         if u0.shape != basis.grid_shape:
             raise ValueError(
                 f"initial data shape {u0.shape} does not match grid {basis.grid_shape}"

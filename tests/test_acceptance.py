@@ -27,8 +27,6 @@ from stochheat.noise import (
     SpectralKernel,
     WhiteNoise,
     _unit_cell_mean,
-    double_integral,
-    kernel_eval,
     make_sampler,
     verify_decay,
 )
@@ -110,7 +108,7 @@ def test_criterion_2_noise_decay_exponent():
 def test_criterion_3_closed_form_double_integral():
     t0 = time.monotonic()
     basis = build_basis(DomainSpec(1, DIRICHLET, 512))
-    got = double_integral(SpectralKernel(theta=1.0, a=0.0), basis)
+    got = SpectralKernel(theta=1.0, a=0.0).double_integral(basis)
     want = PI**3 / 12
     rel = abs(got - want) / want
     report(3, rel < 0.005,
@@ -140,7 +138,7 @@ def test_criterion_4_sampler_covariance():
             pts = basis.axis_points
             cell = _unit_cell_mean(spec.alpha, 1) * basis.h ** (-spec.alpha)
             cov = lambda i, j: (
-                kernel_eval(spec, basis, [pts[i]], [pts[j]]) if i != j else cell
+                spec.kernel(basis, [pts[i]], [pts[j]]) if i != j else cell
             ) * dt
         pair_rng = np.random.Generator(np.random.Philox(key=555))
         worst = 0.0

@@ -169,6 +169,26 @@ class TestConfigHash:
         v2["run.workers"] = 4
         assert config_hash(build_config(v1)) == config_hash(build_config(v2))
 
+    def test_initial_data_file_contents_hashed(self, tmp_path):
+        # two arrays saved at one path are two experiments, so two stamps
+        path = tmp_path / "u0.npy"
+        values = dict(_DEFAULTS, **{"init.kind": "file", "init.path": str(path)})
+        hashes = []
+        for level in (1.0, 2.0):
+            np.save(path, np.full(_DEFAULTS["domain.grid_points"], level))
+            hashes.append(config_hash(build_config(values)))
+        assert hashes[0] != hashes[1]
+
+    def test_shipped_config_hashes_unchanged(self):
+        # a refactor of the hashed payload must not move existing stamps
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        assert {c: config_hash(parse_config(configs / f"{c}.conf")) for c in (
+            "dirichlet_spectral", "riesz_3d", "white_noise_critical")} == {
+            "dirichlet_spectral": "919f438573ab",
+            "riesz_3d": "3cbb9f463916",
+            "white_noise_critical": "a664962e2eac",
+        }
+
 
 def small_config(**overrides):
     base = dict(
@@ -484,6 +504,45 @@ class TestCLI:
                                "noise.kind = riesz\nnoise.alpha = 1.0")
         cfg = write_config(tmp_path, text)
         assert main(["simulate", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("data", [
+        None,                                 # no file at init.path
+        b"",                                  # an empty file
+        {"u0": np.full(64, 2.0)},             # an .npz archive, not one array
+        np.full(64, 100.0),                   # at or above sigma.truncation = 64
+        np.full(32, 2.0),                     # not the 64-point grid's shape
+        np.array([np.nan] + [2.0] * 63),      # non-finite
+        np.full(64, -1.0),                    # negative
+    ], ids=["missing", "empty", "archive", "at-truncation", "wrong-shape",
+            "non-finite", "negative"])
+    def test_simulate_rejects_unusable_initial_data_file(self, tmp_path, capsys, data):
+        path = tmp_path / "u0.npy"
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        elif isinstance(data, dict):
+            with open(path, "wb") as f:
+                np.savez(f, **data)
+        elif data is not None:
+            np.save(path, data)
+        code = main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--set", "init.kind=file", "--set", f"init.path={path}",
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: init.path: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_from_initial_data_file(self, tmp_path, capsys):
+        path = tmp_path / "u0.npy"
+        np.save(path, np.full(64, 2.0))
+        code = main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--set", "init.kind=file", "--set", f"init.path={path}",
+                     "--output", str(tmp_path / "out")])
+        assert code == 0
+        run_dir = next((tmp_path / "out").iterdir())
+        agg = json.loads((run_dir / "aggregates.json").read_text())["aggregates"]
+        assert agg["stop_fractions"]["tau_n"] == 0.0
 
     def test_set_overrides(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

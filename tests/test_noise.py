@@ -33,9 +33,6 @@ from stochheat.noise import (
     _clip_spectrum,
     _unit_cell_mean,
     critical_exponent,
-    double_integral,
-    kernel_eval,
-    kernel_params,
     make_sampler,
     riesz_double_integral,
     verify_decay,
@@ -69,11 +66,11 @@ def riesz_covariance(spec, basis):
 
 
 def riesz_covariance_entry(spec, basis, i, j):
-    """One entry of the grid covariance: kernel_eval off the diagonal."""
+    """One entry of the grid covariance: the kernel off the diagonal."""
     if i == j:
         return _unit_cell_mean(spec.alpha, basis.dimension) * basis.h ** (-spec.alpha)
     pts = [g.ravel() for g in basis.grid_coordinates()]
-    return kernel_eval(spec, basis, [p[i] for p in pts], [p[j] for p in pts])
+    return spec.kernel(basis, [p[i] for p in pts], [p[j] for p in pts])
 
 
 class IdentityNormals:
@@ -122,23 +119,28 @@ class TestSpecValidation:
 
 class TestKernelParams:
     def test_riesz_d3(self):
-        assert kernel_params(RieszKernel(1.0), 3) == (1.5, 0.5)
+        assert RieszKernel(1.0).params(3) == (1.5, 0.5)
 
     def test_spectral_eta_zero_rejected(self):
         with pytest.raises(KernelValidationError):
-            kernel_params(SpectralKernel(theta=1.0, a=0.0), 2)
+            SpectralKernel(theta=1.0, a=0.0).params(2)
 
     def test_spectral_d2(self):
-        assert kernel_params(SpectralKernel(theta=0.75, a=0.0), 2) == (1.0, 0.25)
+        assert SpectralKernel(theta=0.75, a=0.0).params(2) == (1.0, 0.25)
 
     def test_white_noise_regime(self):
-        assert kernel_params(WhiteNoise(), 1) == (0.5, 0.5)
+        assert WhiteNoise().params(1) == (0.5, 0.5)
+
+    def test_spectral_negative_shift_rejected(self):
+        # eta = 1/2 - 0.3 is in range, but every other entry rejects a < 0
+        with pytest.raises(KernelValidationError):
+            SpectralKernel(theta=0.3, a=-1.0).params(1)
 
     def test_grid_independence(self):
         # pure arithmetic: no grid resolution enters
-        beta, eta = kernel_params(SpectralKernel(theta=0.25, a=0.0), 1)
-        assert critical_exponent(beta, eta) == critical_exponent(*kernel_params(
-            SpectralKernel(theta=0.25, a=0.0), 1))
+        beta, eta = SpectralKernel(theta=0.25, a=0.0).params(1)
+        assert critical_exponent(beta, eta) == critical_exponent(*SpectralKernel(
+            theta=0.25, a=0.0).params(1))
 
 
 class TestCriticalExponent:
@@ -178,17 +180,17 @@ class TestKernelEval:
         basis = basis_for(3, NEUMANN, n=8)
         x = np.array([0.5, 0.5, 0.5])
         y = x + np.array([PI / 2, 0, 0])
-        assert kernel_eval(RieszKernel(1.0), basis, x, y) == pytest.approx(2 / PI)
+        assert RieszKernel(1.0).kernel(basis, x, y) == pytest.approx(2 / PI)
 
     def test_riesz_diagonal_singular(self):
         basis = basis_for(3, NEUMANN, n=8)
         with pytest.raises(ValueError):
-            kernel_eval(RieszKernel(1.0), basis, [1, 1, 1], [1, 1, 1])
+            RieszKernel(1.0).kernel(basis, [1, 1, 1], [1, 1, 1])
 
     def test_spectral_closed_form_series(self):
         # Gamma(1) sum_k k^-2 (2/pi) sin^2(k pi/2) = (2/pi)(pi^2/8) = pi/4
         basis = basis_for(1, DIRICHLET, n=1024)
-        val = kernel_eval(SpectralKernel(theta=1.0, a=0.0), basis, [PI / 2], [PI / 2])
+        val = SpectralKernel(theta=1.0, a=0.0).kernel(basis, [PI / 2], [PI / 2])
         assert val == pytest.approx(PI / 4, abs=1e-3)
 
     def test_spectral_large_theta_leading_term(self):
@@ -199,12 +201,12 @@ class TestKernelEval:
         lead = math.gamma(theta) * 1.0 ** (-theta) * (
             basis.eigenfunction((1,), x) * basis.eigenfunction((1,), y)
         )
-        assert kernel_eval(spec, basis, x, y) == pytest.approx(lead, rel=1e-9)
+        assert spec.kernel(basis, x, y) == pytest.approx(lead, rel=1e-9)
 
     def test_white_noise_not_pointwise(self):
         basis = basis_for(1, NEUMANN, n=16)
         with pytest.raises(ValueError):
-            kernel_eval(WhiteNoise(), basis, [1.0], [2.0])
+            WhiteNoise().kernel(basis, [1.0], [2.0])
 
     def test_spectral_diagonal_positive(self):
         basis = basis_for(1, DIRICHLET, n=128)
@@ -217,20 +219,20 @@ class TestKernelEval:
         basis = basis_for(1, NEUMANN, n=32)
         spec = RieszKernel(0.3)
         for dx in (0.1, 1.0, 3.0):
-            assert kernel_eval(spec, basis, [0.1], [0.1 + dx]) > 0
+            assert spec.kernel(basis, [0.1], [0.1 + dx]) > 0
 
 
 class TestDoubleIntegral:
     def test_spectral_neumann_only_zero_mode(self):
         basis = basis_for(2, NEUMANN, n=16)
         theta, a = 0.6, 0.7
-        got = double_integral(SpectralKernel(theta=theta, a=a), basis)
+        got = SpectralKernel(theta=theta, a=a).double_integral(basis)
         assert got == pytest.approx(math.gamma(theta) * a ** (-theta) * PI**2, rel=1e-12)
 
     def test_spectral_dirichlet_closed_form(self):
         # (8/pi) sum_odd k^-4 = (8/pi)(pi^4/96) = pi^3/12
         basis = basis_for(1, DIRICHLET, n=512)
-        got = double_integral(SpectralKernel(theta=1.0, a=0.0), basis)
+        got = SpectralKernel(theta=1.0, a=0.0).double_integral(basis)
         assert got == pytest.approx(PI**3 / 12, rel=5e-3)
 
     def test_riesz_d3_vs_monte_carlo_oracle(self):
@@ -256,7 +258,7 @@ class TestDoubleIntegral:
     def test_white_noise_has_no_double_integral(self):
         basis = basis_for(1, NEUMANN, n=16)
         with pytest.raises(ValueError):
-            double_integral(WhiteNoise(), basis)
+            WhiteNoise().double_integral(basis)
 
 
 class TestSampler:

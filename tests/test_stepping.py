@@ -32,7 +32,6 @@ from stochheat.noise import (
     RieszKernel,
     SpectralKernel,
     WhiteNoise,
-    double_integral,
     make_sampler,
 )
 from stochheat.stepping import (
@@ -155,7 +154,7 @@ class TestStep:
         rng = path_rng(123)
         batch = self.sampler.sample_batch(dt, rng, draws)
         increments = sigma_val * self.basis.cell_volume * batch.sum(axis=1)
-        var_true = sigma_val**2 * dt * double_integral(self.kernel, self.basis)
+        var_true = sigma_val**2 * dt * self.kernel.double_integral(self.basis)
         var_emp = increments.var()
         se = var_true * math.sqrt(2.0 / draws)
         assert abs(var_emp - var_true) < 3 * se
@@ -423,6 +422,20 @@ class TestMassIdentity:
             horizon=0.05,
         )
         rec = run_trajectory(config, seed=7)
+        gap = np.abs(rec.l1_norm - rec.I - rec.clamped_mass)
+        assert np.max(gap) < 1e-9 * max(1.0, np.max(np.abs(rec.I)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_identity_for_every_dimension_boundary_modes_and_kernel(self, data):
+        # the zero mode carries the integral for any mode cutoff and kernel
+        d = data.draw(st.sampled_from([1, 2, 3]), label="d")
+        n = 16 if d < 3 else 8
+        domain = DomainSpec(d, data.draw(st.sampled_from([NEUMANN, PERIODIC]), label="bc"),
+                            n, modes=data.draw(st.integers(1, n), label="modes"))
+        kernel = data.draw(st.sampled_from(admissible_kernels(d)), label="kernel")
+        config = make_config(domain=domain, noise=kernel, dt=1e-3, horizon=8e-3)
+        rec = run_trajectory(config, seed=data.draw(st.integers(0, 2**31 - 1), label="seed"))
         gap = np.abs(rec.l1_norm - rec.I - rec.clamped_mass)
         assert np.max(gap) < 1e-9 * max(1.0, np.max(np.abs(rec.I)))
 
