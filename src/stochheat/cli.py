@@ -62,8 +62,9 @@ def cmd_simulate(args) -> int:
     print(f"config hash    : {result.config_hash}")
     print(f"paths          : {agg['paths']}  (failures: {agg['failure_count']})")
     print(f"sigma regime   : {config.sigma_regime()}")
-    print(f"stop fractions : {agg['stop_fractions']}")
-    print(f"mean final I   : {agg['mean_final_I']:.6g} (u0 L1 = {agg['u0_l1']:.6g})")
+    if agg["paths"]:  # with every path failed there is nothing to summarize
+        print(f"stop fractions : {agg['stop_fractions']}")
+        print(f"mean final I   : {agg['mean_final_I']:.6g} (u0 L1 = {agg['u0_l1']:.6g})")
     print(f"rows written to {out_dir}/rows.csv")
     if len(result.failures) > config.max_failures:
         print(f"failure threshold exceeded: {len(result.failures)} > "

@@ -92,6 +92,8 @@ class SimConfig:
                 "init.value: initial data must be nonnegative "
                 "(nonnegative initial condition assumption)"
             )
+        if self.init_kind == "eigenmode" and self.init_amplitude < 0:
+            raise ConfigError("init.amplitude: must be >= 0 (nonnegative initial data)")
         if self.init_kind == "file" and not self.init_path:
             raise ConfigError("init.path: required for init.kind = file")
         try:
@@ -99,7 +101,7 @@ class SimConfig:
         except KernelValidationError as exc:
             raise ConfigError(f"noise: {exc}") from exc
         sup = self._initial_sup()
-        if sup is not None and sup >= self.sigma.truncation:
+        if sup >= self.sigma.truncation:
             key = {"constant": "init.value", "eigenmode": "init.amplitude",
                    "file": "init.path"}[self.init_kind]
             raise ConfigError(
@@ -107,11 +109,11 @@ class SimConfig:
                 f"= {self.sigma.truncation:g}, so every path would stop at step 0 (tau_n)"
             )
 
-    def _initial_sup(self) -> float | None:
-        """sup of the initial field on the grid; None for an eigenmode that
-        building the context rejects.  A file that cannot give initial data
-        (missing, empty, not one array, of the wrong shape, non-finite or
-        negative) raises ConfigError naming init.path."""
+    def _initial_sup(self) -> float:
+        """sup of the initial field on the grid.  Data that cannot be built
+        raises ConfigError naming init.path (a file missing, empty, not one
+        array, of the wrong shape, non-finite or negative) or init.mode (an
+        eigenmode with a wrong index count, off the grid or sign-changing)."""
         if self.init_kind == "constant":
             return self.init_value
         try:
@@ -119,9 +121,8 @@ class SimConfig:
                                mode=self.init_mode, amplitude=self.init_amplitude,
                                path=self.init_path)
         except (OSError, EOFError, ValueError, IndexError) as exc:
-            if self.init_kind == "file":
-                raise ConfigError(f"init.path: {exc}") from exc
-            return None
+            key = "init.path" if self.init_kind == "file" else "init.mode"
+            raise ConfigError(f"{key}: {exc}") from exc
         return float(u0.max())
 
     def gamma_c(self) -> float | None:
@@ -275,6 +276,8 @@ def parse_config_lines(lines, overrides=None) -> SimConfig:
             values[key] = caster(val)
         except ValueError as exc:
             raise ConfigError(f"{key}: cannot parse {val!r} as {caster.__name__}") from exc
+        if caster is float and math.isnan(values[key]):
+            raise ConfigError(f"{key}: {val!r} is not a number")
     return build_config(values)
 
 
@@ -310,13 +313,12 @@ def build_config(values: dict) -> SimConfig:
     except ValueError as exc:
         raise ConfigError(f"sigma: {exc}") from exc
 
-    init_mode = None
-    if "init.mode" in values and values["init.mode"] not in (None, ""):
-        raw = values["init.mode"]
-        if isinstance(raw, str):
-            init_mode = tuple(int(p) for p in raw.split(",") if p.strip())
-        else:
-            init_mode = tuple(raw)
+    raw = values.get("init.mode") or ""
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    try:
+        init_mode = tuple(int(p) for p in parts if str(p).strip()) or None
+    except ValueError as exc:
+        raise ConfigError(f"init.mode: {raw!r} is not a list of integers") from exc
 
     return SimConfig(
         domain=domain,

@@ -16,14 +16,13 @@ is ever emitted.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .noise import SpectralKernel, SpectralSampler, make_sampler
 from .spectral import SpectralBasis, loglog_slope
-from .stepping import TrajectoryRecord, path_rng
+from .stepping import _BATCH_NORMALS, TrajectoryRecord, drawn_ahead, path_rng
 
 UP = "up"
 DOWN = "down"
@@ -362,10 +361,9 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     large p are tamed with a median-of-means estimate over ``batches``
     groups of paths.  For the spectral kernel with phi = 1 the pointwise
     variance is also compared against the scheme's exact eigenvalue series.
-    On that path the (paths, modes) normals of step s+1 are drawn from the
-    one stream on a helper thread while step s transforms, which gives the
-    values of a serial draw per step.  Needs ``1 <= batches <= paths``; an
-    argument that cannot give a probe raises ProbeArgumentError.
+    The normals come from the one stream through ``stepping.drawn_ahead``,
+    with the values of a serial draw per step.  Needs ``1 <= batches <=
+    paths``; an argument that cannot give a probe raises ProbeArgumentError.
     """
     if not 1 <= batches <= paths:
         raise ProbeArgumentError(
@@ -419,28 +417,25 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     center_snapshots = np.empty((len(steps_at), paths))
     snap = 0
     center_flat = np.ravel_multi_index(center_idx, basis.grid_shape)
-    if spectral_fast:
-        scale = math.sqrt(dt) * sampler.amplitudes
-        # step s's normals sit in buffer s % 2; step s+1's are drawn from the
-        # one stream on the helper thread while step s transforms
-        normals = np.empty((2, paths) + basis.coeff_shape)
-    # the helper runs only the generator's fills; leaving the block waits for
-    # its last fill and joins it, on every exit
-    with ThreadPoolExecutor(1) as helper:
-        if spectral_fast:
-            pending = helper.submit(rng.standard_normal, out=normals[1])
+
+    def coefficients(z):  # the spectral increments of a block of normals
+        if spectral_fast:  # scaled in place, in the draw buffer
+            return np.multiply(z, math.sqrt(dt) * sampler.amplitudes, out=z)
+        return basis.to_spectral_batch(phi_vals * sampler.increments(dt, z))
+
+    # each step's (paths, *normal_shape) normals come from the one stream in
+    # consecutive blocks of at most _BATCH_NORMALS values, one block per chunk
+    rows = max(1, _BATCH_NORMALS // math.prod(sampler.normal_shape))
+    blocks = -(-paths // rows)
+
+    def fill(out, k):
+        rng.standard_normal(out=out[:paths - k % blocks * rows])
+
+    with drawn_ahead((min(rows, paths),) + sampler.normal_shape, fill,
+                     n_steps * blocks) as take:
         for s in range(1, n_steps + 1):
-            if spectral_fast:
-                pending.result()
-                incr = normals[s % 2]
-                if s < n_steps:
-                    pending = helper.submit(rng.standard_normal,
-                                            out=normals[(s + 1) % 2])
-                incr *= scale
-            else:
-                dW = sampler.sample_batch(dt, rng, paths)
-                incr = basis.to_spectral_batch(phi_vals * dW)
-            Z += incr  # in place: one (paths, modes) temporary fewer at peak
+            for a in range(0, paths, rows):  # Z gains a block at a time, in place
+                Z[a:a + rows] += coefficients(take()[:paths - a])
             Z = basis.semigroup(Z, dt)
             Z_grid = basis.to_grid_batch(Z).reshape(paths, -1)
             # max |Z| per row, with |Z| in a buffer of the probe
@@ -450,8 +445,6 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
                 sup_snapshots[snap] = running_max
                 center_snapshots[snap] = Z_grid[:, center_flat]
                 snap += 1
-                if snap == len(steps_at):
-                    break
 
     # median of means over batches for E sup^p
     group = paths // batches

@@ -16,7 +16,7 @@ import concurrent.futures
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +36,6 @@ from .stepping import Stepper, TrajectoryRecord, build_context, run_batch
 
 SCHEMA_VERSION = 2
 
-ROW_COLUMNS = (
-    "seed", "stop_flag", "stop_time", "max_sup_norm", "max_l1",
-    "final_I", "final_Q", "clamped_fraction", "doubling_count",
-)
-
 
 @dataclass
 class TrajectorySummary:
@@ -54,27 +49,19 @@ class TrajectorySummary:
     clamped_fraction: float
     doubling_count: int
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.seed},{self.stop_flag},{self.stop_time!r},"
-            f"{self.max_sup_norm!r},{self.max_l1!r},{self.final_I!r},"
-            f"{self.final_Q!r},{self.clamped_fraction!r},{self.doubling_count}"
-        )
+    def csv_row(self) -> str:  # the fields in column order, floats repr-exact
+        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in astuple(self))
 
     @classmethod
     def from_csv_row(cls, row: str) -> "TrajectorySummary":
-        parts = row.split(",")
-        return cls(
-            seed=int(parts[0]), stop_flag=parts[1], stop_time=float(parts[2]),
-            max_sup_norm=float(parts[3]), max_l1=float(parts[4]),
-            final_I=float(parts[5]), final_Q=float(parts[6]),
-            clamped_fraction=float(parts[7]), doubling_count=int(parts[8]),
-        )
+        kinds = {"seed": int, "stop_flag": str, "doubling_count": int}
+        return cls(*(kinds.get(c, float)(v) for c, v in zip(ROW_COLUMNS, row.split(","))))
+
+
+ROW_COLUMNS = tuple(f.name for f in fields(TrajectorySummary))
 
 
 def summarize(record: TrajectoryRecord) -> TrajectorySummary:
-    events = detect_doubling(record)
-    ups = sum(1 for e in events if e.direction == "up")
     return TrajectorySummary(
         seed=record.seed,
         stop_flag=record.stop_flag,
@@ -84,7 +71,7 @@ def summarize(record: TrajectoryRecord) -> TrajectorySummary:
         final_I=record.final_I,
         final_Q=record.final_Q,
         clamped_fraction=record.clamped_fraction,
-        doubling_count=ups,
+        doubling_count=up_event_count(detect_doubling(record), 0),
     )
 
 

@@ -20,9 +20,9 @@ t_grid)``, the ``config_keys`` and ``integrable``.  ``KERNELS`` maps each
 
 Increment fields carry pointwise covariance Lambda(x_i, x_j) * dt.  Every
 sampler is a linear map ``increments(dt, z)`` of a (P, *normal_shape) batch
-of standard normals to P increment fields; the draws themselves happen in
-one place, ``sample_batch``, or in the stepping core, which fills the batch
-row by row from each path's own stream.  The spectral sampler takes one
+of standard normals to P increment fields; ``sample_batch`` is the serial
+reference draw, and the stepping core and the moment probe draw ahead
+through ``stepping.drawn_ahead``.  The spectral sampler takes one
 normal per retained mode and the white-noise sampler one per cell.  The
 Riesz grid covariance (cell-averaged diagonal) depends only on the lattice
 offset, so the Riesz sampler embeds it in a circulant on a torus of about
@@ -41,12 +41,9 @@ grid size N.
 The Riesz sampler is the one user of scipy: it imports ``scipy.fft`` when
 it is built, so that ``import stochheat`` and every run with other noise
 load no scipy module.  Its multi-axis torus transforms stay on scipy
-because ``numpy.fft`` gives the same values more slowly (2 vCPU, numpy
-2.4.6, scipy 1.17.1; µs per call, two runs each): ``increments`` at
-8^3 x 50 rows took 1574/1454 with scipy and 1950/2009 with numpy, even
-with the transformed axis rotated last, and at 16^3 x 4 rows 994/1055
-against 1201/1254; ``qv_form`` at 8^3 x 50 rows took 1951/2157 against
-2733/3002.  The spectral sampler's Gamma(theta) is ``math.gamma``.
+because ``numpy.fft`` gives the same values 20-40% more slowly (timings in
+ROADMAP.md, "Cold start").  The spectral sampler's Gamma(theta) is
+``math.gamma``.
 """
 
 from __future__ import annotations

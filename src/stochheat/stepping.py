@@ -26,19 +26,19 @@ counter-based stream keyed by its seed (Philox; Salmon et al., SC'11), so
 its values do not depend on the batch; one linear map of the sampler turns
 the stacked normals into the batch's increments.  A row draws the normals
 of several steps (a chunk) in one call, which takes the same values from
-its stream in the same order as one call per step.  The next chunk is
-drawn on one helper thread while the batch steps through the current one:
-the fills release the GIL, so they overlap the transforms, and every value
-stays as a serial draw gives it.  A row leaves the batch at its stop, the
-first of the sup-norm reaching the truncation level (tau_n), the mass
-martingale exceeding the bound M (tau_M) or the horizon, or as a failed
-path when its field goes non-finite.
+its stream in the same order as one call per step; ``drawn_ahead`` draws
+the next chunk on one helper thread, for the stepping core and the
+convolution probe alike, with the values of a serial draw.  A row leaves
+the batch at its stop, the first of the sup-norm reaching the truncation
+level (tau_n), the mass martingale exceeding the bound M (tau_M) or the
+horizon, or as a failed path when its field goes non-finite.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +228,8 @@ def initial_field(basis: SpectralBasis, kind: str, *, value: float = 1.0,
         if mode is None:
             mode = (1,) * basis.dimension if basis.boundary == "dirichlet" else (0,) * basis.dimension
         mode = tuple(int(k) for k in np.atleast_1d(mode))
+        if len(mode) != basis.dimension:
+            raise ValueError(f"eigenmode {mode} needs one index per axis, {basis.dimension}")
         axes = [basis.axis_eigenfunction(k, basis.axis_points) for k in mode]
         u0 = axes[0]
         for ax in axes[1:]:
@@ -235,7 +237,8 @@ def initial_field(basis: SpectralBasis, kind: str, *, value: float = 1.0,
         u0 = amplitude * u0
         if float(np.min(u0)) < -1e-12 * max(1.0, float(np.max(np.abs(u0)))):
             raise ValueError(
-                f"eigenmode {mode} is sign-changing; initial data must be nonnegative"
+                f"eigenmode {mode} times amplitude {amplitude:g} takes negative "
+                "values; initial data must be nonnegative"
             )
         return np.maximum(u0, 0.0)
     if kind == "file":
@@ -285,6 +288,34 @@ def path_rng(seed: int):
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+@contextmanager
+def drawn_ahead(shape, fill, chunks: int, *args):
+    """Yield ``take``, which hands out ``chunks`` chunks of normals in turn.
+
+    ``fill(out, k, *args)`` draws chunk k into one of two buffers of
+    ``shape``; the fills release the GIL and run on one helper thread, so
+    they overlap the caller's transforms.  The k-th ``take(*args)`` waits
+    for chunk k, starts chunk k+1 with its arguments (chunk 0 takes those
+    given here) and returns chunk k, valid until the next call.  The helper
+    is joined on every exit; a normal exit raises the error of a chunk drawn
+    ahead but never taken."""
+    buffers = np.empty((2,) + tuple(shape))
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(fill, buffers[0], 0, *args)
+        taken = 0
+
+        def take(*args):
+            nonlocal pending, taken
+            k, taken = taken, taken + 1
+            pending.result()
+            if taken < chunks:
+                pending = helper.submit(fill, buffers[taken % 2], taken, *args)
+            return buffers[k % 2]
+
+        yield take
+        pending.result()
+
+
 def run_batch(context: TrajectoryContext, seeds):
     """Run one path per seed to min(horizon, tau_n, tau_M) on one context.
 
@@ -320,24 +351,19 @@ def _run_rows(ctx: TrajectoryContext, seeds):
     # rows still stepping: their indices into seeds, and their fields
     live = np.arange(len(seeds))
     u = np.repeat(ctx.u0[np.newaxis], len(seeds), axis=0)
-    # chunk k holds the standard normals of steps k*depth .. (k+1)*depth - 1,
-    # each row's from its own stream, in buffer k % 2.  Chunk k+1 is drawn on
-    # the helper thread, for the rows live when chunk k starts, while chunk k
-    # steps; a row that stops mid-chunk leaves at most one chunk unused.
+    # chunk k holds the normals of steps k*depth .. (k+1)*depth - 1 of the
+    # rows live when chunk k-1 is taken, each row's from its own stream
     per_step = math.prod(sampler.normal_shape)
     depth = max(1, min(n_steps, -(-_DRAW_NORMALS // per_step),
                        _BATCH_NORMALS // (len(seeds) * per_step)))
-    buffers = np.empty((2, len(seeds), depth) + sampler.normal_shape)
 
-    def draw(chunk, rows):
-        out = buffers[chunk % 2, :, :min(depth, n_steps - chunk * depth)]
+    def fill(out, chunk, rows):
+        out = out[:, :min(depth, n_steps - chunk * depth)]
         for i in rows:
             rngs[i].standard_normal(out=out[i])
 
-    # the helper runs only the generators' fills; leaving the block waits
-    # for its last fill and joins it, on every exit
-    with ThreadPoolExecutor(1) as helper:
-        pending = helper.submit(draw, 0, live)
+    shape = (len(seeds), depth) + sampler.normal_shape
+    with drawn_ahead(shape, fill, -(-n_steps // depth), live) as take:
         s = 0
         while True:
             hit_n = sup[live, s] >= ctx.sigma.truncation
@@ -349,12 +375,9 @@ def _run_rows(ctx: TrajectoryContext, seeds):
                 live, u = live[go], u[go]
             if s == n_steps or live.size == 0:
                 break
-            chunk, j = divmod(s, depth)
+            j = s % depth
             if j == 0:
-                pending.result()
-                normals = buffers[chunk % 2]
-                if s + depth < n_steps:
-                    pending = helper.submit(draw, chunk + 1, live)
+                normals = take(live)
             s += 1
             z = normals[:, j] if live.size == len(seeds) else normals[live, j]
             u, dI, dQ, dclamp, finite = stepper.step(u, sampler.increments(dt, z))
@@ -371,9 +394,6 @@ def _run_rows(ctx: TrajectoryContext, seeds):
             sup[live, s] = np.max(u, axis=basis.field_axes)
             l1[live, s] = basis.integrate(u)
             last[live] = s
-        # a chunk drawn ahead for rows that have all stopped: its error, if
-        # any, is still this batch's
-        pending.result()
 
     records, failures = [], []
     for i, seed in enumerate(seeds):

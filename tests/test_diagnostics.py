@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from stochheat.spectral import DIRICHLET, NEUMANN, PERIODIC, DomainSpec, build_basis
-from stochheat.noise import SpectralKernel, WhiteNoise, make_sampler
+from stochheat import diagnostics
+from stochheat.noise import RieszKernel, SpectralKernel, WhiteNoise, make_sampler
 from stochheat.config import SimConfig
 from stochheat.stepping import (
     SigmaSpec,
@@ -395,3 +396,81 @@ class TestMomentProbe:
             for row in sups]
         assert [v["empirical"] for v in report.variance_checks] == [
             float(c.var()) for c in centres]
+
+    # the general path (white or Riesz noise, or phi != 1): each case's basis,
+    # kernel and phi
+    GENERAL = {
+        "white": (DomainSpec(1, PERIODIC, 32), WhiteNoise(), None),
+        "riesz-1d": (DomainSpec(1, NEUMANN, 32), RieszKernel(alpha=0.25), None),
+        "phi-1-plus-x": (DomainSpec(1, DIRICHLET, 32), SpectralKernel(theta=0.25, a=0.0),
+                         lambda x: 1 + x),
+    }
+
+    @pytest.mark.parametrize("small_blocks", [False, True], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("case", list(GENERAL))
+    def test_general_path_equals_one_sample_batch_per_step(self, monkeypatch, case,
+                                                           small_blocks):
+        # the probe draws each step's normals from its one stream in blocks
+        # of rows, ahead on the helper thread; its values are those of one
+        # sample_batch call per step.  With a small block budget a step
+        # spans 13 blocks of 5 rows and the last one holds 4
+        domain, spec, phi = self.GENERAL[case]
+        basis = build_basis(domain)
+        sampler = make_sampler(spec, basis)
+        paths, dt, seed, batches = 64, 5e-4, 9, 8
+        if small_blocks:
+            monkeypatch.setattr(diagnostics, "_BATCH_NORMALS",
+                                5 * math.prod(sampler.normal_shape) + 1)
+        start = threading.active_count()
+        report = convolution_moment_probe(
+            basis, spec, p=20, T_grid=[0.005, 0.01], paths=paths, dt=dt,
+            seed=seed, phi=phi, batches=batches)
+        assert threading.active_count() == start
+        assert report.variance_checks == []
+
+        phi_vals = (np.ones(basis.grid_shape) if phi is None
+                    else phi(*basis.grid_coordinates()))
+        rng = path_rng(seed)
+        Z = np.zeros((paths,) + basis.coeff_shape)
+        sup = np.zeros(paths)
+        sups = []
+        for s in range(1, 21):
+            dW = sampler.sample_batch(dt, rng, paths)
+            Z = basis.semigroup(Z + basis.to_spectral_batch(phi_vals * dW), dt)
+            sup = np.maximum(sup, np.abs(basis.to_grid_batch(Z)).max(axis=1))
+            if s in (10, 20):
+                sups.append(sup)
+        assert report.moment_estimates == [
+            float(np.median((row.reshape(batches, -1) ** 20).mean(axis=1)))
+            for row in sups]
+
+    @pytest.mark.parametrize("case", ["white", "spectral"])
+    def test_stream_error_on_a_chunk_drawn_ahead_reaches_the_caller(self, monkeypatch,
+                                                                   case):
+        # the second chunk is drawn on the helper while the first one is
+        # used; its error is raised in the caller and the helper is joined
+        fillers = set()
+
+        class Stream:
+            def __init__(self, seed):
+                self.rng = path_rng(seed)
+                self.fills = 0
+
+            def standard_normal(self, out):
+                fillers.add(threading.get_ident())
+                self.fills += 1
+                if self.fills == 2:
+                    raise FloatingPointError("stream unavailable")
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(diagnostics, "path_rng", Stream)
+        if case == "white":
+            basis, spec = build_basis(DomainSpec(1, PERIODIC, 32)), WhiteNoise()
+        else:
+            basis, spec = build_basis(DomainSpec(1, DIRICHLET, 32)), SpectralKernel(0.25, 0.0)
+        start = threading.active_count()
+        with pytest.raises(FloatingPointError, match="stream unavailable"):
+            convolution_moment_probe(basis, spec, p=20, T_grid=[0.002], paths=64,
+                                     dt=5e-4, batches=8)
+        assert threading.active_count() == start
+        assert len(fillers) == 1 and threading.get_ident() not in fillers

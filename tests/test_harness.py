@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stochheat import ensemble, stepping
-from stochheat.cli import EXIT_CONFIG, main
+from stochheat.cli import EXIT_CONFIG, EXIT_RUNTIME, main
 from stochheat.config import (
     ConfigError,
     SimConfig,
@@ -18,6 +18,7 @@ from stochheat.config import (
     parse_config,
     parse_config_lines,
     _DEFAULTS,
+    _SCHEMA,
 )
 from stochheat.diagnostics import doob_check, qv_bound_check
 from stochheat.ensemble import (
@@ -83,6 +84,12 @@ class TestParseConfig:
         text = MINIMAL.replace("init.value         = 2.0", "init.value = -1.0")
         with pytest.raises(ConfigError, match="nonnegative"):
             parse_config(write_config(tmp_path, text))
+
+    def test_negative_eigenmode_amplitude_rejected(self, tmp_path):
+        # named as the amplitude, not as the (nonnegative) eigenmode
+        with pytest.raises(ConfigError, match=r"^init\.amplitude:"):
+            parse_config(write_config(tmp_path),
+                         overrides={"init.kind": "eigenmode", "init.amplitude": "-1"})
 
     def test_unknown_key_has_field_path(self, tmp_path):
         text = MINIMAL + "\nrun.warp_speed = 9\n"
@@ -532,6 +539,53 @@ class TestCLI:
         assert err.startswith("configuration error: init.path: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", [k for k, caster in _SCHEMA.items() if caster is float])
+    def test_simulate_rejects_nan(self, tmp_path, capsys, key):
+        code = main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--set", f"{key}=nan", "--output", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        ["init.mode=1,x"],                            # not integers
+        ["init.kind=eigenmode", "init.mode=1,2"],     # two indices at d = 1
+        ["init.kind=eigenmode", "init.mode=0,0"],     # two indices, nonnegative
+        ["init.kind=eigenmode", "init.mode=64"],      # off the 64-point grid
+        ["init.kind=eigenmode", "init.mode=2"],       # changes sign
+    ], ids=["not-integers", "two-indices", "two-zero-indices", "off-grid",
+            "sign-changing"])
+    def test_simulate_rejects_bad_init_mode(self, tmp_path, capsys, overrides):
+        code = main(["simulate", "--config", str(write_config(tmp_path)),
+                     *[item for o in overrides for item in ("--set", o)],
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: init.mode: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_where_every_path_fails(self, tmp_path, capsys):
+        # every field overflows at step 1: the summary prints, the files hold
+        # no rows, and the failures exceed the default max_failures = 0
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["simulate", "--config", str(write_config(tmp_path)),
+                         "--set", "sigma.truncation=1e309", "--set", "init.value=1e308",
+                         "--set", "run.mass_bound=1e309", "--set", "run.paths=2",
+                         "--output", str(out)])
+        assert code == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert "paths          : 0  (failures: 2)" in captured.out
+        assert "failure threshold exceeded: 2 > 0" in captured.err
+        run_dir = next(out.iterdir())
+        rows = (run_dir / "rows.csv").read_text().splitlines()
+        assert [r for r in rows if not r.startswith("#")] == [",".join(ensemble.ROW_COLUMNS)]
+        assert main(["report", "--input", str(run_dir)]) == 0
+        assert '"failure_count": 2' in capsys.readouterr().out
 
     def test_simulate_from_initial_data_file(self, tmp_path, capsys):
         path = tmp_path / "u0.npy"

@@ -8,9 +8,11 @@ exact variance built from the basis transforms and the kernel's grid
 covariance.
 """
 
+import ast
 import math
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +320,29 @@ class TestRunBatch:
         with pytest.raises(FloatingPointError, match="stream unavailable"):
             run_batch(at_truncation, [1, 2, 3])
         assert threading.active_count() == start
+
+    def test_thread_pool_is_built_only_by_drawn_ahead(self):
+        # one draw-ahead helper serves the stepping core and the probe; a
+        # second ThreadPoolExecutor in the package would be a second copy
+        class Sites(ast.NodeVisitor):
+            def __init__(self):
+                self.scope, self.found = ["<module>"], []
+
+            def visit_FunctionDef(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            def visit_Call(self, node):
+                if "ThreadPoolExecutor" in (getattr(node.func, "id", None),
+                                            getattr(node.func, "attr", None)):
+                    self.found.append((module.name, self.scope[-1]))
+                self.generic_visit(node)
+
+        sites = Sites()
+        for module in sorted(Path(stepping.__file__).parent.glob("*.py")):
+            sites.visit(ast.parse(module.read_text()))
+        assert sites.found == [("stepping.py", "drawn_ahead")]
 
     def test_batch_where_every_row_fails_returns(self):
         config = make_config(sigma=SigmaSpec(1.0, 1.5, 1e309), init_value=1e308,
