@@ -63,18 +63,28 @@ class SimConfig:
     save_trajectories: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("run.dt: must be positive")
-        if self.horizon <= 0:
-            raise ConfigError("run.horizon: must be positive")
+        # written as "not ... <" so that a nan fails every check
+        for key, value in (("run.dt", self.dt), ("run.horizon", self.horizon)):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{key}: must be positive and finite, got {value!r}")
+        # +inf is a level that never stops a path: no mass bound, or an
+        # untruncated coefficient
+        for key, value in (("run.mass_bound", self.mass_bound),
+                           ("sigma.truncation", self.sigma.truncation)):
+            if not value > 0:
+                raise ConfigError(f"{key}: must be positive, got {value!r}")
+        for key, value in (("init.value", self.init_value),
+                           ("init.amplitude", self.init_amplitude),
+                           ("sigma.scale", self.sigma.scale),
+                           ("sigma.gamma", self.sigma.growth)):
+            if not -math.inf < value < math.inf:
+                raise ConfigError(f"{key}: must be finite, got {value!r}")
         steps = round(self.horizon / self.dt)
         if abs(steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ConfigError(
                 f"run.horizon: {self.horizon!r} is not a whole number of "
                 f"run.dt = {self.dt!r} steps"
             )
-        if self.mass_bound <= 0:
-            raise ConfigError("run.mass_bound: must be positive")
         if self.paths < 1:
             raise ConfigError("run.paths: must be >= 1")
         if self.workers < 1:

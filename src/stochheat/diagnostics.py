@@ -389,6 +389,10 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
         k = int(round(T / dt))
         if abs(k * dt - T) > 1e-9 * max(T, 1.0):
             raise ProbeArgumentError("T_grid", f"T = {T} is not a multiple of dt = {dt}")
+        if steps_at and k == steps_at[-1]:
+            raise ProbeArgumentError(
+                "T_grid", f"T_grid = {T_grid} has two horizons at step {k} of "
+                f"dt = {dt}: each horizon needs its own step")
         steps_at.append(k)
     n_steps = steps_at[-1]
 

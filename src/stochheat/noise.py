@@ -38,12 +38,15 @@ logged and reported as ``clipped_fraction``; the draws and the quadratic
 form share the clipped spectrum.  Memory and work are O(N log N) in the
 grid size N.
 
-The Riesz sampler is the one user of scipy: it imports ``scipy.fft`` when
-it is built, so that ``import stochheat`` and every run with other noise
-load no scipy module.  Its multi-axis torus transforms stay on scipy
-because ``numpy.fft`` gives the same values 20-40% more slowly (timings in
-ROADMAP.md, "Cold start").  The spectral sampler's Gamma(theta) is
-``math.gamma``.
+Every transform is ``numpy.fft`` and the spectral sampler's Gamma(theta)
+is ``math.gamma``, so no run loads scipy; the tests keep scipy's
+transforms as the oracle of the Riesz sampler's bits.  Measured on 2 vCPUs
+with numpy 2.4.6 against scipy 1.17.1: ``make_sampler`` for
+``configs/riesz_3d.conf`` takes 23 ms instead of 362 ms, and a Riesz run
+starts in half the time with 30% less peak memory, while its steps run
+up to 10% slower (``run_batch`` at 8^3 x 50 and 16^3 x 4, and the
+benchmark's Riesz workloads): numpy transforms one line at a time and
+needs the copies that reorder the axes (ROADMAP.md, "Cold start").
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .spectral import NEUMANN, PERIODIC, SpectralBasis, loglog_slope
+from .spectral import NEUMANN, PERIODIC, SpectralBasis, Workspaces, loglog_slope
 
 logger = logging.getLogger(__name__)
 
@@ -361,6 +364,19 @@ class SpectralSampler(_Sampler):
         return float(out)
 
 
+def _smooth_len(n: int) -> int:
+    """The least 2·3·5-smooth integer >= n >= 1: a length whose real FFT
+    is fast, as ``scipy.fft.next_fast_len(n, real=True)`` gives."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _rfft_multiplicity(embed_len: int) -> np.ndarray:
     """Number of full-spectrum entries each last-axis column of ``rfftn``
     over ``embed_len`` points stands for: 1 for the zero and Nyquist
@@ -402,11 +418,13 @@ class RieszSampler(_Sampler):
 
     The grid covariance depends only on the lattice offset k, as
     c(k) = |h k|^(-alpha) off the diagonal and the cell mean at k = 0, so it
-    is the restriction of a circulant on the M^d torus, M >= 2g - 2, whose
-    spectrum lam is the ``rfftn`` of its first row.
+    is the restriction of a circulant on the M^d torus, M >= 2g - 2 and
+    2·3·5-smooth, whose spectrum lam is the real FFT of its first row: an
+    ``rfft`` over the last axis, then an ``fft`` over each leading axis,
+    first axis first.
 
     A draw is synthesized in Fourier space.  The normals are the real and
-    imaginary parts of the ``rfftn`` half spectrum, ``normal_shape =
+    imaginary parts of that half spectrum, ``normal_shape =
     (M,)*(d-1) + (M//2+1, 2)``.  They are scaled by sqrt(lam dt M^d / m),
     where m is 2 on the interior last-axis columns and 1 on the zero and
     Nyquist columns, of which ``irfft`` keeps only the Hermitian part.  The
@@ -416,18 +434,28 @@ class RieszSampler(_Sampler):
 
     ``qv_form`` is f.(C*f) for f zero-padded to the torus, by Parseval
     sum_k m lam_k |F_k|^2 / M^d over the half spectrum F of f, which is
-    transformed from the unpadded field, one axis at a time; one value per
+    transformed from the unpadded field, last axis first; one value per
     row of a (P, *grid) batch.
+
+    Both run on ``numpy.fft``, whose pocketfft gives scipy's values bit for
+    bit.  numpy transforms one line per turn of its loop, and a call is
+    fast only when the axes it does not transform keep one memory order,
+    without gaps, in its input and its output.  So every pass writes its
+    own axis innermost, and the next pass reads a copy with its axis
+    innermost, cut to the first g entries of the axis before it in
+    ``increments``; the first ``increments`` pass reads its lines in place.
+    Zero-padding to M is the ``n=`` of each forward transform, line by line
+    inside numpy's loop.  The passes alternate between two workspaces per
+    sampler and thread, so a call allocates only the C-contiguous
+    increments it returns.
     """
 
     def __init__(self, spec: RieszKernel, basis: SpectralBasis):
-        import scipy.fft
-
         spec.validate_for(basis.dimension)
         self.spec = spec
         self.basis = basis
         d, g = basis.dimension, basis.grid_shape[0]
-        M = scipy.fft.next_fast_len(2 * g - 2, real=True)
+        M = _smooth_len(2 * g - 2)
         self._embed_len = M
         self.normal_shape = (M,) * (d - 1) + (M // 2 + 1, 2)
         wrap = np.minimum(np.arange(M), M - np.arange(M))
@@ -436,33 +464,69 @@ class RieszSampler(_Sampler):
         with np.errstate(divide="ignore"):
             row = r ** (-spec.alpha)
         row[(0,) * d] = _unit_cell_mean(spec.alpha, d) * basis.h ** (-spec.alpha)
-        lam = scipy.fft.rfftn(row, axes=basis.field_axes).real
-        self.spectrum, self.clipped_fraction = _clip_spectrum(lam, M)
+        lam = np.fft.rfft(row)
+        for axis in basis.field_axes[:-1]:
+            lam = np.fft.fft(lam, axis=axis)
+        self.spectrum, self.clipped_fraction = _clip_spectrum(lam.real, M)
         mult = _rfft_multiplicity(M)
         # the unnormalized inverse ("forward" norm) leaves 1/M^d to the scales
         self._scales = np.sqrt(self.spectrum / (mult * M**d))
         self._qv_weights = mult * self.spectrum * (basis.cell_volume**2 / M**d)
+        self._workspace = Workspaces()
+
+    def _innermost(self, key, axis: int, shape, dtype=complex) -> np.ndarray:
+        """A workspace viewed with the logical ``shape`` (axis 0 the row,
+        1..d the field axes), whose memory holds ``axis`` innermost and the
+        other axes in order."""
+        last = len(shape) - 1
+        buf = self._workspace(key, shape[:axis] + shape[axis + 1:] + shape[axis:axis + 1], dtype)
+        return buf.transpose(tuple(range(axis)) + (last,) + tuple(range(axis, last)))
+
+    def _copy_innermost(self, key, x: np.ndarray, axis: int) -> np.ndarray:
+        """x copied into the workspace of ``key`` with ``axis`` innermost."""
+        out = self._innermost(key, axis, x.shape)
+        np.copyto(out, x)
+        return out
 
     def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
         """Normals on the half spectrum, scaled, one pruned inverse FFT."""
-        import scipy.fft
-
-        g = self.basis.grid_shape[0]
-        coeffs = z.view(complex)[..., 0] * (math.sqrt(dt) * self._scales)
-        for axis in self.basis.field_axes[:-1]:
-            coeffs = scipy.fft.ifft(coeffs, axis=axis, norm="forward", overwrite_x=True)
-            coeffs = coeffs[(Ellipsis, slice(g)) + (slice(None),) * (-1 - axis)]
-        return scipy.fft.irfft(coeffs, n=self._embed_len, norm="forward",
-                               overwrite_x=True)[..., :g]
+        d, g, M = self.basis.dimension, self.basis.grid_shape[0], self._embed_len
+        x = self._workspace("a", (len(z),) + self.normal_shape[:-1], complex)
+        np.multiply(z.view(complex)[..., 0], math.sqrt(dt) * self._scales, out=x)
+        # each pass writes its axis innermost, and the next reads a copy of
+        # its first g outputs with the next axis innermost; the first pass
+        # reads its lines in place, strided
+        for axis in range(1, d):
+            if axis > 1:
+                x = self._copy_innermost("a", x, axis)
+            out = self._innermost("b", axis, x.shape)
+            np.fft.ifft(x, axis=axis, norm="forward", out=out)
+            x = out[(slice(None),) * axis + (slice(g),)]
+        if d > 1:
+            x = self._copy_innermost("a", x, d)
+        values = self._workspace("b", x.shape[:-1] + (M,))
+        np.fft.irfft(x, M, norm="forward", out=values)
+        return values[..., :g].copy()
 
     def qv_form(self, f_values: np.ndarray):
-        import scipy.fft
-
-        M = self._embed_len
-        coeffs = scipy.fft.rfft(f_values, n=M)
-        for axis in self.basis.field_axes[-2::-1]:
-            coeffs = scipy.fft.fft(coeffs, n=M, axis=axis, overwrite_x=True)
-        return self.basis.field_sum(self._qv_weights * (coeffs.real**2 + coeffs.imag**2))
+        d, M = self.basis.dimension, self._embed_len
+        f = f_values.reshape((-1,) + self.basis.grid_shape)
+        # each pass, zero-padded from g to M points, writes its axis
+        # innermost; the next reads a copy with its own axis innermost
+        out = self._workspace("a", f.shape[:-1] + (M // 2 + 1,), complex)
+        np.fft.rfft(f, M, out=out)
+        for axis in range(d - 1, 0, -1):
+            x = self._copy_innermost("b", out, axis)
+            out = self._innermost("a", axis, x.shape[:axis] + (M,) + x.shape[axis + 1:])
+            np.fft.fft(x, M, axis=axis, out=out)
+        # square the real and imaginary parts in memory order, axis 1 innermost
+        squares = out.transpose((0,) + tuple(range(2, d + 1)) + (1,)).view(float)
+        np.square(squares, out=squares)
+        power = self._workspace("b", out.shape)
+        np.add(out.real, out.imag, out=power)
+        power *= self._qv_weights
+        total = self.basis.field_sum(power)
+        return total if f_values.ndim > d else float(total[0])
 
 
 class WhiteNoiseSampler(_Sampler):

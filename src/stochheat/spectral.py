@@ -64,6 +64,28 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+class Workspaces:
+    """Buffers of the calling thread, by key, reused from call to call.
+
+    ``workspaces(key, shape, dtype)`` is a C-contiguous array of ``shape``
+    and ``dtype`` at the start of the key's buffer, which grows as needed,
+    so one key can serve arrays of several shapes and dtypes in turn.  A new
+    buffer is zeroed, and a key that always writes the same entries of each
+    row leaves the other entries zero."""
+
+    def __init__(self):
+        self._buffers = {}  # thread id -> {key: flat byte buffer}
+
+    def __call__(self, key, shape, dtype=float) -> np.ndarray:
+        buffers = self._buffers.setdefault(threading.get_ident(), {})
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        buf = buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = buffers[key] = np.zeros(size, np.uint8)
+        return buf[:size].view(dtype).reshape(shape)
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Box domain [0, L]^d with an isotropic grid and mode cutoff.
@@ -156,7 +178,7 @@ class SpectralBasis:
         # per-axis integrals <1, psi_k>, used by dirichlet_mass and the
         # spectral-kernel double integral
         self._axis_one_coeffs = self._compute_axis_one_coeffs()
-        self._workspaces = {}  # thread id -> {key: buffer}, see _workspace
+        self._workspace = Workspaces()
         self._build_transform_tables()
 
     # -- eigendata -----------------------------------------------------
@@ -294,18 +316,6 @@ class SpectralBasis:
                 tuple((Ellipsis,) + tuple(p[i] for p in combo) for i in (0, 1))
                 for combo in itertools.product(parts, repeat=self.dimension)]
         self._flow_cache = (None, None)  # (t, scales) of the last heat_flow time
-
-    def _workspace(self, key, shape, dtype=float) -> np.ndarray:
-        """A buffer of the calling thread, reused from call to call.
-
-        A new buffer is zeroed, and a key always writes the same entries of
-        each row, so the entries it leaves alone stay zero."""
-        buffers = self._workspaces.setdefault(threading.get_ident(), {})
-        size = math.prod(shape)
-        buf = buffers.get(key)
-        if buf is None or buf.size < size:
-            buf = buffers[key] = np.zeros(size, dtype)
-        return buf[:size].reshape(shape)
 
     def _odd_spectrum(self, x: np.ndarray) -> np.ndarray:
         """rfft of the odd extension (0, x, 0, -x reversed) to 2n points,

@@ -355,6 +355,9 @@ class TestMomentProbe:
         ("T_grid", {"T_grid": []}),
         ("T_grid", {"T_grid": [0.0, 0.01]}),
         ("T_grid", {"T_grid": [0.0105]}),
+        # a repeated horizon, and two horizons that round to one step count
+        ("T_grid", {"T_grid": [0.002, 0.002, 0.004]}),
+        ("T_grid", {"T_grid": [0.002, 0.002 + 5e-13, 0.004]}),
     ])
     def test_bad_argument_is_named(self, argument, kwargs):
         basis = build_basis(DomainSpec(1, PERIODIC, 32))

@@ -151,6 +151,28 @@ class TestParseConfig:
         assert getattr(parse_config(write_config(tmp_path), overrides={key: "0"}),
                        key.split(".")[1]) == 0
 
+    @pytest.mark.parametrize("key, field, value", [
+        ("run.dt", "dt", math.nan),
+        ("run.dt", "dt", math.inf),
+        ("run.horizon", "horizon", math.nan),
+        ("run.horizon", "horizon", math.inf),
+        ("run.mass_bound", "mass_bound", math.nan),
+        ("init.value", "init_value", math.nan),
+        ("init.amplitude", "init_amplitude", math.nan),
+        ("sigma.scale", "sigma", SigmaSpec(math.nan, 1.5, 64.0)),
+        ("sigma.gamma", "sigma", SigmaSpec(1.0, math.inf, 64.0)),
+        ("sigma.truncation", "sigma", SigmaSpec(1.0, 1.5, math.nan)),
+    ])
+    def test_simconfig_rejects_non_finite(self, key, field, value):
+        # built directly, not through the parser, which rejects nan itself
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
+            small_config(**{field: value})
+
+    def test_infinite_levels_accepted(self):
+        # no mass bound, and an untruncated coefficient
+        config = small_config(mass_bound=math.inf, sigma=SigmaSpec(1.0, 1.5, math.inf))
+        assert config.mass_bound == config.sigma.truncation == math.inf
+
 
 class TestConfigHash:
     def base(self):
@@ -704,6 +726,7 @@ class TestCLI:
         ("--paths", "16"),       # fewer paths than the 32 median-of-means groups
         ("--p", "3"),            # inadmissible moment order
         ("--T-grid", "0.0003"),  # not a multiple of dt = 2e-4
+        ("--T-grid", "0.002,0.002,0.004"),  # a repeated horizon
         ("--dt", "0"),           # not positive (and not replaced by run.dt)
     ])
     def test_probe_convolution_rejects_bad_argument(self, tmp_path, capsys, flag, value):

@@ -5,7 +5,9 @@ Independent oracles: closed-form eigenvalue series for the spectral kernel
 the Riesz double integral, Monte Carlo covariance estimates against the
 kernel values, and an exact check of the circulant-embedding Riesz sampler:
 fed the unit vectors as its normals, it must reproduce the dense covariance
-built from the kernel's definition.
+built from the kernel's definition.  The Riesz sampler's transforms run on
+numpy.fft; the same transforms on scipy.fft (``scipy_riesz_*``) must give
+its values bit for bit.
 """
 
 import math
@@ -31,6 +33,7 @@ from stochheat.noise import (
     SpectralKernel,
     WhiteNoise,
     _clip_spectrum,
+    _smooth_len,
     _unit_cell_mean,
     critical_exponent,
     make_sampler,
@@ -71,6 +74,49 @@ def riesz_covariance_entry(spec, basis, i, j):
         return _unit_cell_mean(spec.alpha, basis.dimension) * basis.h ** (-spec.alpha)
     pts = [g.ravel() for g in basis.grid_coordinates()]
     return spec.kernel(basis, [p[i] for p in pts], [p[j] for p in pts])
+
+
+def scipy_riesz_spectrum(spec, basis, embed_len):
+    """The circulant spectrum of the Riesz sampler, clipped, from scipy's
+    ``rfftn`` of the circulant's first row."""
+    import scipy.fft
+
+    d, M = basis.dimension, embed_len
+    wrap = np.minimum(np.arange(M), M - np.arange(M))
+    grids = np.meshgrid(*([wrap] * d), indexing="ij", sparse=True)
+    r = basis.h * np.sqrt(sum(k * k for k in grids).astype(float))
+    with np.errstate(divide="ignore"):
+        row = r ** (-spec.alpha)
+    row[(0,) * d] = _unit_cell_mean(spec.alpha, d) * basis.h ** (-spec.alpha)
+    return _clip_spectrum(scipy.fft.rfftn(row, axes=basis.field_axes).real, M)[0]
+
+
+def scipy_riesz_increments(sampler, dt, z):
+    """RieszSampler.increments on scipy.fft: the scaled half spectrum, an
+    ifft over each leading field axis cut to its first g outputs, and an
+    irfft of M points over the last, cut to g."""
+    import scipy.fft
+
+    g = sampler.basis.grid_shape[0]
+    coeffs = z.view(complex)[..., 0] * (math.sqrt(dt) * sampler._scales)
+    for axis in sampler.basis.field_axes[:-1]:
+        coeffs = scipy.fft.ifft(coeffs, axis=axis, norm="forward", overwrite_x=True)
+        coeffs = coeffs[(Ellipsis, slice(g)) + (slice(None),) * (-1 - axis)]
+    return scipy.fft.irfft(coeffs, n=sampler._embed_len, norm="forward",
+                           overwrite_x=True)[..., :g]
+
+
+def scipy_riesz_qv_form(sampler, f_values):
+    """RieszSampler.qv_form on scipy.fft: rfft over the last axis, then fft
+    over each leading field axis, last first, each zero-padded to M."""
+    import scipy.fft
+
+    M = sampler._embed_len
+    coeffs = scipy.fft.rfft(f_values, n=M)
+    for axis in sampler.basis.field_axes[-2::-1]:
+        coeffs = scipy.fft.fft(coeffs, n=M, axis=axis, overwrite_x=True)
+    weighted = sampler._qv_weights * (coeffs.real**2 + coeffs.imag**2)
+    return sampler.basis.field_sum(weighted)
 
 
 class IdentityNormals:
@@ -433,6 +479,57 @@ class TestSampler:
             assert np.array_equal(clipped, np.clip(half, 0.0, None))
 
 
+class TestRieszOnNumpyFFT:
+    """The Riesz sampler's numpy.fft transforms give scipy.fft's values bit
+    for bit, so every Riesz output byte is that of the scipy sampler."""
+
+    # (d, alpha): a valid Riesz exponent per dimension; d = 3 also clips
+    KERNELS = [(1, 0.3), (2, 0.7), (3, 1.0), (3, 0.3)]
+
+    @pytest.mark.parametrize("d, alpha", KERNELS)
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_transforms_equal_scipy_bitwise(self, d, alpha, n, bc, rows):
+        basis = basis_for(d, bc, n=n)
+        spec = RieszKernel(alpha)
+        samp = make_sampler(spec, basis)
+        assert samp.spectrum.tobytes() == scipy_riesz_spectrum(
+            spec, basis, samp._embed_len).tobytes()
+        rng = np.random.default_rng(100 * d + n + rows)
+        # the stepping core passes one step of a chunk: a strided view
+        z = rng.standard_normal((rows, 3) + samp.normal_shape)[:, 1]
+        for dt in (5e-4, 1.0):
+            got = samp.increments(dt, z)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == scipy_riesz_increments(samp, dt, z).tobytes()
+        f = 0.5 + rng.random((rows,) + basis.grid_shape)
+        assert samp.qv_form(f).tobytes() == scipy_riesz_qv_form(samp, f).tobytes()
+        # one field, not a batch, gives a float
+        one = samp.qv_form(f[0])
+        assert isinstance(one, float) and one == scipy_riesz_qv_form(samp, f[0])
+
+    def test_transforms_do_not_keep_state_between_calls(self):
+        # the workspaces are reused: a call with fewer rows, or the other
+        # method in between, leaves the next call's values unchanged
+        samp = make_sampler(RieszKernel(1.0), basis_for(3, NEUMANN, n=8))
+        rng = np.random.default_rng(9)
+        z = rng.standard_normal((6,) + samp.normal_shape)
+        f = 0.5 + rng.random((6,) + samp.basis.grid_shape)
+        first = samp.increments(1e-3, z), samp.qv_form(f)
+        samp.qv_form(f[:2])
+        samp.increments(1e-3, z[:3])
+        again = samp.increments(1e-3, z), samp.qv_form(f)
+        assert first[0].tobytes() == again[0].tobytes()
+        assert first[1].tobytes() == again[1].tobytes()
+
+    def test_smooth_length_is_scipys_next_fast_len(self):
+        import scipy.fft
+
+        assert [_smooth_len(n) for n in range(1, 4097)] == [
+            scipy.fft.next_fast_len(n, real=True) for n in range(1, 4097)]
+
+
 class TestVerifyDecay:
     def test_spectral_d2_expected_slope(self):
         basis = basis_for(2, DIRICHLET, n=256)
@@ -487,17 +584,22 @@ SCIPY_IMPORT_CHECK = textwrap.dedent("""
             sigma=sh.SigmaSpec(1.0, 1.5, 64.0), dt=1e-3, horizon=5e-3,
             mass_bound=1e12, paths=2, init_value=1.0)
         sh.run_batch(sh.build_context(config), [0, 1])
-    sh.convolution_moment_probe(
-        sh.build_basis(sh.DomainSpec(1, "dirichlet", 16)), sh.SpectralKernel(0.25),
-        p=20, T_grid=[2e-3], paths=4, dt=1e-3, batches=2)
-    assert not scipy_loaded(), f"white, spectral and probe runs loaded {scipy_loaded()}"
-    sh.make_sampler(sh.RieszKernel(0.3), sh.build_basis(sh.DomainSpec(1, "neumann", 16)))
-    assert "scipy.fft" in sys.modules
+    config = sh.SimConfig(
+        domain=sh.DomainSpec(3, "neumann", 8), noise=sh.RieszKernel(1.0),
+        sigma=sh.SigmaSpec(1.0, 1.1, 64.0), dt=1e-3, horizon=3e-3,
+        mass_bound=1e12, paths=2, init_value=1.0)
+    sh.run_batch(sh.build_context(config), [0, 1])
+    for kernel in (sh.SpectralKernel(0.25), sh.RieszKernel(0.25)):
+        sh.convolution_moment_probe(
+            sh.build_basis(sh.DomainSpec(1, "dirichlet", 16)), kernel,
+            p=20, T_grid=[2e-3], paths=4, dt=1e-3, batches=2)
+    assert not scipy_loaded(), f"runs and probes loaded {scipy_loaded()}"
 """)
 
 
-def test_scipy_is_loaded_by_the_riesz_sampler_only():
-    # the cold start of every run without Riesz noise skips scipy's import
+def test_no_run_loads_scipy():
+    # scipy is a test dependency only: no run, Riesz noise included, pays
+    # for its import
     src = str(Path(stochheat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

@@ -271,8 +271,16 @@ class TestTransforms:
         rng = np.random.default_rng(seed)
         # coefficients survive the trip to the grid and back at any cutoff
         c = rng.normal(size=basis.coeff_shape)
-        back = basis.to_spectral(basis.to_grid(c))
+        u = basis.to_grid(c)
+        back = basis.to_spectral(u)
         assert np.max(np.abs(back - c)) < 1e-12 * np.max(np.abs(c))
+        # the retained modes are orthonormal under the grid quadrature:
+        # h^d sum u v = sum c c' (Parseval for c' = c)
+        c2 = rng.normal(size=basis.coeff_shape)
+        v = basis.to_grid(c2)
+        assert basis.integrate(u * u) == pytest.approx(np.sum(c * c), rel=1e-12)
+        assert basis.integrate(u * v) == pytest.approx(
+            np.sum(c * c2), rel=1e-12, abs=1e-12 * math.sqrt(np.sum(c * c) * np.sum(c2 * c2)))
         if basis.coeff_shape == basis.grid_shape:  # no mode cut off
             f = rng.normal(size=basis.grid_shape)
             back = basis.to_grid(basis.to_spectral(f))
