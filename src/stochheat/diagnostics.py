@@ -343,12 +343,8 @@ def convolution_variance_series(sampler: SpectralSampler, t: float, x, dt: float
             / np.expm1(-2 * alpha * dt),
             n * dt,
         )
-    w = sampler.weights * factor
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    for i in range(basis.dimension):
-        fx = basis._axis_eigenfunction_column(x[i])
-        w = np.tensordot(w, fx * fx, axes=([0], [0]))
-    return float(w)
+    fx = basis.axis_eigenfunctions(np.atleast_1d(np.asarray(x, dtype=float)))
+    return basis.contract(sampler.weights * factor, fx * fx)
 
 
 def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,

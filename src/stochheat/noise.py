@@ -51,6 +51,7 @@ needs the copies that reorder the axes (ROADMAP.md, "Cold start").
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import asdict, dataclass, field
@@ -141,8 +142,7 @@ class RieszKernel(_Kernel):
         vals = []
         for t in t_grid:
             # G(t, x_c, .) on the grid = inverse transform of e^{-alpha_k t} e_k(x_c)
-            decay = basis.axis_decay(t)
-            cols = [decay * basis._axis_eigenfunction_column(xc) for xc in x_c]
+            cols = basis.axis_decay(t) * basis.axis_eigenfunctions(x_c)
             coeffs = cols[0]
             for col in cols[1:]:
                 coeffs = np.multiply.outer(coeffs, col)
@@ -188,19 +188,16 @@ class SpectralKernel(_Kernel):
         return self.sampler(basis).kernel(x, y)
 
     def double_integral(self, basis: SpectralBasis) -> float:
-        ones = basis._axis_one_coeffs
-        out = self.sampler(basis).weights
-        for _ in range(basis.dimension):
-            out = np.tensordot(out, ones * ones, axes=([0], [0]))
-        return float(out)
+        ones = basis.axis_one_coeffs
+        return basis.contract(self.sampler(basis).weights, [ones * ones] * basis.dimension)
 
     def decay_values(self, basis: SpectralBasis, t_grid) -> np.ndarray:
         """F(t) = sum_k lambda_k^2 e^(-2 alpha_k t) e_k(x_c)^2, exact."""
         w = self.sampler(basis).weights
-        for i, x in enumerate(basis.center_point()):
+        for i, e in enumerate(basis.axis_eigenfunctions(basis.center_point())):
             shape = [1] * basis.dimension
             shape[i] = basis.axis_mode_count
-            w = w * (basis._axis_eigenfunction_column(x) ** 2).reshape(shape)
+            w = w * (e ** 2).reshape(shape)
         alpha = basis.eigenvalue_tensor().ravel()
         w = w.ravel()
         return np.array([float(np.sum(w * np.exp(-2.0 * alpha * t))) for t in t_grid])
@@ -255,12 +252,15 @@ def critical_exponent(beta: float, eta: float) -> float:
 # -- singular-kernel quadrature helpers ---------------------------------
 
 
+@functools.cache
 def _unit_cell_mean(alpha: float, dimension: int, res: int = 64) -> float:
     """Mean of |z|^(-alpha) over the unit cell [-1/2, 1/2]^d.
 
     Uses the self-similar shell decomposition: the integral over the cell
     equals the integral over the annulus cell-minus-half-cell divided by
-    (1 - 2^(alpha-d)), and the annulus integrand is smooth.
+    (1 - 2^(alpha-d)), and the annulus integrand is smooth.  A pure function
+    of its arguments that costs a 64^d grid, so each process computes it
+    once per (alpha, d).
     """
     if dimension == 1:
         return 2.0**alpha / (1.0 - alpha)
@@ -353,15 +353,9 @@ class SpectralSampler(_Sampler):
         return self.basis.field_sum(self.weights * c * c)
 
     def kernel(self, x, y) -> float:
-        b = self.basis
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = self.weights
-        for i in range(b.dimension):
-            fx = b._axis_eigenfunction_column(x[i])
-            fy = b._axis_eigenfunction_column(y[i])
-            out = np.tensordot(out, fx * fy, axes=([0], [0]))
-        return float(out)
+        fx = self.basis.axis_eigenfunctions(np.atleast_1d(np.asarray(x, dtype=float)))
+        fy = self.basis.axis_eigenfunctions(np.atleast_1d(np.asarray(y, dtype=float)))
+        return self.basis.contract(self.weights, fx * fy)
 
 
 def _smooth_len(n: int) -> int:

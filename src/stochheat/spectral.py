@@ -22,6 +22,16 @@ is the Nyquist cosine cos(pi n x/L).  The Nyquist mode is normalised to be
 orthonormal under the grid quadrature (1/sqrt(L)); it only matters at the
 resolution limit.
 
+Everything a boundary condition decides lives in one axis class per
+condition, ``_SineAxis`` (Dirichlet), ``_CosineAxis`` (Neumann) and
+``_FourierAxis`` (periodic), picked once by ``_AXES``: the grid points, the
+public mode numbers and wavenumbers, the one eigenfunction evaluator
+psi_k(x), the integrals <1, psi_k>, the tail-sum bound, and the last-axis
+transforms and heat flow.  ``SpectralBasis`` is their tensor product: it
+applies the axis along each field axis and builds the eigenvalue tensor,
+heat kernel and quadrature from per-axis factors, with no knowledge of the
+boundary condition.
+
 The transforms are numpy real FFTs, one axis at a time:
 
 * DST-I (Dirichlet) is the imaginary part of the ``rfft`` of the odd
@@ -52,7 +62,6 @@ import numpy as np
 PERIODIC = "periodic"
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
-BOUNDARY_CONDITIONS = (PERIODIC, NEUMANN, DIRICHLET)
 
 # values per block of lines in a 2n-point transform workspace (512 kB): a
 # (2048, 63) DST-I ran about 25% faster in blocks of 256 or 512 lines than
@@ -86,6 +95,296 @@ class Workspaces:
         return buf[:size].view(dtype).reshape(shape)
 
 
+# -- one axis per boundary condition ---------------------------------------
+
+
+class _Axis:
+    """One axis [0, L] of n cells under one boundary condition.
+
+    A subclass sets the grid ``points``, the public ``mode_numbers`` of the
+    retained modes, their ``wavenumbers``, and ``_carries``: the coefficient
+    each (real, imaginary) entry of the flow's spectrum carries, n for none.
+    Its ``forward`` and ``inverse`` act on the last axis of an array of any
+    strides and write a C-contiguous ``out``; ``flow`` acts in place on the
+    last axis of a C-contiguous array in the order of ``flow_parts``.  The
+    defaults of ``one_coeffs`` (a constant mode 0) and ``_tail_terms``
+    (wavenumbers k pi / L) serve two of the three boundary conditions."""
+
+    # (flow index, grid index) of each part of the axis; grid order unless
+    # a subclass says otherwise
+    flow_parts = ((slice(None), slice(None)),)
+
+    def __init__(self, n: int, L: float):
+        self.n, self.L, self.h = n, L, L / n
+        self.workspace = Workspaces()
+
+    def _phases(self, x) -> np.ndarray:
+        """kappa_k x for every retained k, shape x.shape + (modes,)."""
+        return np.multiply.outer(np.asarray(x, dtype=float), self.wavenumbers)
+
+    def one_coeffs(self) -> np.ndarray:
+        """<1, psi_k>, exact integrals: sqrt(L) for the constant mode 0,
+        zero for the cosines and sines, which integrate to zero."""
+        out = np.zeros(len(self.mode_numbers))
+        out[0] = math.sqrt(self.L)
+        return out
+
+    def tail_sum(self, t: float) -> float:
+        """Geometric-domination bound on the sum over dropped modes of
+        e^{-kappa^2 t}: the first dropped term ``lead`` and a ratio bound
+        between successive terms, from ``_tail_terms``."""
+        lead, ratio = self._tail_terms(t)
+        if ratio >= 1.0:
+            return math.inf
+        return lead / (1.0 - ratio)
+
+    def _tail_terms(self, t: float):
+        # wavenumbers k pi / L: the first dropped mode follows the last
+        # retained one; with every grid mode retained it is k = n, the first
+        # continuum mode beyond the grid's resolution
+        k0 = int(self.mode_numbers[-1]) + 1
+        base = (np.pi / self.L) ** 2
+        return math.exp(-base * k0**2 * t), math.exp(-base * (2 * k0 + 1) * t)
+
+    def flow_scales(self, decay: np.ndarray) -> np.ndarray:
+        """Scales of the flow's spectrum: the ``decay`` exp(-kappa_k^2 t) of
+        the coefficient each entry carries, zero beyond the cutoff, which
+        is the projection."""
+        padded = np.zeros(self.n + 1)
+        padded[:len(decay)] = decay
+        return padded[self._carries]
+
+
+class _SineAxis(_Axis):
+    """Dirichlet: psi_k = sqrt(2/L) sin(k pi x / L), k = 1..n-1, on the
+    interior points j h; the transform is DST-I."""
+
+    def __init__(self, n: int, modes: int, L: float):
+        super().__init__(n, L)
+        self.points = self.h * np.arange(1, n)
+        # mode numbers k = 1..m, wavenumber k pi / L
+        self.mode_numbers = np.arange(1, min(modes, n - 1) + 1)
+        self.wavenumbers = self.mode_numbers * (np.pi / L)
+        # sine coefficients c = s DST-I(values), values = r DST-I(c)
+        self._scales = (self.h * math.sqrt(2.0 / L) / 2.0, math.sqrt(2.0 / L) / 2.0)
+        # the odd extension's spectrum is imaginary: DST-I(x)_{k-1} = -Im F_k
+        self._carries = np.full((n + 1, 2), n)
+        self._carries[1:n, 1] = np.arange(n - 1)
+
+    def eigenfunctions(self, x) -> np.ndarray:
+        return math.sqrt(2.0 / self.L) * np.sin(self._phases(x))
+
+    def one_coeffs(self) -> np.ndarray:
+        k = self.mode_numbers
+        out = np.zeros(len(k))
+        odd = k % 2 == 1
+        out[odd] = math.sqrt(2.0 / self.L) * 2.0 * self.L / (np.pi * k[odd])
+        return out
+
+    def _odd_spectrum(self, x: np.ndarray) -> np.ndarray:
+        """rfft of the odd extension (0, x, 0, -x reversed) to 2n points,
+        x zero-padded to n - 1: its imaginary part at 1..n-1 is -DST-I(x),
+        bit for bit what scipy's DST-I gives."""
+        n = self.n
+        filled = x.shape[-1]
+        lead = x.shape[:-1]
+        ext = self.workspace(("odd", filled), lead + (2 * n,))
+        ext[..., 1:filled + 1] = x
+        np.negative(x, out=ext[..., 2 * n - 1:2 * n - filled - 1:-1])
+        return np.fft.rfft(ext, out=self.workspace("spectrum", lead + (n + 1,), complex))
+
+    def forward(self, x: np.ndarray, out: np.ndarray):
+        F = self._odd_spectrum(x)
+        np.multiply(F.imag[..., 1:len(self.mode_numbers) + 1], -self._scales[0], out=out)
+
+    def inverse(self, c: np.ndarray, out: np.ndarray):
+        F = self._odd_spectrum(c)
+        np.multiply(F.imag[..., 1:self.n], -self._scales[1], out=out)
+
+    def flow(self, v: np.ndarray, scales: np.ndarray):
+        """The odd extension's spectrum scaled by ``scales``, back to the
+        interior points."""
+        n = self.n
+        F = self._odd_spectrum(v)
+        parts = F.view(float).reshape(F.shape + (2,))  # (real, imaginary) pairs
+        parts *= scales
+        ext = np.fft.irfft(F, 2 * n, out=self.workspace("odd flow", v.shape[:-1] + (2 * n,)))
+        v[...] = ext[..., 1:n]
+
+
+class _CosineAxis(_Axis):
+    """Neumann: psi_0 = 1/sqrt(L), psi_k = sqrt(2/L) cos(k pi x / L),
+    k = 0..n-1, on the cell midpoints (j + 1/2) h; the transforms are
+    DCT-II and DCT-III by Makhoul's reordering."""
+
+    def __init__(self, n: int, modes: int, L: float):
+        super().__init__(n, L)
+        self.points = self.h * (np.arange(n) + 0.5)
+        self.mode_numbers = np.arange(modes)
+        self.wavenumbers = self.mode_numbers * (np.pi / L)
+        half = n // 2
+        k = np.arange(half + 1)
+        self._twiddle = np.exp(-0.5j * np.pi * k / n)
+        self._twiddle_conj = self._twiddle.conj()
+        base = self.h * math.sqrt(2.0 / L)
+        # c_k = _forward_scales[k] Re T_k and c_{n-k} = -base Im T_k, for T
+        # of _spectrum
+        self._forward_scales = np.full(half + 1, base)
+        self._forward_scales[0] = base / math.sqrt(2.0)
+        # T_k = _inverse_scales[k] c_k - i (n/sqrt(2L)) c_{n-k}, as the
+        # argument of _synthesis, gives the grid values
+        self._inverse_scales = np.full(half + 1, n / math.sqrt(2.0 * L))
+        self._inverse_scales[0] = n / math.sqrt(L)
+        # Re T_k carries coefficient k, Im T_k coefficient n - k
+        self._carries = np.full((half + 1, 2), n)
+        self._carries[:, 0] = k
+        self._carries[1:, 1] = n - k[1:]
+        # the flow keeps Makhoul's order, the even entries then the odd ones
+        # reversed, so a field is reordered once per heat flow, not per axis
+        self.flow_parts = ((slice(None, half), slice(0, None, 2)),
+                           (slice(half, None), slice(None, None, -2)))
+
+    def eigenfunctions(self, x) -> np.ndarray:
+        out = math.sqrt(2.0 / self.L) * np.cos(self._phases(x))
+        out[..., 0] = 1.0 / math.sqrt(self.L)
+        return out
+
+    def _spectrum(self, v: np.ndarray) -> np.ndarray:
+        """Makhoul's DCT-II of x, given in Makhoul's order v (the even
+        entries of x, then the odd ones reversed): the rfft of v times the
+        twiddle exp(-i pi k / 2n).  Of the result T, DCT-II(x)_k = 2 Re T_k
+        and DCT-II(x)_{n-k} = -2 Im T_k."""
+        spectrum = self.workspace("spectrum", v.shape[:-1] + (self.n // 2 + 1,), complex)
+        T = np.fft.rfft(v, out=spectrum)
+        T *= self._twiddle
+        return T
+
+    def _synthesis(self, T: np.ndarray, v: np.ndarray):
+        """Inverse of _spectrum, into ``v`` in Makhoul's order (overwrites
+        T): the conjugate twiddle and irfft."""
+        T *= self._twiddle_conj
+        np.fft.irfft(T, self.n, out=v)
+
+    def forward(self, x: np.ndarray, out: np.ndarray):
+        n, m = self.n, len(self.mode_numbers)
+        half = n // 2
+        v = self.workspace("reordered", x.shape)
+        for makhoul, grid in self.flow_parts:
+            v[..., makhoul] = x[..., grid]
+        T = self._spectrum(v)
+        low = min(m, half + 1)
+        np.multiply(T.real[..., :low], self._forward_scales[:low], out=out[..., :low])
+        # c_j for half < j < m sits at T_{n-j}
+        np.multiply(T.imag[..., half - 1:n - m:-1], -self._forward_scales[1],
+                    out=out[..., half + 1:])
+
+    def inverse(self, c: np.ndarray, out: np.ndarray):
+        n, m = self.n, len(self.mode_numbers)
+        half = n // 2
+        T = self.workspace("spectrum", c.shape[:-1] + (half + 1,), complex)
+        low = min(m, half + 1)
+        np.multiply(c[..., :low], self._inverse_scales[:low], out=T.real[..., :low])
+        T.real[..., low:] = 0.0
+        # Im T_k = -(n/sqrt(2L)) c_{n-k} for the retained n - k >= half
+        first = max(n - m + 1, 1)
+        T.imag[..., :first] = 0.0
+        np.multiply(c[..., n - first:half - 1:-1], -self._inverse_scales[1],
+                    out=T.imag[..., first:])
+        v = self.workspace("reordered", out.shape)
+        self._synthesis(T, v)
+        for makhoul, grid in self.flow_parts:
+            out[..., grid] = v[..., makhoul]
+
+    def flow(self, v: np.ndarray, scales: np.ndarray):
+        """Makhoul-ordered values: their spectrum scaled by ``scales``,
+        back to Makhoul's order."""
+        T = self._spectrum(v)
+        parts = T.view(float).reshape(T.shape + (2,))  # (real, imaginary) pairs
+        parts *= scales
+        self._synthesis(T, v)
+
+
+class _FourierAxis(_Axis):
+    """Periodic: the real Fourier basis in the packing of the module
+    docstring, on the points j h; the transform is a real FFT."""
+
+    def __init__(self, n: int, modes: int, L: float):
+        super().__init__(n, L)
+        self.points = self.h * np.arange(n)
+        self.mode_numbers = np.arange(modes)
+        self.wavenumbers = (self.mode_numbers + 1) // 2 * (2.0 * np.pi / L)
+        # packed index n-1, if retained, is the Nyquist cosine
+        if modes == n:
+            self.wavenumbers[n - 1] = np.pi * n / L
+        # Re F_0 carries the constant, Re F_m cos (index 2m - 1), Im F_m
+        # sin (index 2m), Re F_{n/2} the Nyquist cosine (index n - 1)
+        self._carries = np.full((n // 2 + 1, 2), n)
+        self._carries[1:-1, 0] = np.arange(1, n - 1, 2)
+        self._carries[1:-1, 1] = np.arange(2, n - 1, 2)
+        self._carries[0, 0], self._carries[-1, 0] = 0, n - 1
+
+    def eigenfunctions(self, x) -> np.ndarray:
+        L = self.L
+        phases = self._phases(x)
+        # odd packed indices are cosines, even ones sines
+        out = math.sqrt(2.0 / L) * np.where(self.mode_numbers % 2 == 1,
+                                            np.cos(phases), np.sin(phases))
+        out[..., 0] = 1.0 / math.sqrt(L)
+        if len(self.mode_numbers) == self.n:  # Nyquist cosine, grid-orthonormal
+            out[..., -1] = (1.0 / math.sqrt(L)) * np.cos(phases[..., -1])
+        return out
+
+    def _tail_terms(self, t: float):
+        m = len(self.mode_numbers)
+        if m == self.n:
+            return 0.0, 0.0
+        m0 = (m + 1) // 2  # first dropped frequency, a cosine and a sine
+        base = (2.0 * np.pi / self.L) ** 2
+        return 2.0 * math.exp(-base * m0**2 * t), math.exp(-base * (2 * m0 + 1) * t)
+
+    def forward(self, x: np.ndarray, out: np.ndarray):
+        n, m, L = self.n, len(self.mode_numbers), self.L
+        half = n // 2
+        lead = x.shape[:-1]
+        F = np.fft.rfft(x, out=self.workspace("spectrum", lead + (half + 1,), complex))
+        c = out if m == n else self.workspace("packed", lead + (n,))
+        np.multiply(F.real[..., 0], math.sqrt(L) / n, out=c[..., 0])
+        np.multiply(F.real[..., 1:half], math.sqrt(2.0 * L) / n, out=c[..., 1:n - 1:2])
+        np.multiply(F.imag[..., 1:half], -math.sqrt(2.0 * L) / n, out=c[..., 2:n - 1:2])
+        np.multiply(F.real[..., half], math.sqrt(L) / n, out=c[..., n - 1])
+        if m < n:
+            out[...] = c[..., :m]
+
+    def inverse(self, c: np.ndarray, out: np.ndarray):
+        n, m, L = self.n, len(self.mode_numbers), self.L
+        half = n // 2
+        lead = c.shape[:-1]
+        T = self.workspace("spectrum", lead + (half + 1,), complex)
+        if m < n:
+            padded = self.workspace(("padded", m), lead + (n,))
+            padded[..., :m] = c
+            c = padded
+        T.real[..., 0] = c[..., 0] * n / math.sqrt(L)
+        np.multiply(c[..., 1:n - 1:2], n / math.sqrt(2.0 * L), out=T.real[..., 1:half])
+        np.multiply(c[..., 2:n - 1:2], -n / math.sqrt(2.0 * L), out=T.imag[..., 1:half])
+        T.real[..., half] = c[..., n - 1] * n / math.sqrt(L)
+        T.imag[..., 0] = T.imag[..., half] = 0.0
+        np.fft.irfft(T, n, out=out)
+
+    def flow(self, v: np.ndarray, scales: np.ndarray):
+        """The rfft scaled by ``scales``, back to the grid."""
+        n = self.n
+        T = np.fft.rfft(v, out=self.workspace("spectrum", v.shape[:-1] + (n // 2 + 1,), complex))
+        parts = T.view(float).reshape(T.shape + (2,))  # (real, imaginary) pairs
+        parts *= scales
+        np.fft.irfft(T, n, out=v)
+
+
+# the axis class of each boundary condition
+_AXES = {PERIODIC: _FourierAxis, NEUMANN: _CosineAxis, DIRICHLET: _SineAxis}
+BOUNDARY_CONDITIONS = tuple(_AXES)
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Box domain [0, L]^d with an isotropic grid and mode cutoff.
@@ -104,7 +403,7 @@ class DomainSpec:
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
-        if self.boundary not in BOUNDARY_CONDITIONS:
+        if self.boundary not in _AXES:
             raise ValueError(
                 f"boundary must be one of {BOUNDARY_CONDITIONS}, got {self.boundary!r}"
             )
@@ -122,8 +421,9 @@ class DomainSpec:
             )
         if self.modes < 1:
             raise ValueError("modes must be >= 1")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        # an infinite box has no grid spacing, and nan fails every comparison
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length!r}")
 
 
 class SpectralBasis:
@@ -138,72 +438,47 @@ class SpectralBasis:
 
     def __init__(self, spec: DomainSpec):
         self.spec = spec
-        d, n, L = spec.dimension, spec.grid_points, spec.length
+        d = spec.dimension
         self.dimension = d
-        self.length = L
-        self.h = L / n
-        bc = spec.boundary
-        self.boundary = bc
-
-        if bc == DIRICHLET:
-            self.axis_points = self.h * np.arange(1, n)
-            m = min(spec.modes, n - 1)
-            # axis mode numbers k = 1..m, wavenumber k pi / L
-            self._axis_mode_numbers = np.arange(1, m + 1)
-            self.axis_wavenumbers = self._axis_mode_numbers * (np.pi / L)
-        elif bc == NEUMANN:
-            self.axis_points = self.h * (np.arange(n) + 0.5)
-            m = spec.modes
-            self._axis_mode_numbers = np.arange(m)
-            self.axis_wavenumbers = self._axis_mode_numbers * (np.pi / L)
-        else:  # periodic
-            self.axis_points = self.h * np.arange(n)
-            m = spec.modes
-            self._axis_mode_numbers = np.arange(m)
-            freq = (self._axis_mode_numbers + 1) // 2
-            self.axis_wavenumbers = freq * (2.0 * np.pi / L)
-            # packed index n-1, if retained, is the Nyquist cosine
-            if m == n:
-                self.axis_wavenumbers = self.axis_wavenumbers.copy()
-                self.axis_wavenumbers[n - 1] = np.pi * n / L
-
-        self.axis_mode_count = len(self._axis_mode_numbers)
-        self.axis_eigenvalues = self.axis_wavenumbers**2
+        self.length = spec.length
+        self.boundary = spec.boundary
+        self._axis = axis = _AXES[spec.boundary](spec.grid_points, spec.modes, spec.length)
+        self.h = axis.h
+        self.axis_points = axis.points
+        self.axis_mode_count = len(axis.mode_numbers)
+        self.axis_eigenvalues = axis.wavenumbers**2
         self.grid_shape = (len(self.axis_points),) * d
         self.coeff_shape = (self.axis_mode_count,) * d
-        self.mode_count = self.axis_mode_count**d
         self.cell_volume = self.h**d
         # the trailing d axes of a field (grid, coefficients), batched or not
         self.field_axes = tuple(range(-d, 0))
         # per-axis integrals <1, psi_k>, used by dirichlet_mass and the
         # spectral-kernel double integral
-        self._axis_one_coeffs = self._compute_axis_one_coeffs()
-        self._workspace = Workspaces()
-        self._build_transform_tables()
+        self.axis_one_coeffs = axis.one_coeffs()
+        self._flow_cache = (None, None)  # (t, scales) of the last heat_flow time
+        # (flow index, grid index) of each part of a field: the axis's flow
+        # order on every field axis at once
+        self._flow_parts = [tuple((Ellipsis,) + tuple(p[i] for p in combo) for i in (0, 1))
+                            for combo in itertools.product(axis.flow_parts, repeat=d)]
 
     # -- eigendata -----------------------------------------------------
 
     def axis_valid_indices(self):
         """Valid per-axis public mode indices (Dirichlet is 1-based)."""
-        return self._axis_mode_numbers if self.boundary == DIRICHLET else np.arange(
-            self.axis_mode_count
-        )
+        return self._axis.mode_numbers
 
-    def _axis_storage_index(self, k: int) -> int:
-        if self.boundary == DIRICHLET:
-            if not 1 <= k <= self.axis_mode_count:
-                raise IndexError(f"Dirichlet mode number {k} outside 1..{self.axis_mode_count}")
-            return k - 1
-        if not 0 <= k < self.axis_mode_count:
-            raise IndexError(f"mode index {k} outside 0..{self.axis_mode_count - 1}")
-        return k
+    def axis_index(self, k: int) -> int:
+        """Position of public mode index k along a coefficient axis; raises
+        IndexError for a mode that is not retained."""
+        first, last = (int(k) for k in self._axis.mode_numbers[[0, -1]])
+        if not first <= k <= last:
+            raise IndexError(f"mode number {k} outside {first}..{last}")
+        return k - first
 
     def eigenvalue(self, k) -> float:
         """alpha_k = sum_i kappa_{k_i}^2 for a multi-index k."""
         k = self._as_multi_index(k)
-        return float(
-            sum(self.axis_eigenvalues[self._axis_storage_index(ki)] for ki in k)
-        )
+        return float(sum(self.axis_eigenvalues[self.axis_index(ki)] for ki in k))
 
     def eigenvalue_tensor(self) -> np.ndarray:
         """Full tensor of eigenvalues, shape coeff_shape."""
@@ -232,30 +507,11 @@ class SpectralBasis:
             )
         return k
 
-    def axis_eigenfunction(self, k: int, x) -> np.ndarray:
-        """1-d eigenfunction factor psi_k evaluated at points x."""
-        x = np.asarray(x, dtype=float)
-        L = self.length
-        p = self._axis_storage_index(k)
-        if self.boundary == DIRICHLET:
-            kap = self.axis_wavenumbers[p]
-            return math.sqrt(2.0 / L) * np.sin(kap * x)
-        if self.boundary == NEUMANN:
-            if k == 0:
-                return np.full_like(x, 1.0 / math.sqrt(L))
-            kap = self.axis_wavenumbers[p]
-            return math.sqrt(2.0 / L) * np.cos(kap * x)
-        # periodic packing
-        n = self.spec.grid_points
-        if k == 0:
-            return np.full_like(x, 1.0 / math.sqrt(L))
-        if k == n - 1:  # Nyquist cosine, grid-orthonormal normalisation
-            return (1.0 / math.sqrt(L)) * np.cos(np.pi * n / L * x)
-        m = (k + 1) // 2
-        arg = 2.0 * np.pi * m / L * x
-        if k % 2 == 1:
-            return math.sqrt(2.0 / L) * np.cos(arg)
-        return math.sqrt(2.0 / L) * np.sin(arg)
+    def axis_eigenfunctions(self, x) -> np.ndarray:
+        """psi_k(x) for every retained k along one axis, at points x of any
+        shape: shape x.shape + (axis_mode_count,), modes in coefficient
+        order."""
+        return self._axis.eigenfunctions(x)
 
     def eigenfunction(self, k, x) -> float:
         """e_k(x) for a multi-index k and a point x in the closed box."""
@@ -265,205 +521,19 @@ class SpectralBasis:
             raise ValueError(f"point must have {self.dimension} coordinates")
         if np.any(x < -1e-12) or np.any(x > self.length + 1e-12):
             raise ValueError("point outside the closed box")
-        val = 1.0
-        for ki, xi in zip(k, x):
-            val *= float(self.axis_eigenfunction(ki, xi))
-        return val
+        per_axis = self.axis_eigenfunctions(x)
+        return math.prod(float(per_axis[i, self.axis_index(ki)]) for i, ki in enumerate(k))
 
-    def _compute_axis_one_coeffs(self) -> np.ndarray:
-        """<1, psi_k> along one axis, exact integrals."""
-        L = self.length
-        out = np.zeros(self.axis_mode_count)
-        if self.boundary == DIRICHLET:
-            k = self._axis_mode_numbers
-            odd = k % 2 == 1
-            out[odd] = math.sqrt(2.0 / L) * 2.0 * L / (np.pi * k[odd])
-        else:
-            out[0] = math.sqrt(L)  # constant mode; cos/sin integrate to zero
-        return out
+    def contract(self, weights: np.ndarray, vectors) -> float:
+        """sum_k weights_k prod_i vectors[i][k_i]: a tensor of coefficient
+        shape contracted against one vector per field axis, first axis
+        first."""
+        out = weights
+        for v in vectors:
+            out = np.tensordot(out, v, axes=([0], [0]))
+        return float(out)
 
     # -- transforms ------------------------------------------------------
-    #
-    # _forward, _inverse and _sine_flow act on the last axis of an array of
-    # any strides and write a C-contiguous output; _along_field_axes applies
-    # them to each field axis in turn.  _flow_in_place works in place.
-
-    def _build_transform_tables(self):
-        n, L, h = self.spec.grid_points, self.length, self.h
-        half = n // 2
-        if self.boundary == DIRICHLET:
-            # sine coefficients c = s DST-I(values), values = r DST-I(c)
-            self._sine_scales = (h * math.sqrt(2.0 / L) / 2.0, math.sqrt(2.0 / L) / 2.0)
-        elif self.boundary == NEUMANN:
-            k = np.arange(half + 1)
-            self._twiddle = np.exp(-0.5j * np.pi * k / n)
-            self._twiddle_conj = self._twiddle.conj()
-            base = h * math.sqrt(2.0 / L)
-            # c_k = _cosine_forward[k] Re T_k and c_{n-k} = -base Im T_k,
-            # for T of _cosine_spectrum
-            self._cosine_forward = np.full(half + 1, base)
-            self._cosine_forward[0] = base / math.sqrt(2.0)
-            # T_k = _cosine_inverse[k] c_k - i (n/sqrt(2L)) c_{n-k}, as the
-            # argument of _cosine_synthesis, gives the grid values
-            self._cosine_inverse = np.full(half + 1, n / math.sqrt(2.0 * L))
-            self._cosine_inverse[0] = n / math.sqrt(L)
-            # (Makhoul index, grid index) of each part of a field: per axis
-            # the first half holds the even entries, the second the odd ones
-            # reversed
-            parts = ((slice(None, half), slice(0, None, 2)),
-                     (slice(half, None), slice(None, None, -2)))
-            self._makhoul_parts = [
-                tuple((Ellipsis,) + tuple(p[i] for p in combo) for i in (0, 1))
-                for combo in itertools.product(parts, repeat=self.dimension)]
-        self._flow_cache = (None, None)  # (t, scales) of the last heat_flow time
-
-    def _odd_spectrum(self, x: np.ndarray) -> np.ndarray:
-        """rfft of the odd extension (0, x, 0, -x reversed) to 2n points,
-        x zero-padded to n - 1: its imaginary part at 1..n-1 is -DST-I(x),
-        bit for bit what scipy's DST-I gives."""
-        n = self.spec.grid_points
-        filled = x.shape[-1]
-        lead = x.shape[:-1]
-        ext = self._workspace(("odd", filled), lead + (2 * n,))
-        ext[..., 1:filled + 1] = x
-        np.negative(x, out=ext[..., 2 * n - 1:2 * n - filled - 1:-1])
-        return np.fft.rfft(ext, out=self._workspace("spectrum", lead + (n + 1,), complex))
-
-    def _cosine_spectrum(self, x: np.ndarray) -> np.ndarray:
-        """Makhoul's DCT-II: the even entries of x then the odd ones
-        reversed, their rfft, times the twiddle exp(-i pi k / 2n).  Of the
-        result T, DCT-II(x)_k = 2 Re T_k and DCT-II(x)_{n-k} = -2 Im T_k."""
-        n = self.spec.grid_points
-        half = n // 2
-        lead = x.shape[:-1]
-        v = self._workspace("reordered", lead + (n,))
-        v[..., :half] = x[..., 0::2]
-        v[..., half:] = x[..., ::-2]
-        T = np.fft.rfft(v, out=self._workspace("spectrum", lead + (half + 1,), complex))
-        T *= self._twiddle
-        return T
-
-    def _cosine_synthesis(self, T: np.ndarray, out: np.ndarray):
-        """Inverse of _cosine_spectrum, into ``out`` (overwrites T): the
-        conjugate twiddle, irfft, and the entries put back in grid order."""
-        n = self.spec.grid_points
-        half = n // 2
-        T *= self._twiddle_conj
-        v = np.fft.irfft(T, n, out=self._workspace("reordered", T.shape[:-1] + (n,)))
-        out[..., 0::2] = v[..., :half]
-        out[..., ::-2] = v[..., half:]
-
-    def _forward(self, x: np.ndarray, out: np.ndarray):
-        """Grid values -> the retained coefficients, along the last axis."""
-        n, m = self.spec.grid_points, self.axis_mode_count
-        half = n // 2
-        if self.boundary == DIRICHLET:
-            F = self._odd_spectrum(x)
-            np.multiply(F.imag[..., 1:m + 1], -self._sine_scales[0], out=out)
-        elif self.boundary == NEUMANN:
-            T = self._cosine_spectrum(x)
-            low = min(m, half + 1)
-            np.multiply(T.real[..., :low], self._cosine_forward[:low], out=out[..., :low])
-            # c_j for half < j < m sits at T_{n-j}
-            np.multiply(T.imag[..., half - 1:n - m:-1], -self._cosine_forward[1],
-                        out=out[..., half + 1:])
-        else:
-            L = self.length
-            lead = x.shape[:-1]
-            F = np.fft.rfft(x, out=self._workspace("spectrum", lead + (half + 1,), complex))
-            c = out if m == n else self._workspace("packed", lead + (n,))
-            np.multiply(F.real[..., 0], math.sqrt(L) / n, out=c[..., 0])
-            np.multiply(F.real[..., 1:half], math.sqrt(2.0 * L) / n, out=c[..., 1:n - 1:2])
-            np.multiply(F.imag[..., 1:half], -math.sqrt(2.0 * L) / n, out=c[..., 2:n - 1:2])
-            np.multiply(F.real[..., half], math.sqrt(L) / n, out=c[..., n - 1])
-            if m < n:
-                out[...] = c[..., :m]
-
-    def _inverse(self, c: np.ndarray, out: np.ndarray):
-        """Retained coefficients -> grid values, along the last axis."""
-        n, m = self.spec.grid_points, self.axis_mode_count
-        half = n // 2
-        lead = c.shape[:-1]
-        if self.boundary == DIRICHLET:
-            F = self._odd_spectrum(c)
-            np.multiply(F.imag[..., 1:n], -self._sine_scales[1], out=out)
-            return
-        T = self._workspace("spectrum", lead + (half + 1,), complex)
-        if self.boundary == NEUMANN:
-            low = min(m, half + 1)
-            np.multiply(c[..., :low], self._cosine_inverse[:low], out=T.real[..., :low])
-            T.real[..., low:] = 0.0
-            # Im T_k = -(n/sqrt(2L)) c_{n-k} for the retained n - k >= half
-            first = max(n - m + 1, 1)
-            T.imag[..., :first] = 0.0
-            np.multiply(c[..., n - first:half - 1:-1], -self._cosine_inverse[1],
-                        out=T.imag[..., first:])
-            self._cosine_synthesis(T, out)
-            return
-        L = self.length
-        if m < n:
-            padded = self._workspace(("padded", m), lead + (n,))
-            padded[..., :m] = c
-            c = padded
-        T.real[..., 0] = c[..., 0] * n / math.sqrt(L)
-        np.multiply(c[..., 1:n - 1:2], n / math.sqrt(2.0 * L), out=T.real[..., 1:half])
-        np.multiply(c[..., 2:n - 1:2], -n / math.sqrt(2.0 * L), out=T.imag[..., 1:half])
-        T.real[..., half] = c[..., n - 1] * n / math.sqrt(L)
-        T.imag[..., 0] = T.imag[..., half] = 0.0
-        np.fft.irfft(T, n, out=out)
-
-    def _sine_flow(self, x: np.ndarray, out: np.ndarray, scales: np.ndarray):
-        """Grid values -> grid values of the Dirichlet heat flow along the
-        last axis: the odd extension's spectrum scaled by ``scales``."""
-        n = self.spec.grid_points
-        F = self._odd_spectrum(x)
-        parts = F.view(float).reshape(F.shape + (2,))  # (real, imaginary) pairs
-        parts *= scales
-        ext = np.fft.irfft(F, 2 * n, out=self._workspace("odd flow", x.shape[:-1] + (2 * n,)))
-        out[...] = ext[..., 1:n]
-
-    def _flow_in_place(self, v: np.ndarray, scales: np.ndarray):
-        """The Neumann or periodic heat flow along the last axis of a
-        C-contiguous array, in place; Neumann values are in Makhoul's
-        order, which the flow keeps."""
-        n = self.spec.grid_points
-        T = np.fft.rfft(v, out=self._workspace("spectrum", v.shape[:-1] + (n // 2 + 1,), complex))
-        if self.boundary == NEUMANN:
-            T *= self._twiddle
-        parts = T.view(float).reshape(T.shape + (2,))  # (real, imaginary) pairs
-        parts *= scales
-        if self.boundary == NEUMANN:
-            T *= self._twiddle_conj
-        np.fft.irfft(T, n, out=v)
-
-    def _heat_flow_scales(self, t: float) -> np.ndarray:
-        """Per-axis (real, imaginary) spectrum scales of the heat flow over
-        time t: exp(-kappa_k^2 t) on the retained modes, 0 beyond them."""
-        cached_t, scales = self._flow_cache
-        if cached_t == t:
-            return scales
-        n = self.spec.grid_points
-        half = n // 2
-        full = np.zeros(n - 1 if self.boundary == DIRICHLET else n)
-        full[:self.axis_mode_count] = self.axis_decay(t)
-        if self.boundary == DIRICHLET:
-            # the odd extension's spectrum is imaginary: DST-I(x)_{k-1} = -Im F_k
-            scales = np.zeros((n + 1, 2))
-            scales[1:n, 1] = full
-        elif self.boundary == NEUMANN:
-            # Re T_k carries coefficient k, Im T_k coefficient n - k
-            scales = np.zeros((half + 1, 2))
-            scales[:, 0] = full[:half + 1]
-            scales[1:, 1] = full[n - 1:half - 1:-1]
-        else:
-            # Re F_m carries cos (index 2m - 1), Im F_m sin (index 2m)
-            scales = np.zeros((half + 1, 2))
-            scales[0, 0] = full[0]
-            scales[1:half, 0] = full[1:n - 1:2]
-            scales[1:half, 1] = full[2:n - 1:2]
-            scales[half, 0] = full[n - 1]
-        self._flow_cache = (t, scales)
-        return scales
 
     def _by_blocks(self, transform, *arrays):
         """Call ``transform`` on blocks of the leading axis of arrays whose
@@ -499,7 +569,7 @@ class SpectralBasis:
             raise ValueError(
                 f"grid shape {values.shape} does not match basis grid {self.grid_shape}"
             )
-        return self._along_field_axes(self._forward, values, self.axis_mode_count)
+        return self._along_field_axes(self._axis.forward, values, self.axis_mode_count)
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficients -> grid values sum_k c_k e_k(x_j)."""
@@ -508,15 +578,15 @@ class SpectralBasis:
             raise ValueError(
                 f"coefficient shape {coeffs.shape} does not match basis {self.coeff_shape}"
             )
-        return self._along_field_axes(self._inverse, coeffs, self.grid_shape[0])
+        return self._along_field_axes(self._axis.inverse, coeffs, self.grid_shape[0])
 
     def to_grid_batch(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform applied to the trailing d axes of a batch."""
-        return self._along_field_axes(self._inverse, coeffs, self.grid_shape[0])
+        return self._along_field_axes(self._axis.inverse, coeffs, self.grid_shape[0])
 
     def to_spectral_batch(self, values: np.ndarray) -> np.ndarray:
         """Forward transform applied to the trailing d axes of a batch."""
-        return self._along_field_axes(self._forward, values, self.axis_mode_count)
+        return self._along_field_axes(self._axis.forward, values, self.axis_mode_count)
 
     def heat_flow(self, values: np.ndarray, t: float) -> np.ndarray:
         """S(t) on grid values: ``to_grid(semigroup(to_spectral(values), t))``
@@ -531,30 +601,27 @@ class SpectralBasis:
             raise ValueError(
                 f"grid shape {values.shape} does not end in the basis grid {self.grid_shape}"
             )
-        scales = self._heat_flow_scales(t)
-        if self.boundary == DIRICHLET:
-            return self._along_field_axes(lambda x, out: self._sine_flow(x, out, scales),
-                                          values, self.grid_shape[0])
-        # the flow acts in place along the last axis, and a Neumann field
-        # stays in Makhoul's order on every axis until the last pass; each
-        # pass but the first copies the next axis to the end
+        cached_t, scales = self._flow_cache
+        if cached_t != t:
+            scales = self._axis.flow_scales(self.axis_decay(t))
+            self._flow_cache = (t, scales)
+        # the flow acts in place along the last axis, on values in the flow
+        # order of every axis; each pass but the first copies the next field
+        # axis to the end
         d = self.dimension
         first = np.moveaxis(values, -d, -1)
-        if self.boundary == NEUMANN:
-            v = np.empty(first.shape)
-            for makhoul, grid in self._makhoul_parts:
-                v[makhoul] = first[grid]
-        else:
-            v = first.copy()
+        v = np.empty(first.shape)
+        for flow, grid in self._flow_parts:
+            v[flow] = first[grid]
         for j in range(d):
             if j:
                 v = np.moveaxis(v, -d, -1).copy()
-            self._by_blocks(lambda block: self._flow_in_place(block, scales), v)
-        if self.boundary == PERIODIC:
+            self._by_blocks(lambda block: self._axis.flow(block, scales), v)
+        if len(self._flow_parts) == 1:  # one part: the flow order is grid order
             return v
         out = np.empty(v.shape)
-        for makhoul, grid in self._makhoul_parts:
-            out[grid] = v[makhoul]
+        for flow, grid in self._flow_parts:
+            out[grid] = v[flow]
         return out
 
     # -- semigroup and kernels -------------------------------------------
@@ -578,29 +645,6 @@ class SpectralBasis:
             out = out * decay.reshape(shape)
         return out
 
-    def _axis_tail_sum(self, t: float) -> float:
-        """Geometric-domination bound on sum over dropped modes of e^{-kappa^2 t}."""
-        n, L = self.spec.grid_points, self.length
-        if self.boundary == PERIODIC:
-            if self.axis_mode_count == n:
-                return 0.0
-            m0 = (self.axis_mode_count + 1) // 2  # first dropped frequency
-            base = (2.0 * np.pi / L) ** 2
-            lead = 2.0 * math.exp(-base * m0**2 * t)
-            ratio = math.exp(-base * (2 * m0 + 1) * t)
-        else:
-            full = n - 1 if self.boundary == DIRICHLET else n
-            if self.axis_mode_count >= full:
-                k0 = n  # first continuum mode beyond the grid's resolution
-            else:
-                k0 = int(self._axis_mode_numbers[-1]) + 1
-            base = (np.pi / L) ** 2
-            lead = math.exp(-base * k0**2 * t)
-            ratio = math.exp(-base * (2 * k0 + 1) * t)
-        if ratio >= 1.0:
-            return math.inf
-        return lead / (1.0 - ratio)
-
     def heat_kernel_tail_bound(self, t: float) -> float:
         """Bound on |G(t,x,y) - G_N(t,x,y)| from the dropped modes.
 
@@ -611,7 +655,7 @@ class SpectralBasis:
             raise ValueError("heat kernel tail requires t > 0")
         two_over_L = 2.0 / self.length
         retained = two_over_L * float(np.sum(self.axis_decay(t)))
-        tail = two_over_L * self._axis_tail_sum(t)
+        tail = two_over_L * self._axis.tail_sum(t)
         full = (retained + tail) ** self.dimension
         return full - retained**self.dimension
 
@@ -623,43 +667,8 @@ class SpectralBasis:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if x.shape != (self.dimension,) or y.shape != (self.dimension,):
             raise ValueError("points must match the domain dimension")
-        decay = self.axis_decay(t)
-        val = 1.0
-        for i in range(self.dimension):
-            fx = self._axis_eigenfunction_column(x[i])
-            fy = self._axis_eigenfunction_column(y[i])
-            val *= float(np.sum(decay * fx * fy))
-        return val
-
-    def _axis_eigenfunction_column(self, xi: float) -> np.ndarray:
-        """All per-axis factors psi_k(xi) as a vector of length axis_mode_count."""
-        L = self.length
-        if self.boundary == DIRICHLET:
-            return math.sqrt(2.0 / L) * np.sin(self.axis_wavenumbers * xi)
-        if self.boundary == NEUMANN:
-            out = math.sqrt(2.0 / L) * np.cos(self.axis_wavenumbers * xi)
-            out[0] = 1.0 / math.sqrt(L)
-            return out
-        n = self.spec.grid_points
-        m = self.axis_mode_count
-        out = np.empty(m)
-        out[0] = 1.0 / math.sqrt(L)
-        idx = np.arange(1, m)
-        freq = (idx + 1) // 2
-        arg = 2.0 * np.pi / L * freq * xi
-        out[1:] = np.where(
-            idx % 2 == 1, math.sqrt(2.0 / L) * np.cos(arg), math.sqrt(2.0 / L) * np.sin(arg)
-        )
-        if m == n:
-            out[n - 1] = (1.0 / math.sqrt(L)) * math.cos(np.pi * n / L * xi)
-        return out
-
-    def axis_eigenfunction_grid(self, x=None) -> np.ndarray:
-        """Matrix psi_k(x_j) at points x (default the axis grid), shape
-        (points, axis modes)."""
-        x = self.axis_points if x is None else x
-        return np.stack([self.axis_eigenfunction(k, x) for k in self.axis_valid_indices()],
-                        axis=1)
+        per_axis = self.axis_decay(t) * self.axis_eigenfunctions(x) * self.axis_eigenfunctions(y)
+        return math.prod(np.sum(per_axis, axis=-1).tolist())
 
     def heat_kernel_diag_max(self, t: float) -> float:
         """sup of G_N(t,x,x) over the grid points and the walls; per-axis
@@ -667,7 +676,7 @@ class SpectralBasis:
         from the nearest grid point."""
         if t <= 0:
             raise ValueError("heat kernel requires t > 0")
-        E = self.axis_eigenfunction_grid(np.concatenate([self.axis_points, [0.0, self.length]]))
+        E = self.axis_eigenfunctions(np.concatenate([self.axis_points, [0.0, self.length]]))
         axis_diag = (E * E) @ self.axis_decay(t)
         return float(np.max(axis_diag)) ** self.dimension
 
@@ -683,12 +692,8 @@ class SpectralBasis:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dimension,):
             raise ValueError("point must match the domain dimension")
-        decay = self.axis_decay(t)
-        val = 1.0
-        for i in range(self.dimension):
-            fx = self._axis_eigenfunction_column(x[i])
-            val *= float(np.sum(decay * fx * self._axis_one_coeffs))
-        return val
+        per_axis = self.axis_decay(t) * self.axis_eigenfunctions(x) * self.axis_one_coeffs
+        return math.prod(np.sum(per_axis, axis=-1).tolist())
 
     # -- quadrature -------------------------------------------------------
 

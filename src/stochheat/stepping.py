@@ -226,11 +226,12 @@ def initial_field(basis: SpectralBasis, kind: str, *, value: float = 1.0,
         return np.full(basis.grid_shape, float(value))
     if kind == "eigenmode":
         if mode is None:
-            mode = (1,) * basis.dimension if basis.boundary == "dirichlet" else (0,) * basis.dimension
+            mode = (basis.axis_valid_indices()[0],) * basis.dimension
         mode = tuple(int(k) for k in np.atleast_1d(mode))
         if len(mode) != basis.dimension:
             raise ValueError(f"eigenmode {mode} needs one index per axis, {basis.dimension}")
-        axes = [basis.axis_eigenfunction(k, basis.axis_points) for k in mode]
+        grid = basis.axis_eigenfunctions(basis.axis_points)
+        axes = [grid[:, basis.axis_index(k)] for k in mode]
         u0 = axes[0]
         for ax in axes[1:]:
             u0 = np.multiply.outer(u0, ax)

@@ -305,7 +305,7 @@ class TestMomentProbe:
         basis = build_basis(DomainSpec(1, bc, 32))
         sampler = make_sampler(SpectralKernel(theta=0.25, a=1.0), basis)
         x, dt, n = [1.1], 5e-4, 40
-        e2 = basis._axis_eigenfunction_column(x[0]) ** 2
+        e2 = basis.axis_eigenfunctions(x[0]) ** 2
         alpha = basis.eigenvalue_tensor()
         direct = sum(
             float(np.sum(sampler.weights * e2 * dt * np.exp(-2 * alpha * m * dt)))

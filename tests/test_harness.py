@@ -572,6 +572,18 @@ class TestCLI:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("length", ["inf", "-inf", "0"])
+    def test_simulate_rejects_a_box_length_that_is_not_positive_and_finite(
+            self, tmp_path, capsys, length):
+        # an infinite box has no grid spacing: every path would stop at step 0
+        code = main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--set", f"domain.length={length}", "--output", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: domain: length ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("overrides", [
         ["init.mode=1,x"],                            # not integers
         ["init.kind=eigenmode", "init.mode=1,2"],     # two indices at d = 1

@@ -7,7 +7,9 @@ method-of-images sums for the 1-d Dirichlet heat kernel and the Brownian
 exit probability.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +30,41 @@ from stochheat.spectral import (
 PI = math.pi
 
 
+def closed_form_modes(basis):
+    """The public mode indices one axis retains, from the spec."""
+    n, N = basis.spec.grid_points, basis.spec.modes
+    return range(1, min(N, n - 1) + 1) if basis.boundary == DIRICHLET else range(N)
+
+
+def closed_form_eigenfunction(basis, k, x):
+    """Oracle: psi_k(x) along one axis from the closed forms of the module
+    docstring, for a public mode index k."""
+    L, n = basis.length, basis.spec.grid_points
+    x = np.asarray(x, dtype=float)
+    if basis.boundary == DIRICHLET:
+        return math.sqrt(2 / L) * np.sin(k * PI * x / L)
+    if k == 0:
+        return np.full_like(x, 1 / math.sqrt(L))
+    if basis.boundary == NEUMANN:
+        return math.sqrt(2 / L) * np.cos(k * PI * x / L)
+    if k == n - 1:  # the periodic Nyquist cosine, normalised on the grid
+        return np.cos(PI * n * x / L) / math.sqrt(L)
+    m = (k + 1) // 2
+    return math.sqrt(2 / L) * (np.cos if k % 2 else np.sin)(2 * PI * m * x / L)
+
+
+def closed_form_matrix(basis, x):
+    """Oracle: psi_k(x_j) for every retained k, one column per mode."""
+    return np.stack([closed_form_eigenfunction(basis, k, x) for k in closed_form_modes(basis)],
+                    axis=1)
+
+
 def dense_transform_matrix(basis):
-    """Oracle: matrix of e_k(x_j) columns for one axis, built pointwise."""
-    return basis.axis_eigenfunction_grid()
+    """Oracle: matrix of e_k(x_j) columns for one axis, built pointwise
+    from the closed forms on the grid of the module docstring."""
+    n, h = basis.spec.grid_points, basis.length / basis.spec.grid_points
+    j = {DIRICHLET: np.arange(1, n), NEUMANN: np.arange(n) + 0.5, PERIODIC: np.arange(n)}
+    return closed_form_matrix(basis, h * j[basis.boundary])
 
 
 def images_heat_kernel_1d(t, x, y, L=PI, terms=40):
@@ -95,11 +129,16 @@ def scipy_transform(basis, array, inverse=False):
     return out
 
 
+def axis_column(basis, k):
+    """psi_k on the axis grid, for a public mode index k."""
+    return basis.axis_eigenfunctions(basis.axis_points)[:, basis.axis_index(k)]
+
+
 def grid_eigenfunction(basis, k):
     """e_k on the grid, as the outer product of its axis factors."""
     out = np.ones(())
     for ki in k:
-        out = np.multiply.outer(out, basis.axis_eigenfunction(ki, basis.axis_points))
+        out = np.multiply.outer(out, axis_column(basis, ki))
     return out
 
 
@@ -122,6 +161,9 @@ class TestDomainSpec:
             DomainSpec(1, DIRICHLET, 24)  # not a power of two
         with pytest.raises(ValueError):
             DomainSpec(1, DIRICHLET, 16, modes=32)
+        for length in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="length"):
+                DomainSpec(1, NEUMANN, 16, length=length)
 
     def test_modes_default_to_grid(self):
         spec = DomainSpec(1, NEUMANN, 16)
@@ -176,7 +218,7 @@ class TestOrthonormality:
     def test_gram_matrix_first_modes(self, bc, d):
         basis = make_basis(d, bc, n=64)
         idx = basis.axis_valid_indices()[:10]
-        E = np.stack([basis.axis_eigenfunction(k, basis.axis_points) for k in idx])
+        E = np.stack([axis_column(basis, k) for k in idx])
         gram = basis.h * E @ E.T
         if d == 2:
             # tensor-product Gram is the elementwise product of axis Grams;
@@ -192,14 +234,37 @@ class TestOrthonormality:
         X, Y = basis.grid_coordinates()
         fields = []
         for kx, ky in pairs:
-            fx = basis.axis_eigenfunction(kx, basis.axis_points)
-            fy = basis.axis_eigenfunction(ky, basis.axis_points)
+            fx = axis_column(basis, kx)
+            fy = axis_column(basis, ky)
             fields.append(np.outer(fx, fy))
         for a in range(4):
             for b in range(4):
                 expected = 1.0 if a == b else 0.0
                 got = basis.inner(fields[a], fields[b])
                 assert abs(got - expected) < 1e-8, (pairs[a], pairs[b])
+
+
+class TestEigenfunctionEvaluator:
+    @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
+    @pytest.mark.parametrize("modes", [None, 5])
+    @pytest.mark.parametrize("L", [PI, 1.3])
+    def test_matches_the_closed_forms(self, bc, modes, L):
+        # grid points, both walls and an off-grid point; with every mode
+        # retained the periodic axis ends in the Nyquist cosine
+        basis = make_basis(1, bc, n=16, N=modes, L=L)
+        x = np.concatenate([basis.axis_points, [0.0, L, 0.37 * L]])
+        got, want = basis.axis_eigenfunctions(x), closed_form_matrix(basis, x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert list(basis.axis_valid_indices()) == list(closed_form_modes(basis))
+
+    @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
+    def test_any_shape_of_points(self, bc):
+        basis = make_basis(2, bc, n=8)
+        x = np.array([[0.1, 0.2], [1.3, 3.0]])
+        got = basis.axis_eigenfunctions(x)
+        assert got.shape == (2, 2, basis.axis_mode_count)
+        assert np.max(np.abs(got[1, 0] - basis.axis_eigenfunctions(1.3))) < 1e-15
 
 
 class TestTransforms:
@@ -253,7 +318,7 @@ class TestTransforms:
 
     def test_sampled_eigenfunction_gives_unit_coefficient(self):
         basis = make_basis(1, DIRICHLET, n=32)
-        f = basis.axis_eigenfunction(1, basis.axis_points)
+        f = axis_column(basis, 1)
         c = basis.to_spectral(f)
         assert c[0] == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(c[1:])) < 1e-10
@@ -568,3 +633,55 @@ class TestFieldTypes:
         basis = make_basis(2, DIRICHLET, n=16)
         with pytest.raises(ValueError):
             basis.to_grid(np.zeros((3, 3)))
+
+
+class TestStructure:
+    """spectral.py is the one module that knows the boundary condition, and
+    in it the boundary name picks an axis class once."""
+
+    sources = sorted(Path(spectral.__file__).parent.glob("*.py"))
+
+    def test_no_other_module_reads_private_basis_attributes(self):
+        def is_basis(node):
+            if isinstance(node, ast.Name):
+                return node.id in ("b", "basis") or node.id.endswith("_basis")
+            return isinstance(node, ast.Attribute) and node.attr == "basis"
+
+        found = [
+            (module.name, node.lineno, node.attr)
+            for module in self.sources if module.name != "spectral.py"
+            for node in ast.walk(ast.parse(module.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and is_basis(node.value)
+        ]
+        assert found == []
+
+    def test_boundary_name_compared_only_by_the_axis_map_and_dirichlet_mass(self):
+        boundary_names = {"PERIODIC", "NEUMANN", "DIRICHLET", "BOUNDARY_CONDITIONS",
+                          "_AXES", "bc", "boundary"}
+
+        def names_boundary(node):
+            return any(
+                (isinstance(n, ast.Name) and n.id in boundary_names)
+                or (isinstance(n, ast.Attribute) and n.attr == "boundary")
+                or (isinstance(n, ast.Constant) and n.value in BOUNDARY_CONDITIONS)
+                for n in ast.walk(node))
+
+        class Sites(ast.NodeVisitor):
+            def __init__(self):
+                self.scope, self.found = ["<module>"], []
+
+            def visit_FunctionDef(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            def visit_Compare(self, node):
+                if names_boundary(node):
+                    self.found.append((self.scope[-1], ast.unparse(node)))
+                self.generic_visit(node)
+
+        sites = Sites()
+        sites.visit(ast.parse(Path(spectral.__file__).read_text()))
+        assert sites.found == [("__post_init__", "self.boundary not in _AXES"),
+                               ("dirichlet_mass", "self.boundary != DIRICHLET")]
