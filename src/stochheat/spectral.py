@@ -26,26 +26,32 @@ Everything a boundary condition decides lives in one axis class per
 condition, ``_SineAxis`` (Dirichlet), ``_CosineAxis`` (Neumann) and
 ``_FourierAxis`` (periodic), picked once by ``_AXES``: the grid points, the
 public mode numbers and wavenumbers, the one eigenfunction evaluator
-psi_k(x), the integrals <1, psi_k>, the tail-sum bound, and the last-axis
-transforms and heat flow.  ``SpectralBasis`` is their tensor product: it
-applies the axis along each field axis and builds the eigenvalue tensor,
-heat kernel and quadrature from per-axis factors, with no knowledge of the
+psi_k(x), the integrals <1, psi_k>, the tail-sum bound, one transform pair
+(analysis to a half spectrum, synthesis back) and one packing table, which
+says which real or imaginary part of that spectrum carries each
+coefficient and with which forward and inverse scale.  ``_Axis`` writes the
+last-axis forward and inverse transforms and the heat flow once, from the
+pair and the table.  ``SpectralBasis`` is their tensor product: it applies
+the axis along each field axis and builds the eigenvalue tensor, heat
+kernel and quadrature from per-axis factors, with no knowledge of the
 boundary condition.
 
-The transforms are numpy real FFTs, one axis at a time:
+The transform pairs are numpy real FFTs, one axis at a time:
 
-* DST-I (Dirichlet) is the imaginary part of the ``rfft`` of the odd
-  extension (0, x, 0, -x reversed) to 2n points; this is the algorithm of
-  scipy's DST-I, and its values are bit for bit the same.
-* DCT-II and DCT-III (Neumann) use Makhoul's reordering (IEEE Trans.
-  Acoust. Speech Signal Process. 28, 1980): the even entries, then the odd
-  ones reversed, an ``rfft`` of n points and the twiddle exp(-i pi k/2n).
-* periodic fields take a plain ``rfft``/``irfft``.
+* Dirichlet: the ``rfft`` of the odd extension (0, x, 0, -x reversed) to
+  2n points, whose imaginary part is the DST-I; this is the algorithm of
+  scipy's DST-I, and the forward transform's values are bit for bit the
+  same.  The synthesis is the ``irfft`` back to 2n points, read at the
+  interior points.
+* Neumann: DCT-II and DCT-III by Makhoul's reordering (IEEE Trans. Acoust.
+  Speech Signal Process. 28, 1980): the even entries, then the odd ones
+  reversed, an ``rfft`` of n points and the twiddle exp(-i pi k/2n).
+* periodic: a plain ``rfft``/``irfft``.
 
 ``heat_flow`` fuses to_spectral -> semigroup -> to_grid: per axis it
-scales the forward spectrum mode by mode (zero beyond the cutoff, which is
-the projection) and transforms back, with no coefficient array in between;
-the result equals the three calls at round-off.  Every transform returns a
+scales the analysis mode by mode (zero beyond the cutoff, which is the
+projection) and synthesizes, with no coefficient array in between; the
+result equals the three calls at round-off.  Every transform returns a
 new C-contiguous array, so a row's sums do not depend on the batch it came
 in, and its buffers are kept per thread and reused between calls.
 """
@@ -102,11 +108,14 @@ class _Axis:
     """One axis [0, L] of n cells under one boundary condition.
 
     A subclass sets the grid ``points``, the public ``mode_numbers`` of the
-    retained modes, their ``wavenumbers``, and ``_carries``: the coefficient
-    each (real, imaginary) entry of the flow's spectrum carries, n for none.
-    Its ``forward`` and ``inverse`` act on the last axis of an array of any
-    strides and write a C-contiguous ``out``; ``flow`` acts in place on the
-    last axis of a C-contiguous array in the order of ``flow_parts``.  The
+    retained modes and their ``wavenumbers``, one transform pair on the last
+    axis in ``flow_parts`` order, ``analysis(v) -> T`` to a half spectrum of
+    ``spectrum_length`` complex entries and ``synthesis(T, v)`` (which may
+    overwrite T), and its packing table ``runs`` of (coefficient slice,
+    slice of T's float view, forward scale, inverse scale).  A forward scale
+    of None marks a coefficient that another run reads.  From these ``_Axis``
+    writes ``forward`` and ``inverse`` (the last axis of an array of any
+    strides into a C-contiguous ``out``) and the in-place ``flow``.  The
     defaults of ``one_coeffs`` (a constant mode 0) and ``_tail_terms``
     (wavenumbers k pi / L) serve two of the three boundary conditions."""
 
@@ -146,13 +155,51 @@ class _Axis:
         base = (np.pi / self.L) ** 2
         return math.exp(-base * k0**2 * t), math.exp(-base * (2 * k0 + 1) * t)
 
+    def _spectrum(self, lead) -> np.ndarray:
+        """The half-spectrum workspace for lines of leading shape ``lead``."""
+        return self.workspace("spectrum", lead + (self.spectrum_length,), complex)
+
+    def forward(self, x: np.ndarray, out: np.ndarray):
+        if len(self.flow_parts) > 1:
+            v = self.workspace("reordered", x.shape)
+            for flow, grid in self.flow_parts:
+                v[..., flow] = x[..., grid]
+            x = v
+        F = self.analysis(x).view(float)
+        for coeffs, entries, scale, _ in self.runs:
+            if scale is not None:
+                np.multiply(F[..., entries], scale, out=out[..., coeffs])
+
+    def inverse(self, c: np.ndarray, out: np.ndarray):
+        T = self._spectrum(c.shape[:-1])
+        T.fill(0)
+        F = T.view(float)
+        for coeffs, entries, _, scale in self.runs:
+            np.multiply(c[..., coeffs], scale, out=F[..., entries])
+        if len(self.flow_parts) == 1:
+            self.synthesis(T, out)
+            return
+        v = self.workspace("reordered", out.shape)
+        self.synthesis(T, v)
+        for flow, grid in self.flow_parts:
+            out[..., grid] = v[..., flow]
+
+    def flow(self, v: np.ndarray, scales: np.ndarray):
+        """Values in flow order: their spectrum scaled by ``scales``, back
+        in place."""
+        T = self.analysis(v)
+        F = T.view(float)
+        F *= scales
+        self.synthesis(T, v)
+
     def flow_scales(self, decay: np.ndarray) -> np.ndarray:
         """Scales of the flow's spectrum: the ``decay`` exp(-kappa_k^2 t) of
         the coefficient each entry carries, zero beyond the cutoff, which
         is the projection."""
-        padded = np.zeros(self.n + 1)
-        padded[:len(decay)] = decay
-        return padded[self._carries]
+        scales = np.zeros(2 * self.spectrum_length)
+        for coeffs, entries, _, _ in self.runs:
+            scales[entries] = decay[coeffs]
+        return scales
 
 
 class _SineAxis(_Axis):
@@ -163,13 +210,15 @@ class _SineAxis(_Axis):
         super().__init__(n, L)
         self.points = self.h * np.arange(1, n)
         # mode numbers k = 1..m, wavenumber k pi / L
-        self.mode_numbers = np.arange(1, min(modes, n - 1) + 1)
+        m = min(modes, n - 1)
+        self.mode_numbers = np.arange(1, m + 1)
         self.wavenumbers = self.mode_numbers * (np.pi / L)
-        # sine coefficients c = s DST-I(values), values = r DST-I(c)
-        self._scales = (self.h * math.sqrt(2.0 / L) / 2.0, math.sqrt(2.0 / L) / 2.0)
-        # the odd extension's spectrum is imaginary: DST-I(x)_{k-1} = -Im F_k
-        self._carries = np.full((n + 1, 2), n)
-        self._carries[1:n, 1] = np.arange(n - 1)
+        # the odd extension's spectrum F is imaginary: c_{k-1} = -(h sqrt(2/L)
+        # / 2) Im F_k, since DST-I(x)_{k-1} = -Im F_k, and the irfft of
+        # Im F_k = -n sqrt(2/L) c_{k-1} is the odd extension of the values
+        self.spectrum_length = n + 1
+        self.runs = ((slice(0, m), slice(3, 2 * m + 2, 2),
+                      -self.h * math.sqrt(2.0 / L) / 2.0, -n * math.sqrt(2.0 / L)),)
 
     def eigenfunctions(self, x) -> np.ndarray:
         return math.sqrt(2.0 / self.L) * np.sin(self._phases(x))
@@ -181,34 +230,20 @@ class _SineAxis(_Axis):
         out[odd] = math.sqrt(2.0 / self.L) * 2.0 * self.L / (np.pi * k[odd])
         return out
 
-    def _odd_spectrum(self, x: np.ndarray) -> np.ndarray:
-        """rfft of the odd extension (0, x, 0, -x reversed) to 2n points,
-        x zero-padded to n - 1: its imaginary part at 1..n-1 is -DST-I(x),
-        bit for bit what scipy's DST-I gives."""
+    def analysis(self, x: np.ndarray) -> np.ndarray:
+        """rfft of the odd extension (0, x, 0, -x reversed) to 2n points:
+        its imaginary part at 1..n-1 is -DST-I(x), bit for bit what scipy's
+        DST-I gives."""
+        n, lead = self.n, x.shape[:-1]
+        ext = self.workspace("odd", lead + (2 * n,))
+        ext[..., 1:n] = x
+        np.negative(x, out=ext[..., :n:-1])
+        return np.fft.rfft(ext, out=self._spectrum(lead))
+
+    def synthesis(self, T: np.ndarray, v: np.ndarray):
+        """irfft to 2n points, read back at the interior points 1..n-1."""
         n = self.n
-        filled = x.shape[-1]
-        lead = x.shape[:-1]
-        ext = self.workspace(("odd", filled), lead + (2 * n,))
-        ext[..., 1:filled + 1] = x
-        np.negative(x, out=ext[..., 2 * n - 1:2 * n - filled - 1:-1])
-        return np.fft.rfft(ext, out=self.workspace("spectrum", lead + (n + 1,), complex))
-
-    def forward(self, x: np.ndarray, out: np.ndarray):
-        F = self._odd_spectrum(x)
-        np.multiply(F.imag[..., 1:len(self.mode_numbers) + 1], -self._scales[0], out=out)
-
-    def inverse(self, c: np.ndarray, out: np.ndarray):
-        F = self._odd_spectrum(c)
-        np.multiply(F.imag[..., 1:self.n], -self._scales[1], out=out)
-
-    def flow(self, v: np.ndarray, scales: np.ndarray):
-        """The odd extension's spectrum scaled by ``scales``, back to the
-        interior points."""
-        n = self.n
-        F = self._odd_spectrum(v)
-        parts = F.view(float).reshape(F.shape + (2,))  # (real, imaginary) pairs
-        parts *= scales
-        ext = np.fft.irfft(F, 2 * n, out=self.workspace("odd flow", v.shape[:-1] + (2 * n,)))
+        ext = np.fft.irfft(T, 2 * n, out=self.workspace("odd synthesis", v.shape[:-1] + (2 * n,)))
         v[...] = ext[..., 1:n]
 
 
@@ -223,22 +258,20 @@ class _CosineAxis(_Axis):
         self.mode_numbers = np.arange(modes)
         self.wavenumbers = self.mode_numbers * (np.pi / L)
         half = n // 2
-        k = np.arange(half + 1)
-        self._twiddle = np.exp(-0.5j * np.pi * k / n)
+        self._twiddle = np.exp(-0.5j * np.pi * np.arange(half + 1) / n)
         self._twiddle_conj = self._twiddle.conj()
-        base = self.h * math.sqrt(2.0 / L)
-        # c_k = _forward_scales[k] Re T_k and c_{n-k} = -base Im T_k, for T
-        # of _spectrum
-        self._forward_scales = np.full(half + 1, base)
-        self._forward_scales[0] = base / math.sqrt(2.0)
-        # T_k = _inverse_scales[k] c_k - i (n/sqrt(2L)) c_{n-k}, as the
-        # argument of _synthesis, gives the grid values
-        self._inverse_scales = np.full(half + 1, n / math.sqrt(2.0 * L))
-        self._inverse_scales[0] = n / math.sqrt(L)
-        # Re T_k carries coefficient k, Im T_k coefficient n - k
-        self._carries = np.full((half + 1, 2), n)
-        self._carries[:, 0] = k
-        self._carries[1:, 1] = n - k[1:]
+        self.spectrum_length = half + 1
+        # Re T_k carries c_k and Im T_k carries c_{n-k}, for T of analysis;
+        # c_{n/2} sits in both parts of T_{n/2}, and the forward reads the
+        # real part
+        base, inverse = self.h * math.sqrt(2.0 / L), n / math.sqrt(2.0 * L)
+        low = min(modes, half + 1)
+        self.runs = ((slice(0, 1), slice(0, 1), base / math.sqrt(2.0), n / math.sqrt(L)),
+                     (slice(1, low), slice(2, 2 * low, 2), base, inverse))
+        if modes > half:  # Im T_{n/2}, then Im T_{n/2-1} down to Im T_{n-m+1}
+            self.runs += ((slice(half, half + 1), slice(n + 1, n + 2), None, -inverse),
+                          (slice(half + 1, modes), slice(n - 1, 2 * (n - modes) + 1, -2),
+                           -base, -inverse))
         # the flow keeps Makhoul's order, the even entries then the odd ones
         # reversed, so a field is reordered once per heat flow, not per axis
         self.flow_parts = ((slice(None, half), slice(0, None, 2)),
@@ -249,59 +282,20 @@ class _CosineAxis(_Axis):
         out[..., 0] = 1.0 / math.sqrt(self.L)
         return out
 
-    def _spectrum(self, v: np.ndarray) -> np.ndarray:
+    def analysis(self, v: np.ndarray) -> np.ndarray:
         """Makhoul's DCT-II of x, given in Makhoul's order v (the even
         entries of x, then the odd ones reversed): the rfft of v times the
         twiddle exp(-i pi k / 2n).  Of the result T, DCT-II(x)_k = 2 Re T_k
         and DCT-II(x)_{n-k} = -2 Im T_k."""
-        spectrum = self.workspace("spectrum", v.shape[:-1] + (self.n // 2 + 1,), complex)
-        T = np.fft.rfft(v, out=spectrum)
+        T = np.fft.rfft(v, out=self._spectrum(v.shape[:-1]))
         T *= self._twiddle
         return T
 
-    def _synthesis(self, T: np.ndarray, v: np.ndarray):
-        """Inverse of _spectrum, into ``v`` in Makhoul's order (overwrites
+    def synthesis(self, T: np.ndarray, v: np.ndarray):
+        """Inverse of analysis, into ``v`` in Makhoul's order (overwrites
         T): the conjugate twiddle and irfft."""
         T *= self._twiddle_conj
         np.fft.irfft(T, self.n, out=v)
-
-    def forward(self, x: np.ndarray, out: np.ndarray):
-        n, m = self.n, len(self.mode_numbers)
-        half = n // 2
-        v = self.workspace("reordered", x.shape)
-        for makhoul, grid in self.flow_parts:
-            v[..., makhoul] = x[..., grid]
-        T = self._spectrum(v)
-        low = min(m, half + 1)
-        np.multiply(T.real[..., :low], self._forward_scales[:low], out=out[..., :low])
-        # c_j for half < j < m sits at T_{n-j}
-        np.multiply(T.imag[..., half - 1:n - m:-1], -self._forward_scales[1],
-                    out=out[..., half + 1:])
-
-    def inverse(self, c: np.ndarray, out: np.ndarray):
-        n, m = self.n, len(self.mode_numbers)
-        half = n // 2
-        T = self.workspace("spectrum", c.shape[:-1] + (half + 1,), complex)
-        low = min(m, half + 1)
-        np.multiply(c[..., :low], self._inverse_scales[:low], out=T.real[..., :low])
-        T.real[..., low:] = 0.0
-        # Im T_k = -(n/sqrt(2L)) c_{n-k} for the retained n - k >= half
-        first = max(n - m + 1, 1)
-        T.imag[..., :first] = 0.0
-        np.multiply(c[..., n - first:half - 1:-1], -self._inverse_scales[1],
-                    out=T.imag[..., first:])
-        v = self.workspace("reordered", out.shape)
-        self._synthesis(T, v)
-        for makhoul, grid in self.flow_parts:
-            out[..., grid] = v[..., makhoul]
-
-    def flow(self, v: np.ndarray, scales: np.ndarray):
-        """Makhoul-ordered values: their spectrum scaled by ``scales``,
-        back to Makhoul's order."""
-        T = self._spectrum(v)
-        parts = T.view(float).reshape(T.shape + (2,))  # (real, imaginary) pairs
-        parts *= scales
-        self._synthesis(T, v)
 
 
 class _FourierAxis(_Axis):
@@ -313,15 +307,17 @@ class _FourierAxis(_Axis):
         self.points = self.h * np.arange(n)
         self.mode_numbers = np.arange(modes)
         self.wavenumbers = (self.mode_numbers + 1) // 2 * (2.0 * np.pi / L)
-        # packed index n-1, if retained, is the Nyquist cosine
-        if modes == n:
+        self.spectrum_length = n // 2 + 1
+        # Re F_0 carries the constant, Re F_m the cosine 2m - 1 and Im F_m
+        # the sine 2m: coefficient k sits at float entry k + 1
+        top = min(modes, n - 1)
+        constant, pair = (math.sqrt(L) / n, n / math.sqrt(L)), math.sqrt(2.0 * L) / n
+        self.runs = ((slice(0, 1), slice(0, 1), *constant),
+                     (slice(1, top, 2), slice(2, top + 1, 2), pair, n / math.sqrt(2.0 * L)),
+                     (slice(2, top, 2), slice(3, top + 1, 2), -pair, -n / math.sqrt(2.0 * L)))
+        if modes == n:  # packed index n-1 is the Nyquist cosine, in Re F_{n/2}
             self.wavenumbers[n - 1] = np.pi * n / L
-        # Re F_0 carries the constant, Re F_m cos (index 2m - 1), Im F_m
-        # sin (index 2m), Re F_{n/2} the Nyquist cosine (index n - 1)
-        self._carries = np.full((n // 2 + 1, 2), n)
-        self._carries[1:-1, 0] = np.arange(1, n - 1, 2)
-        self._carries[1:-1, 1] = np.arange(2, n - 1, 2)
-        self._carries[0, 0], self._carries[-1, 0] = 0, n - 1
+            self.runs += ((slice(n - 1, n), slice(n, n + 1), *constant),)
 
     def eigenfunctions(self, x) -> np.ndarray:
         L = self.L
@@ -335,49 +331,17 @@ class _FourierAxis(_Axis):
         return out
 
     def _tail_terms(self, t: float):
-        m = len(self.mode_numbers)
-        if m == self.n:
-            return 0.0, 0.0
-        m0 = (m + 1) // 2  # first dropped frequency, a cosine and a sine
+        # first dropped frequency, a cosine and a sine; with every grid mode
+        # retained it is n/2, whose sine the grid cannot carry
+        m0 = (len(self.mode_numbers) + 1) // 2
         base = (2.0 * np.pi / self.L) ** 2
         return 2.0 * math.exp(-base * m0**2 * t), math.exp(-base * (2 * m0 + 1) * t)
 
-    def forward(self, x: np.ndarray, out: np.ndarray):
-        n, m, L = self.n, len(self.mode_numbers), self.L
-        half = n // 2
-        lead = x.shape[:-1]
-        F = np.fft.rfft(x, out=self.workspace("spectrum", lead + (half + 1,), complex))
-        c = out if m == n else self.workspace("packed", lead + (n,))
-        np.multiply(F.real[..., 0], math.sqrt(L) / n, out=c[..., 0])
-        np.multiply(F.real[..., 1:half], math.sqrt(2.0 * L) / n, out=c[..., 1:n - 1:2])
-        np.multiply(F.imag[..., 1:half], -math.sqrt(2.0 * L) / n, out=c[..., 2:n - 1:2])
-        np.multiply(F.real[..., half], math.sqrt(L) / n, out=c[..., n - 1])
-        if m < n:
-            out[...] = c[..., :m]
+    def analysis(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.rfft(x, out=self._spectrum(x.shape[:-1]))
 
-    def inverse(self, c: np.ndarray, out: np.ndarray):
-        n, m, L = self.n, len(self.mode_numbers), self.L
-        half = n // 2
-        lead = c.shape[:-1]
-        T = self.workspace("spectrum", lead + (half + 1,), complex)
-        if m < n:
-            padded = self.workspace(("padded", m), lead + (n,))
-            padded[..., :m] = c
-            c = padded
-        T.real[..., 0] = c[..., 0] * n / math.sqrt(L)
-        np.multiply(c[..., 1:n - 1:2], n / math.sqrt(2.0 * L), out=T.real[..., 1:half])
-        np.multiply(c[..., 2:n - 1:2], -n / math.sqrt(2.0 * L), out=T.imag[..., 1:half])
-        T.real[..., half] = c[..., n - 1] * n / math.sqrt(L)
-        T.imag[..., 0] = T.imag[..., half] = 0.0
-        np.fft.irfft(T, n, out=out)
-
-    def flow(self, v: np.ndarray, scales: np.ndarray):
-        """The rfft scaled by ``scales``, back to the grid."""
-        n = self.n
-        T = np.fft.rfft(v, out=self.workspace("spectrum", v.shape[:-1] + (n // 2 + 1,), complex))
-        parts = T.view(float).reshape(T.shape + (2,))  # (real, imaginary) pairs
-        parts *= scales
-        np.fft.irfft(T, n, out=v)
+    def synthesis(self, T: np.ndarray, v: np.ndarray):
+        np.fft.irfft(T, self.n, out=v)
 
 
 # the axis class of each boundary condition

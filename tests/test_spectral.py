@@ -3,8 +3,8 @@
 Oracles used here are independent of the fast-transform implementation:
 a dense eigenfunction-matrix transform at n=16, scipy's DST-I, DCT-II and
 DCT-III (a test-only dependency for these transforms), and
-method-of-images sums for the 1-d Dirichlet heat kernel and the Brownian
-exit probability.
+method-of-images sums for the 1-d Dirichlet and periodic heat kernels and
+the Brownian exit probability.
 """
 
 import ast
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stochheat import spectral
@@ -269,14 +269,18 @@ class TestEigenfunctionEvaluator:
 
 class TestTransforms:
     @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
-    def test_forward_matches_dense_oracle_n16(self, bc):
-        basis = make_basis(1, bc, n=16)
+    @pytest.mark.parametrize("modes", [1, 8, 9, 15, 16])
+    def test_forward_matches_dense_oracle_n16(self, bc, modes):
+        # and to_grid; the cutoffs include both Nyquist corners: Neumann's
+        # coefficient n/2, carried by both parts of one spectrum entry, and
+        # the periodic Nyquist cosine n - 1
+        basis = make_basis(1, bc, n=16, N=modes)
         rng = np.random.default_rng(10)
         f = rng.normal(size=basis.grid_shape)
+        c = rng.normal(size=basis.coeff_shape)
         E = dense_transform_matrix(basis)  # (points, modes)
-        oracle = basis.h * E.T @ f
-        fast = basis.to_spectral(f)
-        assert np.max(np.abs(fast - oracle)) < 1e-12
+        assert np.max(np.abs(basis.to_spectral(f) - basis.h * E.T @ f)) < 1e-12
+        assert np.max(np.abs(basis.to_grid(c) - E @ c)) < 1e-12
 
     @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
     @pytest.mark.parametrize("d", [1, 2])
@@ -403,6 +407,7 @@ class TestFastTransforms:
 
     @settings(max_examples=60, deadline=None)
     @given(basis=any_basis, rows=st.integers(0, 3), seed=st.integers(0, 2**31 - 1))
+    @example(basis=make_basis(3, NEUMANN, n=16, N=1), rows=0, seed=687290)
     def test_sine_cosine_transforms_match_scipy(self, basis, rows, seed):
         assume(basis.boundary != PERIODIC)  # a real FFT, no sine or cosine transform
         rng = np.random.default_rng(seed)
@@ -412,8 +417,17 @@ class TestFastTransforms:
         forward, inverse = scipy_transform(basis, f), scipy_transform(basis, c, inverse=True)
         got_forward = basis.to_spectral_batch(f) if rows else basis.to_spectral(f)
         got_inverse = basis.to_grid_batch(c) if rows else basis.to_grid(c)
-        assert np.max(np.abs(got_forward - forward)) <= 1e-14 * np.max(np.abs(forward))
-        assert np.max(np.abs(got_inverse - inverse)) <= 1e-14 * np.max(np.abs(inverse))
+
+        def summed_terms(array, weight):
+            # each value sums terms of size at most weight^d |array| over a
+            # row: its round-off scales with their sum, not with the value,
+            # which cancellation can make small
+            return weight**basis.dimension * np.sum(np.abs(array), axis=basis.field_axes,
+                                                    keepdims=True)
+
+        sup = math.sqrt(2.0 / basis.length)  # sup |psi_k|
+        assert np.all(np.abs(got_forward - forward) <= 1e-14 * summed_terms(f, basis.h * sup))
+        assert np.all(np.abs(got_inverse - inverse) <= 1e-14 * summed_terms(c, sup))
 
     @settings(max_examples=60, deadline=None)
     @given(basis=any_basis, rows=st.integers(0, 3), t=st.floats(0.0, 0.1),
@@ -563,6 +577,17 @@ class TestHeatKernel:
         val = basis.heat_kernel(0.01, [0.3], [2.8])
         assert val >= -tail
 
+    def test_periodic_tail_bound_covers_every_grid_mode_retained(self):
+        # with all n modes kept, the frequencies above n/2 are still dropped
+        basis = make_basis(1, PERIODIC, n=16)
+        t, x = 1e-3, 1.0
+        # method of images: G(t, x, x) on the circle of length pi
+        images = sum(math.exp(-(j * PI) ** 2 / (4 * t)) for j in range(-40, 41))
+        images /= math.sqrt(4 * PI * t)
+        missing = images - basis.heat_kernel(t, [x], [x])
+        assert missing > 4.0
+        assert basis.heat_kernel_tail_bound(t) >= missing
+
     def test_tail_bound_grows_as_t_shrinks(self):
         basis = make_basis(1, DIRICHLET, n=32, N=16)
         assert basis.heat_kernel_tail_bound(1e-3) > basis.heat_kernel_tail_bound(1e-1)
@@ -654,6 +679,29 @@ class TestStructure:
             if isinstance(node, ast.Attribute) and node.attr.startswith("_")
             and is_basis(node.value)
         ]
+        assert found == []
+
+    def test_axis_classes_state_only_their_transform_pair_and_table(self):
+        # forward, inverse and heat flow are written once, on _Axis, from each
+        # axis's analysis/synthesis pair and its packing table
+        written_once = {"forward", "inverse", "flow", "flow_scales", "_carries"}
+        tree = ast.parse(Path(spectral.__file__).read_text())
+        axes = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                and any(isinstance(b, ast.Name) and b.id == "_Axis" for b in node.bases)]
+        assert {axis.name for axis in axes} == {"_SineAxis", "_CosineAxis", "_FourierAxis"}
+
+        def defined(axis):
+            for node in ast.walk(axis):
+                if isinstance(node, ast.FunctionDef):
+                    yield node.name
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    yield node.attr  # self.name = ...
+            for node in axis.body:
+                if isinstance(node, ast.Assign):
+                    yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+        found = [(axis.name, name) for axis in axes for name in defined(axis)
+                 if name in written_once]
         assert found == []
 
     def test_boundary_name_compared_only_by_the_axis_map_and_dirichlet_mass(self):
