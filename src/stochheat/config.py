@@ -18,9 +18,14 @@ by dotted prefixes (domain.*, noise.*, sigma.*, init.*, run.*).  Example::
     run.paths          = 100
     run.base_seed      = 1
 
-Unknown keys are rejected with their field path; invariant violations quote
-the violated constraint.  The config hash is a stable digest over all
-fields and is stamped into every output file.
+Each key is one row of ``_KEYS``: its type, its default and the field it
+sets.  Parsing casts values and fills defaults from that table,
+``build_config`` groups them by prefix into ``DomainSpec``, ``SigmaSpec``
+and ``SimConfig`` (the kernel class of ``noise.kind`` names the fields of
+the other noise.* keys), and ``config_hash`` walks it.  Unknown keys are
+rejected with their field path; invariant violations quote the violated
+constraint.  The config hash is a stable digest over every field but those
+of ``_UNHASHED`` and is stamped into every output file.
 """
 
 from __future__ import annotations
@@ -38,6 +43,55 @@ from .stepping import SigmaSpec, initial_field
 
 class ConfigError(ValueError):
     """Configuration schema or invariant violation, with the field path."""
+
+
+# -- the config keys -------------------------------------------------------
+
+def _mode_indices(raw: str) -> tuple | None:
+    """``init.mode``: comma-separated integers, None when there are none."""
+    try:
+        return tuple(int(p) for p in raw.split(",") if p.strip()) or None
+    except ValueError as exc:
+        raise ConfigError(f"init.mode: {raw!r} is not a list of integers") from exc
+
+
+_NO_DEFAULT = object()  # noise.alpha, noise.theta: the kernel that reads one needs it set
+
+# key: (type, default, field).  The field is set on DomainSpec for domain.*,
+# on SigmaSpec for sigma.* and on SimConfig for init.* and run.*.
+# noise.kind picks the kernel class, whose config_keys name the field of
+# each other noise.* key it reads.
+_KEYS = {
+    "domain.dimension": (int, 1, "dimension"),
+    "domain.boundary": (str, "neumann", "boundary"),
+    "domain.grid_points": (int, 128, "grid_points"),
+    "domain.modes": (int, None, "modes"),
+    "domain.length": (float, math.pi, "length"),
+    "noise.kind": (str, "white", "variant"),
+    "noise.alpha": (float, _NO_DEFAULT, None),
+    "noise.theta": (float, _NO_DEFAULT, None),
+    "noise.shift": (float, 0.0, None),
+    "sigma.scale": (float, 1.0, "scale"),
+    "sigma.gamma": (float, 1.5, "growth"),
+    "sigma.truncation": (float, 64.0, "truncation"),
+    "init.kind": (str, "constant", "init_kind"),
+    "init.value": (float, 1.0, "init_value"),
+    "init.mode": (_mode_indices, None, "init_mode"),
+    "init.amplitude": (float, 1.0, "init_amplitude"),
+    "init.path": (str, None, "init_path"),
+    "run.dt": (float, 2e-4, "dt"),
+    "run.horizon": (float, 0.1, "horizon"),
+    "run.mass_bound": (float, 1e12, "mass_bound"),
+    "run.paths": (int, 1, "paths"),
+    "run.base_seed": (int, 0, "base_seed"),
+    "run.output_dir": (str, "runs", "output_dir"),
+    "run.workers": (int, 1, "workers"),
+    "run.max_failures": (int, 0, "max_failures"),
+    "run.save_trajectories": (int, 0, "save_trajectories"),
+}
+
+# keys that cannot affect results, left out of the config hash
+_UNHASHED = ("run.workers", "run.output_dir")
 
 
 @dataclass(frozen=True)
@@ -87,6 +141,11 @@ class SimConfig:
             )
         if self.paths < 1:
             raise ConfigError("run.paths: must be >= 1")
+        # path k is seeded by base_seed + k, a Philox key: a uint64
+        if not 0 <= self.base_seed <= 2**64 - self.paths:
+            raise ConfigError(
+                f"run.base_seed: must be in [0, 2^64 - run.paths] = "
+                f"[0, {2**64 - self.paths}], got {self.base_seed!r}")
         if self.workers < 1:
             raise ConfigError("run.workers: must be >= 1")
         if self.max_failures < 0:
@@ -149,54 +208,23 @@ class SimConfig:
             return "outside decay assumptions (eta not in (0,1))"
         return self.sigma.regime(gc)
 
-    def to_dict(self) -> dict:
-        noise = {"kind": self.noise.variant}
-        for key, name in self.noise.config_keys.items():
-            noise[key] = getattr(self.noise, name)
-        return {
-            "domain": {
-                "dimension": self.domain.dimension,
-                "boundary": self.domain.boundary,
-                "grid_points": self.domain.grid_points,
-                "modes": self.domain.modes,
-                "length": self.domain.length,
-            },
-            "noise": noise,
-            "sigma": {
-                "scale": self.sigma.scale,
-                "gamma": self.sigma.growth,
-                "truncation": self.sigma.truncation,
-            },
-            "init": {
-                "kind": self.init_kind,
-                "value": self.init_value,
-                "mode": list(self.init_mode) if self.init_mode else None,
-                "amplitude": self.init_amplitude,
-                "path": self.init_path,
-            },
-            "run": {
-                "dt": self.dt,
-                "horizon": self.horizon,
-                "mass_bound": self.mass_bound,
-                "paths": self.paths,
-                "base_seed": self.base_seed,
-                "workers": self.workers,
-                "max_failures": self.max_failures,
-                "save_trajectories": self.save_trajectories,
-            },
-        }
-
 
 def config_hash(config: SimConfig) -> str:
-    """Stable 12-hex-digit digest of all config fields.
+    """Stable 12-hex-digit digest of the field of every key in ``_KEYS``.
 
-    Worker count and output directory are excluded: they must not affect
-    results, and the hash certifies result-determining inputs only.  For
-    file initial data the SHA-256 of the file's bytes is included, so two
-    files saved at one path give two hashes.
+    ``_UNHASHED`` keys must not affect results, and the hash certifies
+    result-determining inputs only.  For file initial data the SHA-256 of
+    the file's bytes is included, so two files saved at one path give two
+    hashes.
     """
-    payload = config.to_dict()
-    payload["run"].pop("workers", None)
+    owners = {"domain": config.domain, "noise": config.noise, "sigma": config.sigma}
+    payload = {}
+    for key, (_, _, field) in _KEYS.items():
+        group, name = key.split(".")
+        if group == "noise" and field is None:
+            field = config.noise.config_keys.get(name)
+        if key not in _UNHASHED and field is not None:
+            payload.setdefault(group, {})[name] = getattr(owners.get(group, config), field)
     if config.init_kind == "file":
         payload["init"]["sha256"] = hashlib.sha256(
             Path(config.init_path).read_bytes()).hexdigest()
@@ -206,63 +234,8 @@ def config_hash(config: SimConfig) -> str:
 
 # -- flat key-value parsing ------------------------------------------------
 
-_SCHEMA = {
-    "domain.dimension": int,
-    "domain.boundary": str,
-    "domain.grid_points": int,
-    "domain.modes": int,
-    "domain.length": float,
-    "noise.kind": str,
-    "noise.alpha": float,
-    "noise.theta": float,
-    "noise.shift": float,
-    "sigma.scale": float,
-    "sigma.gamma": float,
-    "sigma.truncation": float,
-    "init.kind": str,
-    "init.value": float,
-    "init.mode": str,
-    "init.amplitude": float,
-    "init.path": str,
-    "run.dt": float,
-    "run.horizon": float,
-    "run.mass_bound": float,
-    "run.paths": int,
-    "run.base_seed": int,
-    "run.output_dir": str,
-    "run.workers": int,
-    "run.max_failures": int,
-    "run.save_trajectories": int,
-}
-
-_DEFAULTS = {
-    "domain.dimension": 1,
-    "domain.boundary": "neumann",
-    "domain.grid_points": 128,
-    "domain.length": math.pi,
-    "noise.kind": "white",
-    "noise.shift": 0.0,
-    "sigma.scale": 1.0,
-    "sigma.gamma": 1.5,
-    "sigma.truncation": 64.0,
-    "init.kind": "constant",
-    "init.value": 1.0,
-    "init.amplitude": 1.0,
-    "run.dt": 2e-4,
-    "run.horizon": 0.1,
-    "run.mass_bound": 1e12,
-    "run.paths": 1,
-    "run.base_seed": 0,
-    "run.output_dir": "runs",
-    "run.workers": 1,
-    "run.max_failures": 0,
-    "run.save_trajectories": 0,
-}
-
-
 def parse_config_lines(lines, overrides=None) -> SimConfig:
     """Parse ``key = value`` lines plus optional override pairs."""
-    values = dict(_DEFAULTS)
     seen = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -272,18 +245,21 @@ def parse_config_lines(lines, overrides=None) -> SimConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"{key}: unknown configuration key (line {lineno})")
         seen[key] = val
-    if overrides:
-        for key, val in overrides.items():
-            if key not in _SCHEMA:
-                raise ConfigError(f"{key}: unknown configuration key (override)")
-            seen[key] = val
+    for key, val in (overrides or {}).items():
+        if key not in _KEYS:
+            raise ConfigError(f"{key}: unknown configuration key (override)")
+        seen[key] = val
+    values = {key: default for key, (_, default, _) in _KEYS.items()
+              if default is not _NO_DEFAULT}
     for key, val in seen.items():
-        caster = _SCHEMA[key]
+        caster = _KEYS[key][0]
         try:
             values[key] = caster(val)
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"{key}: cannot parse {val!r} as {caster.__name__}") from exc
         if caster is float and math.isnan(values[key]):
@@ -292,63 +268,33 @@ def parse_config_lines(lines, overrides=None) -> SimConfig:
 
 
 def build_config(values: dict) -> SimConfig:
-    """Assemble and validate a SimConfig from a flat value dict."""
+    """Assemble and validate a SimConfig from a flat dict of typed values,
+    one per key of ``_KEYS`` with a default and per noise key set."""
+    fields = {"domain": {}, "sigma": {}, "init": {}, "run": {}}
+    for key, (_, _, field) in _KEYS.items():
+        group = key.split(".")[0]
+        if group in fields:
+            fields[group][field] = values[key]
     try:
-        domain = DomainSpec(
-            dimension=values["domain.dimension"],
-            boundary=values["domain.boundary"],
-            grid_points=values["domain.grid_points"],
-            modes=values.get("domain.modes"),
-            length=values["domain.length"],
-        )
+        domain = DomainSpec(**fields["domain"])
     except ValueError as exc:
         raise ConfigError(f"domain: {exc}") from exc
 
     kind = values["noise.kind"]
     if kind not in KERNELS:
         raise ConfigError(f"noise.kind: {kind!r} not one of {'|'.join(KERNELS)}")
-    fields = {}
+    noise = {}
     for key, name in KERNELS[kind].config_keys.items():
         if f"noise.{key}" not in values:
             raise ConfigError(f"noise.{key}: required for the {kind} kernel")
-        fields[name] = values[f"noise.{key}"]
-    noise = KERNELS[kind](**fields)
+        noise[name] = values[f"noise.{key}"]
 
     try:
-        sigma = SigmaSpec(
-            scale=values["sigma.scale"],
-            growth=values["sigma.gamma"],
-            truncation=values["sigma.truncation"],
-        )
+        sigma = SigmaSpec(**fields["sigma"])
     except ValueError as exc:
         raise ConfigError(f"sigma: {exc}") from exc
-
-    raw = values.get("init.mode") or ""
-    parts = raw.split(",") if isinstance(raw, str) else raw
-    try:
-        init_mode = tuple(int(p) for p in parts if str(p).strip()) or None
-    except ValueError as exc:
-        raise ConfigError(f"init.mode: {raw!r} is not a list of integers") from exc
-
-    return SimConfig(
-        domain=domain,
-        noise=noise,
-        sigma=sigma,
-        dt=values["run.dt"],
-        horizon=values["run.horizon"],
-        mass_bound=values["run.mass_bound"],
-        paths=values["run.paths"],
-        base_seed=values["run.base_seed"],
-        init_kind=values["init.kind"],
-        init_value=values["init.value"],
-        init_mode=init_mode,
-        init_amplitude=values["init.amplitude"],
-        init_path=values.get("init.path"),
-        output_dir=values["run.output_dir"],
-        workers=values["run.workers"],
-        max_failures=values["run.max_failures"],
-        save_trajectories=values["run.save_trajectories"],
-    )
+    return SimConfig(domain=domain, noise=KERNELS[kind](**noise), sigma=sigma,
+                     **fields["init"], **fields["run"])
 
 
 def parse_config(path, overrides=None) -> SimConfig:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import SpectralKernel, SpectralSampler, make_sampler
+from .noise import SpectralSampler, make_sampler
 from .spectral import SpectralBasis, loglog_slope
 from .stepping import _BATCH_NORMALS, TrajectoryRecord, drawn_ahead, path_rng
 
@@ -402,7 +402,7 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     sampler = make_sampler(noise_spec, basis)
     rng = path_rng(seed)
 
-    spectral_fast = isinstance(noise_spec, SpectralKernel) and np.all(phi_vals == 1.0)
+    spectral_fast = sampler.weights is not None and np.all(phi_vals == 1.0)
     # the grid point nearest the centre, where Z is recorded and the
     # oracle evaluated (a midpoint grid has no point at the centre itself)
     center_idx = tuple(

@@ -315,6 +315,9 @@ class _Sampler:
 
     # share of the covariance's spectral mass clipped; only Riesz clips
     clipped_fraction = None
+    # per-mode weights lambda_k^2 of a kernel diagonal in the eigenbasis,
+    # whose coefficients are independent; only the spectral kernel has them
+    weights = None
 
     def sample_batch(self, dt: float, rng, count: int) -> np.ndarray:
         """(count, *grid) increments from one stream, drawn in chunks of

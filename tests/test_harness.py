@@ -1,24 +1,26 @@
 """Config parsing, ensemble orchestration, sweep and CLI behaviour."""
 
+import ast
+import dataclasses
 import json
 import math
+import re
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stochheat import ensemble, stepping
+from stochheat import config as config_module, ensemble, stepping
 from stochheat.cli import EXIT_CONFIG, EXIT_RUNTIME, main
 from stochheat.config import (
     ConfigError,
     SimConfig,
-    build_config,
     config_hash,
     parse_config,
     parse_config_lines,
-    _DEFAULTS,
-    _SCHEMA,
+    _KEYS,
+    _UNHASHED,
 )
 from stochheat.diagnostics import doob_check, qv_bound_check
 from stochheat.ensemble import (
@@ -173,39 +175,40 @@ class TestParseConfig:
         config = small_config(mass_bound=math.inf, sigma=SigmaSpec(1.0, 1.5, math.inf))
         assert config.mass_bound == config.sigma.truncation == math.inf
 
+    @pytest.mark.parametrize("paths, base_seed", [(1, -1), (2, 2**64 - 1), (1, 2**64)])
+    def test_seed_outside_uint64_rejected(self, paths, base_seed):
+        # path k is seeded by base_seed + k, which must be a uint64 Philox key
+        with pytest.raises(ConfigError, match=r"^run\.base_seed: "):
+            small_config(paths=paths, base_seed=base_seed)
+
+    def test_last_seeds_of_uint64_accepted(self):
+        assert small_config(paths=2, base_seed=2**64 - 2).base_seed == 2**64 - 2
+        assert small_config(paths=1, base_seed=0).base_seed == 0
+
 
 class TestConfigHash:
-    def base(self):
-        values = dict(_DEFAULTS)
-        values["run.paths"] = 3
-        return build_config(values)
+    def base(self, **overrides):
+        return parse_config_lines([], {"run.paths": "3", **overrides})
 
     def test_stable_across_calls(self):
         a, b = self.base(), self.base()
         assert config_hash(a) == config_hash(b)
 
     def test_sensitive_to_fields(self):
-        a = self.base()
-        values = dict(_DEFAULTS)
-        values["run.paths"] = 3
-        values["sigma.gamma"] = 1.7
-        b = build_config(values)
-        assert config_hash(a) != config_hash(b)
+        assert config_hash(self.base()) != config_hash(self.base(**{"sigma.gamma": "1.7"}))
 
     def test_workers_excluded(self):
         # worker count must not change the hash of otherwise equal configs
-        v1, v2 = dict(_DEFAULTS), dict(_DEFAULTS)
-        v2["run.workers"] = 4
-        assert config_hash(build_config(v1)) == config_hash(build_config(v2))
+        assert config_hash(self.base()) == config_hash(self.base(**{"run.workers": "4"}))
 
     def test_initial_data_file_contents_hashed(self, tmp_path):
         # two arrays saved at one path are two experiments, so two stamps
         path = tmp_path / "u0.npy"
-        values = dict(_DEFAULTS, **{"init.kind": "file", "init.path": str(path)})
         hashes = []
         for level in (1.0, 2.0):
-            np.save(path, np.full(_DEFAULTS["domain.grid_points"], level))
-            hashes.append(config_hash(build_config(values)))
+            np.save(path, np.full(_KEYS["domain.grid_points"][1], level))
+            hashes.append(config_hash(self.base(**{"init.kind": "file",
+                                                   "init.path": str(path)})))
         assert hashes[0] != hashes[1]
 
     def test_shipped_config_hashes_unchanged(self):
@@ -217,6 +220,90 @@ class TestConfigHash:
             "riesz_3d": "3cbb9f463916",
             "white_noise_critical": "a664962e2eac",
         }
+
+
+SPECTRAL = {"noise.kind": "spectral", "noise.theta": "1.5", "noise.shift": "1"}
+
+# a legal value of each key other than its default, and the keys it needs
+LEGAL = {
+    "domain.dimension": ("2", SPECTRAL),
+    "domain.boundary": ("dirichlet", {}),
+    "domain.grid_points": ("64", {}),
+    "domain.modes": ("32", {}),
+    "domain.length": ("2.0", {}),
+    "noise.kind": ("spectral", {"noise.theta": "1.5", "noise.shift": "1"}),
+    "noise.alpha": ("0.3", {"noise.kind": "riesz", "noise.alpha": "0.25"}),
+    "noise.theta": ("2.5", SPECTRAL),
+    "noise.shift": ("2.0", SPECTRAL),
+    "sigma.scale": ("0.5", {}),
+    "sigma.gamma": ("1.2", {}),
+    "sigma.truncation": ("32", {}),
+    "init.kind": ("eigenmode", {}),
+    "init.value": ("2.0", {}),
+    "init.mode": ("0", {"init.kind": "eigenmode"}),
+    "init.amplitude": ("2.0", {}),
+    "init.path": ("u0.npy", {}),
+    "run.dt": ("1e-4", {}),
+    "run.horizon": ("0.2", {}),
+    "run.mass_bound": ("1e6", {}),
+    "run.paths": ("3", {}),
+    "run.base_seed": ("5", {}),
+    "run.output_dir": ("elsewhere", {}),
+    "run.workers": ("2", {}),
+    "run.max_failures": ("1", {}),
+    "run.save_trajectories": ("1", {}),
+}
+
+
+class TestConfigKeys:
+    """Parsing, defaults, assembly and the hash all read the one table _KEYS."""
+
+    @staticmethod
+    def field_value(config, key):
+        group, name = key.split(".")
+        owner = {"domain": config.domain, "noise": config.noise,
+                 "sigma": config.sigma}.get(group, config)
+        return getattr(owner, _KEYS[key][2] or config.noise.config_keys[name])
+
+    @pytest.mark.parametrize("key", list(_KEYS))
+    def test_each_key_reaches_its_field_and_the_hash(self, key):
+        value, context = LEGAL[key]
+        base = parse_config_lines([], context)
+        config = parse_config_lines([], {**context, key: value})
+        expected = _KEYS[key][0](value)
+        assert self.field_value(config, key) == expected
+        assert self.field_value(base, key) != expected
+        assert (config_hash(config) == config_hash(base)) == (key in _UNHASHED)
+
+    def test_table_defaults_are_the_dataclass_defaults(self):
+        owners = {"domain": DomainSpec, "init": SimConfig, "run": SimConfig}
+        compared = {}
+        for key, (_, default, field) in _KEYS.items():
+            owner = owners.get(key.split(".")[0])
+            declared = owner.__dataclass_fields__[field].default if owner else dataclasses.MISSING
+            if declared is not dataclasses.MISSING:
+                compared[key] = (default, declared)
+        assert len(compared) == 13
+        assert all(table == declared for table, declared in compared.values()), compared
+
+    def test_no_other_dict_literal_is_keyed_by_config_keys(self):
+        # the key list lives in _KEYS alone; a second keyed dict would drift
+        found = []
+        for module in sorted(Path(config_module.__file__).parent.glob("*.py")):
+            tree = ast.parse(module.read_text())
+            table = [id(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id == "_KEYS" for t in node.targets)]
+            found += [
+                (module.name, node.lineno, k.value)
+                for node in ast.walk(tree) if isinstance(node, ast.Dict) and id(node) not in table
+                for k in node.keys if isinstance(k, ast.Constant) and k.value in _KEYS
+            ]
+        assert found == []
+
+    def test_readme_schema_names_exactly_the_keys(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Config schema", 1)[1].split("\n#", 1)[0]
+        assert set(re.findall(r"`([a-z_]+\.[a-z_]+)`", section)) == set(_KEYS)
 
 
 def small_config(**overrides):
@@ -562,13 +649,25 @@ class TestCLI:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key", [k for k, caster in _SCHEMA.items() if caster is float])
+    @pytest.mark.parametrize("key", [k for k, (caster, _, _) in _KEYS.items() if caster is float])
     def test_simulate_rejects_nan(self, tmp_path, capsys, key):
         code = main(["simulate", "--config", str(write_config(tmp_path)),
                      "--set", f"{key}=nan", "--output", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {key}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("base_seed", ["-1", str(2**64 - 1)])
+    def test_simulate_rejects_seed_outside_uint64(self, tmp_path, capsys, base_seed):
+        # two paths from 2^64 - 1 would seed one path with 2^64
+        code = main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--set", "run.paths=2", "--set", f"run.base_seed={base_seed}",
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: run.base_seed: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -10,6 +10,7 @@ numpy.fft; the same transforms on scipy.fft (``scipy_riesz_*``) must give
 its values bit for bit.
 """
 
+import ast
 import math
 import os
 import subprocess
@@ -606,3 +607,28 @@ def test_no_run_loads_scipy():
     proc = subprocess.run([sys.executable, "-c", SCIPY_IMPORT_CHECK], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+class TestStructure:
+    """noise.py is the one module that tells kernels and samplers apart by
+    type; elsewhere their methods and attributes answer."""
+
+    def test_no_other_module_tests_kernel_or_sampler_types(self):
+        classes = {name for name, obj in vars(noise).items() if isinstance(obj, type)
+                   and issubclass(obj, (noise._Kernel, noise._Sampler))}
+        assert {"SpectralKernel", "RieszSampler"} <= classes
+
+        def names_class(node):
+            return any((isinstance(n, ast.Name) and n.id in classes)
+                       or (isinstance(n, ast.Attribute) and n.attr in classes)
+                       for n in ast.walk(node))
+
+        found = [
+            (module.name, node.lineno)
+            for module in sorted(Path(noise.__file__).parent.glob("*.py"))
+            if module.name != "noise.py"
+            for node in ast.walk(ast.parse(module.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and names_class(node.args[1])
+        ]
+        assert found == []
