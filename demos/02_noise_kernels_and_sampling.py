@@ -67,11 +67,11 @@ draws = sampler.sample_batch(dt, rng, 50_000)
 for j in (10, 31, 50):
     x = basis.axis_points[j]
     emp = draws[:, j].var()
-    true = sampler.kernel([x], [x]) * dt
+    true = spec.kernel(basis, [x], [x]) * dt
     print(f"  Var dW(x={x:.3f}): empirical {emp:.5f}  kernel*dt {true:.5f}")
 i, j = 10, 40
 emp_cov = np.mean(draws[:, i] * draws[:, j])
-true_cov = sampler.kernel([basis.axis_points[i]], [basis.axis_points[j]]) * dt
+true_cov = spec.kernel(basis, [basis.axis_points[i]], [basis.axis_points[j]]) * dt
 print(f"  Cov(dW(x_10), dW(x_40)): empirical {emp_cov:.6f}  kernel*dt {true_cov:.6f}")
 
 print()

@@ -22,7 +22,6 @@ from .stepping import (
     BlowThroughError,
     SigmaSpec,
     Stepper,
-    TrajectoryContext,
     TrajectoryError,
     TrajectoryRecord,
     build_context,

@@ -21,11 +21,14 @@ by dotted prefixes (domain.*, noise.*, sigma.*, init.*, run.*).  Example::
 Each key is one row of ``_KEYS``: its type, its default and the field it
 sets.  Parsing casts values and fills defaults from that table,
 ``build_config`` groups them by prefix into ``DomainSpec``, ``SigmaSpec``
-and ``SimConfig`` (the kernel class of ``noise.kind`` names the fields of
-the other noise.* keys), and ``config_hash`` walks it.  Unknown keys are
-rejected with their field path; invariant violations quote the violated
-constraint.  The config hash is a stable digest over every field but those
-of ``_UNHASHED`` and is stamped into every output file.
+and ``SimConfig``, and ``config_hash`` walks it.  The noise.* rows other
+than noise.kind carry no default: they name a field of a kernel dataclass,
+and the kernel class of ``noise.kind`` says which it reads (its fields),
+which it requires (those without a default) and the defaults.  Unknown
+keys, and noise keys the chosen kernel does not read, are rejected with
+their field path; invariant violations quote the violated constraint.  The
+config hash is a stable digest over every field but those of ``_UNHASHED``
+and is stamped into every output file.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .noise import KERNELS, KernelValidationError, critical_exponent
@@ -55,12 +58,12 @@ def _mode_indices(raw: str) -> tuple | None:
         raise ConfigError(f"init.mode: {raw!r} is not a list of integers") from exc
 
 
-_NO_DEFAULT = object()  # noise.alpha, noise.theta: the kernel that reads one needs it set
+_NO_DEFAULT = object()  # noise.* but noise.kind: the kernel class holds the default
 
 # key: (type, default, field).  The field is set on DomainSpec for domain.*,
 # on SigmaSpec for sigma.* and on SimConfig for init.* and run.*.
-# noise.kind picks the kernel class, whose config_keys name the field of
-# each other noise.* key it reads.
+# noise.kind picks the kernel class; each other noise.* key names a field
+# of the kernel classes that read it.
 _KEYS = {
     "domain.dimension": (int, 1, "dimension"),
     "domain.boundary": (str, "neumann", "boundary"),
@@ -68,9 +71,9 @@ _KEYS = {
     "domain.modes": (int, None, "modes"),
     "domain.length": (float, math.pi, "length"),
     "noise.kind": (str, "white", "variant"),
-    "noise.alpha": (float, _NO_DEFAULT, None),
-    "noise.theta": (float, _NO_DEFAULT, None),
-    "noise.shift": (float, 0.0, None),
+    "noise.alpha": (float, _NO_DEFAULT, "alpha"),
+    "noise.theta": (float, _NO_DEFAULT, "theta"),
+    "noise.shift": (float, _NO_DEFAULT, "a"),
     "sigma.scale": (float, 1.0, "scale"),
     "sigma.gamma": (float, 1.5, "growth"),
     "sigma.truncation": (float, 64.0, "truncation"),
@@ -221,10 +224,10 @@ def config_hash(config: SimConfig) -> str:
     payload = {}
     for key, (_, _, field) in _KEYS.items():
         group, name = key.split(".")
-        if group == "noise" and field is None:
-            field = config.noise.config_keys.get(name)
-        if key not in _UNHASHED and field is not None:
-            payload.setdefault(group, {})[name] = getattr(owners.get(group, config), field)
+        owner = owners.get(group, config)
+        # a noise key is hashed when the kernel has its field
+        if key not in _UNHASHED and hasattr(owner, field):
+            payload.setdefault(group, {})[name] = getattr(owner, field)
     if config.init_kind == "file":
         payload["init"]["sha256"] = hashlib.sha256(
             Path(config.init_path).read_bytes()).hexdigest()
@@ -269,32 +272,37 @@ def parse_config_lines(lines, overrides=None) -> SimConfig:
 
 def build_config(values: dict) -> SimConfig:
     """Assemble and validate a SimConfig from a flat dict of typed values,
-    one per key of ``_KEYS`` with a default and per noise key set."""
-    fields = {"domain": {}, "sigma": {}, "init": {}, "run": {}}
+    one per key of ``_KEYS`` with a default and per noise key set; a noise
+    key set for a kernel that does not read it is rejected."""
+    groups = {"domain": {}, "noise": {}, "sigma": {}, "init": {}, "run": {}}
     for key, (_, _, field) in _KEYS.items():
-        group = key.split(".")[0]
-        if group in fields:
-            fields[group][field] = values[key]
+        if key in values:
+            groups[key.split(".")[0]][field] = values[key]
     try:
-        domain = DomainSpec(**fields["domain"])
+        domain = DomainSpec(**groups["domain"])
     except ValueError as exc:
         raise ConfigError(f"domain: {exc}") from exc
 
-    kind = values["noise.kind"]
+    noise = groups["noise"]
+    kind = noise.pop("variant")
     if kind not in KERNELS:
         raise ConfigError(f"noise.kind: {kind!r} not one of {'|'.join(KERNELS)}")
-    noise = {}
-    for key, name in KERNELS[kind].config_keys.items():
-        if f"noise.{key}" not in values:
-            raise ConfigError(f"noise.{key}: required for the {kind} kernel")
-        noise[name] = values[f"noise.{key}"]
+    # the kernel's fields are the keys it reads; those without a default it needs
+    defaults = {f.name: f.default for f in fields(KERNELS[kind])}
+    for key, (_, _, field) in _KEYS.items():
+        if not key.startswith("noise."):
+            continue
+        if field in noise and field not in defaults:
+            raise ConfigError(f"{key}: not read by the {kind} kernel")
+        if field not in noise and defaults.get(field) is MISSING:
+            raise ConfigError(f"{key}: required for the {kind} kernel")
 
     try:
-        sigma = SigmaSpec(**fields["sigma"])
+        sigma = SigmaSpec(**groups["sigma"])
     except ValueError as exc:
         raise ConfigError(f"sigma: {exc}") from exc
     return SimConfig(domain=domain, noise=KERNELS[kind](**noise), sigma=sigma,
-                     **fields["init"], **fields["run"])
+                     **groups["init"], **groups["run"])
 
 
 def parse_config(path, overrides=None) -> SimConfig:

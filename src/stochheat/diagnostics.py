@@ -46,51 +46,27 @@ class DoublingEvent:
     q_segment: float
 
 
-def detect_doubling(trajectory: TrajectoryRecord, m0: int = 1):
+def detect_doubling(trajectory: TrajectoryRecord):
     """Replay the sup-norm series and emit the doubling/halving events."""
-    if m0 < 1:
-        raise ValueError("m0 must be >= 1")
-    sup = trajectory.sup_norm
-    t = trajectory.t
-    Q = trajectory.Q
     events: list[DoublingEvent] = []
-    level = None  # occupancy level, None before the first attainment
-    prev_time = float(t[0])
-    prev_q = float(Q[0])
-
-    def emit(new_level, direction, when, q_now):
-        nonlocal prev_time, prev_q
-        events.append(
-            DoublingEvent(
-                index=len(events),
-                m=new_level,
-                direction=direction,
-                rho_start=prev_time,
-                rho_end=when,
-                q_segment=q_now - prev_q,
-            )
-        )
-        prev_time, prev_q = when, q_now
-
-    for s in range(len(sup)):
-        value = float(sup[s])
-        when = float(t[s])
-        q_now = float(Q[s])
-        if level is None:
-            if value >= 2.0:
-                target = int(math.floor(math.log2(value)))
-                for lv in range(1, target + 1):
-                    emit(lv, UP, when, q_now)
-                level = target
-            continue
-        # upward crossings, one event per boundary
-        while value >= 2.0 ** (level + 1):
-            emit(level + 1, UP, when, q_now)
-            level += 1
-        # downward crossings; level 1 only watches upward (floor at value 2)
-        while level >= 2 and value <= 2.0 ** (level - 1):
-            emit(level - 1, DOWN, when, q_now)
-            level -= 1
+    level = 0  # occupancy level; 0 until the series first reaches 2
+    prev_time = float(trajectory.t[0])
+    prev_q = float(trajectory.Q[0])
+    for value, when, q_now in zip(trajectory.sup_norm.tolist(), trajectory.t.tolist(),
+                                  trajectory.Q.tolist()):
+        # one event per boundary crossed: upward, or downward while above
+        # level 1, which only watches upward (floor at value 2)
+        while True:
+            if value >= 2.0 ** (level + 1):
+                level, direction = level + 1, UP
+            elif level >= 2 and value <= 2.0 ** (level - 1):
+                level, direction = level - 1, DOWN
+            else:
+                break
+            events.append(DoublingEvent(index=len(events), m=level, direction=direction,
+                                        rho_start=prev_time, rho_end=when,
+                                        q_segment=q_now - prev_q))
+            prev_time, prev_q = when, q_now
     return events
 
 

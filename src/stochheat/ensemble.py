@@ -32,7 +32,7 @@ from .diagnostics import (
 )
 from .noise import DecayFitError, KernelValidationError, verify_decay
 from .spectral import DomainSpec, build_basis, heat_kernel_decay_fit
-from .stepping import Stepper, TrajectoryRecord, build_context, run_batch
+from .stepping import TrajectoryRecord, build_context, run_batch
 
 SCHEMA_VERSION = 2
 
@@ -186,13 +186,12 @@ def _run_isolated(context, seeds):
 
 
 def _context_telemetry(context) -> dict:
-    """Numerical safeguards of a context, for run_info.json: the Riesz
+    """Numerical safeguards of a built run, for run_info.json: the Riesz
     covariance's clipped spectral mass (None for other kernels) and dt over
     the stepper's stiffness heuristic."""
-    stepper = Stepper(context.basis, context.sigma, context.sampler, context.dt)
     return {
         "clipped_fraction": context.sampler.clipped_fraction,
-        "dt_over_heuristic": context.dt / stepper.dt_heuristic,
+        "dt_over_heuristic": context.dt / context.dt_heuristic,
     }
 
 
@@ -385,11 +384,9 @@ def sweep_gamma(config: SimConfig, gamma_grid, threshold_grid) -> SweepResult:
             events = detect_doubling(rec)
             ups_above.append(up_event_count(events, m0))
             for e in events:
+                # above m0 the window T_m is below 1, so it exists
                 if e.direction == "up" and e.m > m0:
-                    try:
-                        window = doubling_window(config.mass_bound, e.m, beta, c_fit)
-                    except ValueError:
-                        continue
+                    window = doubling_window(config.mass_bound, e.m, beta, c_fit)
                     if e.rho_end - e.rho_start <= window:
                         fast += 1
                     else:

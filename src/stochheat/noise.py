@@ -15,8 +15,11 @@ The critical growth exponent is gamma_c = 1 + (1-eta)/(2 beta).
 Kernel behaviour lives on the kernel classes, one code path per family:
 ``params(d)`` (one shared check of eta), ``sampler(basis)``,
 ``kernel(basis, x, y)``, ``double_integral(basis)``, ``decay_values(basis,
-t_grid)``, the ``config_keys`` and ``integrable``.  ``KERNELS`` maps each
-``noise.kind`` to its class; ``verify_decay`` holds the log-log fit.
+t_grid)`` and ``integrable``; the spectral kernel's ``weights(basis)`` are
+its per-mode weights, which its sampler and its other methods read.  Each
+kernel is a dataclass whose fields are the noise.* config keys it reads,
+its defaults their defaults.  ``KERNELS`` maps each ``noise.kind`` to its
+class; ``verify_decay`` holds the log-log fit.
 
 Increment fields carry pointwise covariance Lambda(x_i, x_j) * dt.  Every
 sampler is a linear map ``increments(dt, z)`` of a (P, *normal_shape) batch
@@ -65,6 +68,12 @@ logger = logging.getLogger(__name__)
 # standard normals per chunk of a batched draw (16 MB of float64)
 _CHUNK_NORMALS = 2**21
 
+# largest share of the Riesz circulant's spectral mass that may be clipped
+_CLIP_TOLERANCE = 0.01
+
+# largest rms residual of verify_decay's log-log fit
+_DECAY_RESIDUAL_TOLERANCE = 0.1
+
 
 class KernelValidationError(ValueError):
     """Covariance parameters outside the admissible range."""
@@ -79,8 +88,8 @@ class DecayFitError(RuntimeError):
 
 
 class _Kernel:
-    """A kernel family: its ``variant``, ``config_keys`` (key under
-    ``noise.`` -> field), ``eta(d)`` and the kernel questions as methods."""
+    """A kernel family: its ``variant``, its fields (the noise.* keys it
+    reads), ``eta(d)`` and the kernel questions as methods."""
 
     # False for a kernel outside the finite-double-integral assumption
     integrable = True
@@ -103,7 +112,6 @@ class RieszKernel(_Kernel):
     alpha: float
 
     variant = "riesz"
-    config_keys = {"alpha": "alpha"}
 
     def validate_for(self, dimension: int, boundary: str | None = None):
         limit = min(2.0, dimension / 2.0)
@@ -158,7 +166,6 @@ class SpectralKernel(_Kernel):
     a: float = 0.0
 
     variant = "spectral"
-    config_keys = {"theta": "theta", "shift": "a"}
 
     def validate_for(self, dimension: int, boundary: str | None = None):
         if self.theta <= dimension / 2.0 - 1.0:
@@ -180,20 +187,28 @@ class SpectralKernel(_Kernel):
     def eta(self, dimension: int) -> float:
         return max(dimension / 2.0 - self.theta, 0.0)
 
+    def weights(self, basis: SpectralBasis) -> np.ndarray:
+        """lambda_k^2 = Gamma(theta) (a + alpha_k)^(-theta) on the retained
+        modes, in the basis's coefficient shape."""
+        self.validate_for(basis.dimension, basis.boundary)
+        return math.gamma(self.theta) * (self.a + basis.eigenvalue_tensor()) ** (-self.theta)
+
     def sampler(self, basis: SpectralBasis):
         return SpectralSampler(self, basis)
 
     def kernel(self, basis: SpectralBasis, x, y) -> float:
         """Pointwise Lambda(x,y), the series truncated at the retained modes."""
-        return self.sampler(basis).kernel(x, y)
+        fx = basis.axis_eigenfunctions(np.atleast_1d(np.asarray(x, dtype=float)))
+        fy = basis.axis_eigenfunctions(np.atleast_1d(np.asarray(y, dtype=float)))
+        return basis.contract(self.weights(basis), fx * fy)
 
     def double_integral(self, basis: SpectralBasis) -> float:
         ones = basis.axis_one_coeffs
-        return basis.contract(self.sampler(basis).weights, [ones * ones] * basis.dimension)
+        return basis.contract(self.weights(basis), [ones * ones] * basis.dimension)
 
     def decay_values(self, basis: SpectralBasis, t_grid) -> np.ndarray:
         """F(t) = sum_k lambda_k^2 e^(-2 alpha_k t) e_k(x_c)^2, exact."""
-        w = self.sampler(basis).weights
+        w = self.weights(basis)
         for i, e in enumerate(basis.axis_eigenfunctions(basis.center_point())):
             shape = [1] * basis.dimension
             shape[i] = basis.axis_mode_count
@@ -208,7 +223,6 @@ class WhiteNoise(_Kernel):
     """Space-time white noise reference mode, d = 1 only (beta = eta = 1/2)."""
 
     variant = "white"
-    config_keys = {}
     integrable = False
 
     def validate_for(self, dimension: int, boundary: str | None = None):
@@ -253,7 +267,7 @@ def critical_exponent(beta: float, eta: float) -> float:
 
 
 @functools.cache
-def _unit_cell_mean(alpha: float, dimension: int, res: int = 64) -> float:
+def _unit_cell_mean(alpha: float, dimension: int) -> float:
     """Mean of |z|^(-alpha) over the unit cell [-1/2, 1/2]^d.
 
     Uses the self-similar shell decomposition: the integral over the cell
@@ -264,6 +278,7 @@ def _unit_cell_mean(alpha: float, dimension: int, res: int = 64) -> float:
     """
     if dimension == 1:
         return 2.0**alpha / (1.0 - alpha)
+    res = 64
     axes = (np.arange(res) + 0.5) / res - 0.5  # midpoints of [-1/2,1/2]
     grids = np.meshgrid(*([axes] * dimension), indexing="ij")
     r2 = sum(g**2 for g in grids)
@@ -276,15 +291,14 @@ def _unit_cell_mean(alpha: float, dimension: int, res: int = 64) -> float:
     return S / (1.0 - 2.0 ** (alpha - dimension))
 
 
-def riesz_double_integral(alpha: float, dimension: int, length: float,
-                          res: int = 48, levels: int = 40) -> float:
+def riesz_double_integral(alpha: float, dimension: int, length: float) -> float:
     """Quadrature of the Riesz kernel over D x D, D = [0, L]^d.
 
     Reduces to an integral over the difference box with the triangular
-    overlap weight, evaluated on dyadic shells around the singularity so
-    each shell integrand is smooth.
+    overlap weight, evaluated on 40 dyadic shells around the singularity,
+    48 midpoints per axis each, so each shell integrand is smooth.
     """
-    L = length
+    L, res, levels = length, 48, 40
     total = 0.0
     for j in range(levels):
         s = L * 2.0**-j  # outer half-side of this shell
@@ -337,11 +351,9 @@ class SpectralSampler(_Sampler):
     """Sampler for the eigenbasis-diagonal kernel."""
 
     def __init__(self, spec: SpectralKernel, basis: SpectralBasis):
-        spec.validate_for(basis.dimension, basis.boundary)
         self.spec = spec
         self.basis = basis
-        alpha = basis.eigenvalue_tensor()
-        self.weights = math.gamma(spec.theta) * (spec.a + alpha) ** (-spec.theta)
+        self.weights = spec.weights(basis)
         self.amplitudes = np.sqrt(self.weights)
         self.normal_shape = basis.coeff_shape
 
@@ -354,11 +366,6 @@ class SpectralSampler(_Sampler):
         row of a (P, *grid) batch."""
         c = self.basis.to_spectral_batch(f_values)
         return self.basis.field_sum(self.weights * c * c)
-
-    def kernel(self, x, y) -> float:
-        fx = self.basis.axis_eigenfunctions(np.atleast_1d(np.asarray(x, dtype=float)))
-        fy = self.basis.axis_eigenfunctions(np.atleast_1d(np.asarray(y, dtype=float)))
-        return self.basis.contract(self.weights, fx * fy)
 
 
 def _smooth_len(n: int) -> int:
@@ -385,22 +392,22 @@ def _rfft_multiplicity(embed_len: int) -> np.ndarray:
     return mult
 
 
-def _clip_spectrum(lam: np.ndarray, embed_len: int, clip_tolerance: float = 0.01):
+def _clip_spectrum(lam: np.ndarray, embed_len: int):
     """Circulant spectrum with negative eigenvalues clipped at zero.
 
     ``lam`` is the half spectrum of ``rfftn`` over a torus whose last axis
     has ``embed_len`` points, counted with ``_rfft_multiplicity``.  Returns
     (clipped spectrum, clipped_fraction), the fraction being the negative
     mass over the total absolute mass; raises FactorizationError when it
-    exceeds the tolerance (kernel too singular for the grid).
+    exceeds ``_CLIP_TOLERANCE`` (kernel too singular for the grid).
     """
     mult = _rfft_multiplicity(embed_len)
     clipped = abs(float(np.sum(mult * np.clip(lam, None, 0.0))))
     total = float(np.sum(mult * np.abs(lam)))
     frac = clipped / total if total > 0 else 0.0
-    if frac > clip_tolerance:
+    if frac > _CLIP_TOLERANCE:
         raise FactorizationError(
-            f"covariance clipped mass fraction {frac:.3g} exceeds {clip_tolerance}: "
+            f"covariance clipped mass fraction {frac:.3g} exceeds {_CLIP_TOLERANCE}: "
             "kernel too singular for this resolution"
         )
     if clipped > 0:
@@ -575,8 +582,7 @@ class DecayReport:
         return abs(self.fitted_slope + self.expected_eta) <= 0.1
 
 
-def verify_decay(spec, basis: SpectralBasis, t_grid=None,
-                 residual_tolerance: float = 0.1) -> DecayReport:
+def verify_decay(spec, basis: SpectralBasis, t_grid=None) -> DecayReport:
     """Fit the decay exponent of the kernel-smoothed squared heat flow.
 
     The values are the kernel's ``decay_values``: the exact series for the
@@ -591,9 +597,9 @@ def verify_decay(spec, basis: SpectralBasis, t_grid=None,
     _, eta = spec.params(d)
     vals = spec.decay_values(basis, t_grid)
     slope, intercept, rms = loglog_slope(t_grid, vals)
-    if rms > residual_tolerance:
+    if rms > _DECAY_RESIDUAL_TOLERANCE:
         raise DecayFitError(
-            f"log-log fit residual {rms:.3g} exceeds {residual_tolerance}: "
+            f"log-log fit residual {rms:.3g} exceeds {_DECAY_RESIDUAL_TOLERANCE}: "
             "decay is not power-law on this t-grid (spectral gap dominates "
             "for t of order one)"
         )

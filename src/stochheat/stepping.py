@@ -20,7 +20,10 @@ identity stays checkable.  Alongside I the quadratic variation
 
 is accumulated with the kernel-specific quadrature of the sampler.
 
-A block of seeds steps as one (P, *grid) batch through ``Stepper.step``.
+A built run is a ``Stepper``, which ``build_context`` makes from a config:
+the basis, coefficient, sampler, step, initial data, horizon and mass
+bound shared by every path of the config.  A block of seeds steps as one
+(P, *grid) batch through ``Stepper.step``.
 Each row draws the standard normals of its increment from its own
 counter-based stream keyed by its seed (Philox; Salmon et al., SC'11), so
 its values do not depend on the batch; one linear map of the sampler turns
@@ -115,19 +118,30 @@ def sigma_eval(spec: SigmaSpec, u):
     return out
 
 
+@dataclass
 class Stepper:
-    """Exponential-Euler stepper bound to a basis, coefficient and sampler."""
+    """A built run: the exponential-Euler step of a basis, coefficient and
+    sampler, and the per-config data every path of the run shares."""
 
-    def __init__(self, basis: SpectralBasis, sigma: SigmaSpec, sampler, dt: float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        self.basis = basis
-        self.sigma = sigma
-        self.sampler = sampler
-        self.dt = dt
+    basis: SpectralBasis
+    sigma: SigmaSpec
+    sampler: object
+    dt: float
+    u0: np.ndarray
+    horizon: float
+    mass_bound: float
+
+    @property
+    def n_steps(self) -> int:
+        # SimConfig admits only a horizon that is a whole number of steps
+        return int(round(self.horizon / self.dt))
+
+    @property
+    def dt_heuristic(self) -> float:
         # documented heuristic, not enforced: dt <= 0.5 / alpha_max keeps the
         # per-step damping of the stiffest retained mode moderate
-        self.dt_heuristic = 0.5 / basis.alpha_max if basis.alpha_max > 0 else math.inf
+        alpha_max = self.basis.alpha_max
+        return 0.5 / alpha_max if alpha_max > 0 else math.inf
 
     def step(self, u: np.ndarray, dW: np.ndarray):
         """Advance a (P, *grid) batch by one step of dt.
@@ -199,24 +213,6 @@ class TrajectoryRecord:
             yield f"{s},{values},{flag}"
 
 
-@dataclass
-class TrajectoryContext:
-    """Immutable per-config data shared by all trajectories of an ensemble."""
-
-    basis: SpectralBasis
-    sampler: object
-    sigma: SigmaSpec
-    u0: np.ndarray
-    dt: float
-    horizon: float
-    mass_bound: float
-
-    @property
-    def n_steps(self) -> int:
-        # SimConfig admits only a horizon that is a whole number of steps
-        return int(round(self.horizon / self.dt))
-
-
 def initial_field(basis: SpectralBasis, kind: str, *, value: float = 1.0,
                   mode=None, amplitude: float = 1.0, path: str | None = None):
     """Nonnegative bounded initial data on the grid."""
@@ -261,27 +257,14 @@ def initial_field(basis: SpectralBasis, kind: str, *, value: float = 1.0,
     raise ValueError(f"unknown initial condition kind {kind!r}")
 
 
-def build_context(config) -> TrajectoryContext:
-    """Assemble the shared basis/sampler/initial data of a SimConfig."""
+def build_context(config) -> Stepper:
+    """The built run of a SimConfig: its basis, sampler and initial data."""
     basis = build_basis(config.domain)
-    sampler = make_sampler(config.noise, basis)
-    u0 = initial_field(
-        basis,
-        config.init_kind,
-        value=config.init_value,
-        mode=config.init_mode,
-        amplitude=config.init_amplitude,
-        path=config.init_path,
-    )
-    return TrajectoryContext(
-        basis=basis,
-        sampler=sampler,
-        sigma=config.sigma,
-        u0=u0,
-        dt=config.dt,
-        horizon=config.horizon,
-        mass_bound=config.mass_bound,
-    )
+    u0 = initial_field(basis, config.init_kind, value=config.init_value,
+                       mode=config.init_mode, amplitude=config.init_amplitude,
+                       path=config.init_path)
+    return Stepper(basis, config.sigma, make_sampler(config.noise, basis),
+                   config.dt, u0, config.horizon, config.mass_bound)
 
 
 def path_rng(seed: int):
@@ -317,8 +300,8 @@ def drawn_ahead(shape, fill, chunks: int, *args):
         pending.result()
 
 
-def run_batch(context: TrajectoryContext, seeds):
-    """Run one path per seed to min(horizon, tau_n, tau_M) on one context.
+def run_batch(context: Stepper, seeds):
+    """Run one path per seed to min(horizon, tau_n, tau_M) on one built run.
 
     Returns (records, failures) in seed order: the record of every path
     that stopped, and (seed, TrajectoryError) for every path whose field
@@ -335,10 +318,9 @@ def run_batch(context: TrajectoryContext, seeds):
     return records, failures
 
 
-def _run_rows(ctx: TrajectoryContext, seeds):
+def _run_rows(ctx: Stepper, seeds):
     """One batch of run_batch: every seed is a row, stepped until it stops."""
     basis, sampler, dt = ctx.basis, ctx.sampler, ctx.dt
-    stepper = Stepper(basis, ctx.sigma, sampler, dt)
     rngs = [path_rng(seed) for seed in seeds]
     n_steps = ctx.n_steps
     # step s is at time s * dt; summing dt step by step drifts by round-off
@@ -381,7 +363,7 @@ def _run_rows(ctx: TrajectoryContext, seeds):
                 normals = take(live)
             s += 1
             z = normals[:, j] if live.size == len(seeds) else normals[live, j]
-            u, dI, dQ, dclamp, finite = stepper.step(u, sampler.increments(dt, z))
+            u, dI, dQ, dclamp, finite = ctx.step(u, sampler.increments(dt, z))
             if not finite.all():
                 for i in live[~finite]:
                     errors[i] = TrajectoryError(s, BlowThroughError(
@@ -416,12 +398,12 @@ def _run_rows(ctx: TrajectoryContext, seeds):
     return records, failures
 
 
-def run_trajectory(config, seed: int, context: TrajectoryContext | None = None) -> TrajectoryRecord:
+def run_trajectory(config, seed: int, context: Stepper | None = None) -> TrajectoryRecord:
     """Run one path to min(horizon, tau_n, tau_M); deterministic in (config, seed).
 
     A batch of one of :func:`run_batch`; raises TrajectoryError when the
-    field goes non-finite.  The optional prebuilt context is a pure function
-    of the config, so passing it only saves recomputation.
+    field goes non-finite.  The optional prebuilt run (``build_context``)
+    is a pure function of the config, so passing it only saves recomputation.
     """
     ctx = context if context is not None else build_context(config)
     records, failures = run_batch(ctx, [seed])

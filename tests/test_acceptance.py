@@ -133,7 +133,7 @@ def test_criterion_4_sampler_covariance():
         npts = flat.shape[1]
         if label == "spectral":
             xs = basis.axis_points
-            cov = lambda i, j: sampler.kernel([xs[i]], [xs[j]]) * dt
+            cov = lambda i, j: spec.kernel(basis, [xs[i]], [xs[j]]) * dt
         else:
             pts = basis.axis_points
             cell = _unit_cell_mean(spec.alpha, 1) * basis.h ** (-spec.alpha)

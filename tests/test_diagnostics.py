@@ -85,6 +85,14 @@ def replay_oracle(sup_series):
     return out
 
 
+def test_first_attainment_one_ulp_below_a_power_of_two():
+    # 8 - 1 ulp attains 4, not 8, though floor(log2) of it rounds up to 3
+    value = np.nextafter(8.0, 0.0)
+    events = detect_doubling(synthetic_record([1.0, value, 8.0]))
+    assert [(e.m, e.direction, e.rho_end) for e in events] == [
+        (1, UP, 0.01), (2, UP, 0.01), (3, UP, 0.02)]
+
+
 class TestDetectDoubling:
     def test_decaying_series_is_empty(self):
         rec = synthetic_record(np.linspace(1.5, 0.1, 50))

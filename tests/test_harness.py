@@ -6,6 +6,7 @@ import json
 import math
 import re
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from stochheat.config import (
     parse_config,
     parse_config_lines,
     _KEYS,
+    _NO_DEFAULT,
     _UNHASHED,
 )
 from stochheat.diagnostics import doob_check, qv_bound_check
@@ -33,11 +35,10 @@ from stochheat.ensemble import (
     sweep_gamma,
     verify_assumptions,
 )
-from stochheat.noise import RieszKernel, SpectralKernel, WhiteNoise
+from stochheat.noise import KERNELS, RieszKernel, SpectralKernel, WhiteNoise
 from stochheat.spectral import DomainSpec
 from stochheat.stepping import (
     SigmaSpec,
-    Stepper,
     TrajectoryError,
     build_context,
     run_trajectory,
@@ -115,6 +116,31 @@ class TestParseConfig:
         text = MINIMAL.replace("noise.kind         = white", "noise.kind = spectral")
         with pytest.raises(ConfigError, match="noise.theta"):
             parse_config(write_config(tmp_path, text))
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"noise.alpha": "0.3"}, "noise.alpha"),
+        ({"noise.kind": "riesz", "noise.alpha": "0.3", "noise.theta": "1"}, "noise.theta"),
+        ({"noise.kind": "riesz", "noise.alpha": "0.3", "noise.shift": "1"}, "noise.shift"),
+        ({"noise.kind": "spectral", "noise.theta": "0.25", "noise.shift": "1",
+          "noise.alpha": "0.3"}, "noise.alpha"),
+    ], ids=["white-alpha", "riesz-theta", "riesz-shift", "spectral-alpha"])
+    def test_noise_key_the_kernel_does_not_read_rejected(self, tmp_path, overrides, key):
+        # ignoring it would run another noise than the one the key describes
+        kind = overrides.get("noise.kind", "white")
+        with pytest.raises(ConfigError, match=rf"^{key}: not read by the {kind} kernel$"):
+            parse_config(write_config(tmp_path), overrides=overrides)
+        read = {k: v for k, v in overrides.items() if k != key}
+        assert parse_config(write_config(tmp_path), overrides=read).noise.variant == kind
+
+    def test_unknown_noise_kind_rejected(self, tmp_path):
+        with pytest.raises(ConfigError,
+                           match=r"^noise\.kind: 'pink' not one of riesz\|spectral\|white$"):
+            parse_config(write_config(tmp_path), overrides={"noise.kind": "pink"})
+
+    @pytest.mark.parametrize("key", ["run.paths", "run.workers"])
+    def test_zero_paths_or_workers_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=rf"^{key}: must be >= 1$"):
+            parse_config(write_config(tmp_path), overrides={key: "0"})
 
     def test_spectral_shift_needed_for_neumann(self, tmp_path):
         text = MINIMAL.replace(
@@ -231,7 +257,7 @@ LEGAL = {
     "domain.grid_points": ("64", {}),
     "domain.modes": ("32", {}),
     "domain.length": ("2.0", {}),
-    "noise.kind": ("spectral", {"noise.theta": "1.5", "noise.shift": "1"}),
+    "noise.kind": ("spectral", {}),
     "noise.alpha": ("0.3", {"noise.kind": "riesz", "noise.alpha": "0.25"}),
     "noise.theta": ("2.5", SPECTRAL),
     "noise.shift": ("2.0", SPECTRAL),
@@ -254,26 +280,40 @@ LEGAL = {
     "run.save_trajectories": ("1", {}),
 }
 
+# keys set only together with the value: a kernel's keys are rejected under
+# another kernel, so the base config (white noise) cannot carry them
+WITH_VALUE = {"noise.kind": {"noise.theta": "1.5", "noise.shift": "1"}}
+
 
 class TestConfigKeys:
     """Parsing, defaults, assembly and the hash all read the one table _KEYS."""
 
     @staticmethod
     def field_value(config, key):
-        group, name = key.split(".")
+        group = key.split(".")[0]
         owner = {"domain": config.domain, "noise": config.noise,
                  "sigma": config.sigma}.get(group, config)
-        return getattr(owner, _KEYS[key][2] or config.noise.config_keys[name])
+        return getattr(owner, _KEYS[key][2])
 
     @pytest.mark.parametrize("key", list(_KEYS))
     def test_each_key_reaches_its_field_and_the_hash(self, key):
         value, context = LEGAL[key]
         base = parse_config_lines([], context)
-        config = parse_config_lines([], {**context, key: value})
+        config = parse_config_lines([], {**context, **WITH_VALUE.get(key, {}), key: value})
         expected = _KEYS[key][0](value)
         assert self.field_value(config, key) == expected
         assert self.field_value(base, key) != expected
         assert (config_hash(config) == config_hash(base)) == (key in _UNHASHED)
+
+    def test_noise_rows_are_the_kernel_fields(self):
+        # the kernel dataclasses are the noise schema: one row per field,
+        # whose default only the kernel states
+        rows = [(field, default) for key, (_, default, field) in _KEYS.items()
+                if key.startswith("noise.") and key != "noise.kind"]
+        kernel_fields = {f.name for kernel in KERNELS.values()
+                         for f in dataclasses.fields(kernel)}
+        assert Counter(field for field, _ in rows) == Counter(kernel_fields)
+        assert all(default is _NO_DEFAULT for _, default in rows)
 
     def test_table_defaults_are_the_dataclass_defaults(self):
         owners = {"domain": DomainSpec, "init": SimConfig, "run": SimConfig}
@@ -485,8 +525,7 @@ class TestRunEnsemble:
         assert set(info["phase_seconds"]) == {"blocks", "aggregates", "write"}
         assert all(v >= 0 for v in info["phase_seconds"].values())
         assert info["wall_clock_seconds"] == result.wall_clock
-        ctx = build_context(config)
-        heuristic = Stepper(ctx.basis, ctx.sigma, ctx.sampler, ctx.dt).dt_heuristic
+        heuristic = build_context(config).dt_heuristic
         assert info["dt_over_heuristic"] == config.dt / heuristic
         assert info["dt_over_heuristic"] > 1  # dt = 2e-4 on 64 Neumann modes
         assert info["clipped_fraction"] is None  # white noise clips nothing
@@ -730,6 +769,22 @@ class TestCLI:
         run_dir = next((tmp_path / "out").iterdir())
         agg = json.loads((run_dir / "aggregates.json").read_text())["aggregates"]
         assert agg["stop_fractions"]["tau_n"] == 0.0
+
+    def test_simulate_rejects_noise_key_of_another_kernel(self, tmp_path, capsys):
+        code = main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--set", "noise.alpha=0.3", "--output", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: noise.alpha: not read by the white kernel")
+        assert not (tmp_path / "out").exists()
+
+    def test_set_without_equals_sign_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--set", "run.paths", "--output", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "configuration error: --set expects key=value, got 'run.paths'")
+        assert not (tmp_path / "out").exists()
 
     def test_set_overrides(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -257,9 +257,9 @@ class TestKernelEval:
 
     def test_spectral_diagonal_positive(self):
         basis = basis_for(1, DIRICHLET, n=128)
-        samp = make_sampler(SpectralKernel(theta=0.25, a=0.0), basis)
+        spec = SpectralKernel(theta=0.25, a=0.0)
         xs = basis.axis_points[::8]
-        vals = np.array([[samp.kernel([x], [y]) for y in xs] for x in xs])
+        vals = np.array([[spec.kernel(basis, [x], [y]) for y in xs] for x in xs])
         assert np.all(np.diag(vals) > 0)
 
     def test_riesz_strictly_positive(self):
@@ -330,7 +330,7 @@ class TestSampler:
         j = 17
         x = basis.axis_points[j]
         var_emp = draws[:, j].var()
-        var_true = samp.kernel([x], [x]) * dt
+        var_true = spec.kernel(basis, [x], [x]) * dt
         se = var_true * math.sqrt(2 / draws.shape[0])
         assert abs(var_emp - var_true) < 3 * se
 

@@ -34,14 +34,12 @@ from stochheat.noise import (
     RieszKernel,
     SpectralKernel,
     WhiteNoise,
-    make_sampler,
 )
 from stochheat.stepping import (
     STOP_HORIZON,
     STOP_TAU_M,
     STOP_TAU_N,
     SigmaSpec,
-    Stepper,
     TrajectoryError,
     TrajectoryRecord,
     build_context,
@@ -111,17 +109,17 @@ class TestSigmaEval:
 
 class TestStep:
     def setup_method(self):
-        self.basis = build_basis(DomainSpec(1, NEUMANN, 64))
         self.kernel = SpectralKernel(theta=0.25, a=1.0)
-        self.sampler = make_sampler(self.kernel, self.basis)
         self.dt = 1e-3
+        self.run = build_context(make_config(noise=self.kernel, dt=self.dt))
+        self.basis, self.sampler = self.run.basis, self.run.sampler
 
     def heat_flow(self, u):
         return self.basis.to_grid(self.basis.semigroup(self.basis.to_spectral(u), self.dt))
 
     def test_zero_sigma_reduces_to_heat_flow(self):
         sigma = SigmaSpec(scale=0.0, growth=1.5, truncation=10.0)
-        stepper = Stepper(self.basis, sigma, self.sampler, self.dt)
+        stepper = replace(self.run, sigma=sigma)
         u = 1.0 + np.sin(2 * self.basis.axis_points) ** 2
         dW = self.sampler.sample_values(self.dt, path_rng(1))
         u_new, dI, dQ, dclamp, finite = stepper.step(u[np.newaxis], dW[np.newaxis])
@@ -133,7 +131,7 @@ class TestStep:
 
     def test_zero_increment_keeps_I_and_Q(self):
         sigma = SigmaSpec(scale=1.0, growth=1.5, truncation=10.0)
-        stepper = Stepper(self.basis, sigma, self.sampler, self.dt)
+        stepper = replace(self.run, sigma=sigma)
         u = np.full((1,) + self.basis.grid_shape, 2.0)
         u_new, dI, dQ, dclamp, finite = stepper.step(u, np.zeros_like(u))
         assert dI.tolist() == [0.0]
@@ -144,7 +142,7 @@ class TestStep:
 
     def test_dt_heuristic_documented(self):
         sigma = SigmaSpec(scale=1.0, growth=1.5, truncation=10.0)
-        stepper = Stepper(self.basis, sigma, self.sampler, self.dt)
+        stepper = replace(self.run, sigma=sigma)
         assert stepper.dt_heuristic == pytest.approx(0.5 / self.basis.alpha_max)
 
     def test_I_increment_variance_matches_double_integral(self):
@@ -191,10 +189,10 @@ class TestBatchEquivalence:
     @given(rows=st.integers(1, 5), seed=st.integers(0, 2**31 - 1))
     def test_batched_step_equals_one_row_steps_bitwise(self, d, bc, kernel, rows, seed):
         # a row's values must not depend on the batch it steps in
-        basis = build_basis(DomainSpec(d, bc, 8))
-        sampler = make_sampler(kernel, basis)
         dt = 1e-3
-        stepper = Stepper(basis, SigmaSpec(1.0, 1.5, 4.0), sampler, dt)
+        stepper = build_context(make_config(domain=DomainSpec(d, bc, 8), noise=kernel,
+                                            sigma=SigmaSpec(1.0, 1.5, 4.0), dt=dt))
+        basis, sampler = stepper.basis, stepper.sampler
         rng = np.random.default_rng(seed)
         # values above the truncation level exercise the clamp of sigma
         u = rng.uniform(0.0, 6.0, size=(rows,) + basis.grid_shape)
@@ -211,6 +209,28 @@ class TestBatchEquivalence:
                 assert np.array_equal(got[i], ref), name
         f = sigma_eval(stepper.sigma, u)
         assert np.array_equal(sampler.qv_form(f), [sampler.qv_form(row) for row in f])
+
+
+def call_sites(callee):
+    """(module, enclosing function) of every call of ``callee`` in the package."""
+    class Sites(ast.NodeVisitor):
+        def __init__(self):
+            self.scope, self.found = ["<module>"], []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            if callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                self.found.append((module.name, self.scope[-1]))
+            self.generic_visit(node)
+
+    sites = Sites()
+    for module in sorted(Path(stepping.__file__).parent.glob("*.py")):
+        sites.visit(ast.parse(module.read_text()))
+    return sites.found
 
 
 class TestRunBatch:
@@ -324,25 +344,11 @@ class TestRunBatch:
     def test_thread_pool_is_built_only_by_drawn_ahead(self):
         # one draw-ahead helper serves the stepping core and the probe; a
         # second ThreadPoolExecutor in the package would be a second copy
-        class Sites(ast.NodeVisitor):
-            def __init__(self):
-                self.scope, self.found = ["<module>"], []
+        assert call_sites("ThreadPoolExecutor") == [("stepping.py", "drawn_ahead")]
 
-            def visit_FunctionDef(self, node):
-                self.scope.append(node.name)
-                self.generic_visit(node)
-                self.scope.pop()
-
-            def visit_Call(self, node):
-                if "ThreadPoolExecutor" in (getattr(node.func, "id", None),
-                                            getattr(node.func, "attr", None)):
-                    self.found.append((module.name, self.scope[-1]))
-                self.generic_visit(node)
-
-        sites = Sites()
-        for module in sorted(Path(stepping.__file__).parent.glob("*.py")):
-            sites.visit(ast.parse(module.read_text()))
-        assert sites.found == [("stepping.py", "drawn_ahead")]
+    def test_stepper_is_built_only_by_build_context(self):
+        # a built run has one constructor; a second would rebuild per batch
+        assert call_sites("Stepper") == [("stepping.py", "build_context")]
 
     def test_batch_where_every_row_fails_returns(self):
         config = make_config(sigma=SigmaSpec(1.0, 1.5, 1e309), init_value=1e308,
@@ -591,6 +597,20 @@ class TestInitialField:
         u0 = initial_field(basis, "eigenmode", mode=(1,), amplitude=2.0)
         assert np.all(u0 >= 0)
         assert np.max(u0) == pytest.approx(2.0 * math.sqrt(2 / PI), rel=1e-3)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_eigenmode_is_the_product_of_axis_eigenfunctions(self, d):
+        # e_(1,..,1)(x) = prod_i sqrt(2/L) sin(pi x_i / L) on [0, pi]^d
+        config = make_config(domain=DomainSpec(d, DIRICHLET, 8),
+                             noise=SpectralKernel(theta=0.75, a=1.0), init_kind="eigenmode",
+                             init_mode=(1,) * d, init_amplitude=2.0)
+        u0 = build_context(config).u0
+        axis = math.sqrt(2 / PI) * np.sin(build_basis(config.domain).axis_points)
+        product = axis
+        for _ in range(d - 1):
+            product = np.multiply.outer(product, axis)
+        assert u0.shape == axis.shape * d
+        assert np.allclose(u0, 2.0 * product, rtol=1e-12, atol=1e-15)
 
     def test_file_roundtrip(self, tmp_path):
         basis = build_basis(DomainSpec(1, NEUMANN, 16))
