@@ -19,7 +19,6 @@ from .noise import (
     verify_decay,
 )
 from .stepping import (
-    BlowThroughError,
     SigmaSpec,
     Stepper,
     TrajectoryError,

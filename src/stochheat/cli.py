@@ -23,8 +23,10 @@ from .ensemble import (
     load_ensemble,
     run_ensemble,
     sweep_gamma,
+    sweep_gammas,
     sweep_thresholds,
     verify_assumptions,
+    write_json,
 )
 from .spectral import build_basis
 
@@ -73,26 +75,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _float_list(flag: str, text: str) -> list:
+def _float_list(flag: str, text: str, check) -> list:
+    """The comma-separated numbers of ``flag``, passed through ``check``."""
     try:
-        return [float(v) for v in text.split(",")]
+        return check([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
 
 
 def cmd_sweep_gamma(args) -> int:
     config = _load_config(args)
-    gammas = _float_list("--gammas", args.gammas)
-    thresholds = _float_list("--thresholds", args.thresholds)
-    try:
-        thresholds = sweep_thresholds(thresholds)
-    except ValueError as exc:
-        raise ConfigError(f"--thresholds: {exc}") from exc
+    gammas = _float_list("--gammas", args.gammas, sweep_gammas)
+    thresholds = _float_list("--thresholds", args.thresholds, sweep_thresholds)
     result = sweep_gamma(config, gammas, thresholds)
     stamp = _stamp([result.config_hash, result.gammas, result.thresholds])
     out_dir = Path(args.output or config.output_dir) / f"sweep-{stamp}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.json").write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+    write_json(out_dir / "sweep.json", result.config_hash, result.to_dict())
     (out_dir / "exit_fractions.csv").write_text(result.exit_table_csv())
     print("gamma | " + " | ".join(f"thr {t:g}" for t in result.thresholds))
     for g in result.gammas:
@@ -110,7 +109,7 @@ def cmd_verify_assumptions(args) -> int:
     out_dir = Path(args.output or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"assumptions-{report.config_hash}.json"
-    out.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    write_json(out, report.config_hash, report.to_dict())
     for name, clause in report.clauses.items():
         if clause.get("inapplicable"):
             status = "INAPPLICABLE"
@@ -125,7 +124,7 @@ def cmd_verify_assumptions(args) -> int:
 def cmd_probe_convolution(args) -> int:
     config = _load_config(args)
     basis = build_basis(config.domain)
-    t_grid = _float_list("--T-grid", args.T_grid)
+    t_grid = _float_list("--T-grid", args.T_grid, list)
     dt = config.dt if args.dt is None else args.dt
     try:
         report = convolution_moment_probe(

@@ -24,11 +24,14 @@ sets.  Parsing casts values and fills defaults from that table,
 and ``SimConfig``, and ``config_hash`` walks it.  The noise.* rows other
 than noise.kind carry no default: they name a field of a kernel dataclass,
 and the kernel class of ``noise.kind`` says which it reads (its fields),
-which it requires (those without a default) and the defaults.  Unknown
-keys, and noise keys the chosen kernel does not read, are rejected with
-their field path; invariant violations quote the violated constraint.  The
-config hash is a stable digest over every field but those of ``_UNHASHED``
-and is stamped into every output file.
+which it requires (those without a default) and the defaults.  The init.*
+keys each init.kind reads are its row of ``stepping.INIT_KEYS``, and
+``SimConfig`` builds the initial data with ``stepping.initial_field``, which
+names the key at fault.  Unknown keys, and noise or init keys that the
+chosen kernel or init.kind does not read, are rejected with their field
+path; invariant violations quote the violated constraint.  The config hash
+is a stable digest over every field but those of ``_UNHASHED`` and is
+stamped into every output file.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from pathlib import Path
 
 from .noise import KERNELS, KernelValidationError, critical_exponent
 from .spectral import DomainSpec, build_basis
-from .stepping import SigmaSpec, initial_field
+from .stepping import INIT_KEYS, InitialDataError, SigmaSpec, initial_field
 
 
 class ConfigError(ValueError):
@@ -155,47 +158,27 @@ class SimConfig:
             raise ConfigError("run.max_failures: must be >= 0")
         if self.save_trajectories < 0:
             raise ConfigError("run.save_trajectories: must be >= 0")
-        if self.init_kind not in ("constant", "eigenmode", "file"):
-            raise ConfigError(
-                f"init.kind: {self.init_kind!r} not one of constant|eigenmode|file"
-            )
-        if self.init_kind == "constant" and self.init_value < 0:
-            raise ConfigError(
-                "init.value: initial data must be nonnegative "
-                "(nonnegative initial condition assumption)"
-            )
-        if self.init_kind == "eigenmode" and self.init_amplitude < 0:
-            raise ConfigError("init.amplitude: must be >= 0 (nonnegative initial data)")
-        if self.init_kind == "file" and not self.init_path:
-            raise ConfigError("init.path: required for init.kind = file")
         try:
             self.noise.validate_for(self.domain.dimension, self.domain.boundary)
         except KernelValidationError as exc:
             raise ConfigError(f"noise: {exc}") from exc
-        sup = self._initial_sup()
+        try:
+            u0 = initial_field(build_basis(self.domain), self.init_kind,
+                               value=self.init_value, mode=self.init_mode,
+                               amplitude=self.init_amplitude, path=self.init_path)
+        except InitialDataError as exc:
+            raise ConfigError(f"{exc.key}: {exc}") from exc
+        key, sup = INIT_KEYS[self.init_kind][-1], float(u0.max())
+        if sup == 0:
+            raise ConfigError(
+                f"{key}: initial data is zero everywhere; every mass bound is "
+                "measured against int u0, which must be positive"
+            )
         if sup >= self.sigma.truncation:
-            key = {"constant": "init.value", "eigenmode": "init.amplitude",
-                   "file": "init.path"}[self.init_kind]
             raise ConfigError(
                 f"{key}: initial sup-norm {sup:g} is at or above sigma.truncation "
                 f"= {self.sigma.truncation:g}, so every path would stop at step 0 (tau_n)"
             )
-
-    def _initial_sup(self) -> float:
-        """sup of the initial field on the grid.  Data that cannot be built
-        raises ConfigError naming init.path (a file missing, empty, not one
-        array, of the wrong shape, non-finite or negative) or init.mode (an
-        eigenmode with a wrong index count, off the grid or sign-changing)."""
-        if self.init_kind == "constant":
-            return self.init_value
-        try:
-            u0 = initial_field(build_basis(self.domain), self.init_kind,
-                               mode=self.init_mode, amplitude=self.init_amplitude,
-                               path=self.init_path)
-        except (OSError, EOFError, ValueError, IndexError) as exc:
-            key = "init.path" if self.init_kind == "file" else "init.mode"
-            raise ConfigError(f"{key}: {exc}") from exc
-        return float(u0.max())
 
     def gamma_c(self) -> float | None:
         """Critical exponent for this noise, or None outside eta in (0,1)."""
@@ -228,7 +211,7 @@ def config_hash(config: SimConfig) -> str:
         # a noise key is hashed when the kernel has its field
         if key not in _UNHASHED and hasattr(owner, field):
             payload.setdefault(group, {})[name] = getattr(owner, field)
-    if config.init_kind == "file":
+    if "init.path" in INIT_KEYS[config.init_kind]:
         payload["init"]["sha256"] = hashlib.sha256(
             Path(config.init_path).read_bytes()).hexdigest()
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -267,6 +250,13 @@ def parse_config_lines(lines, overrides=None) -> SimConfig:
             raise ConfigError(f"{key}: cannot parse {val!r} as {caster.__name__}") from exc
         if caster is float and math.isnan(values[key]):
             raise ConfigError(f"{key}: {val!r} is not a number")
+    # a set init.* key that the data of init.kind does not read is rejected,
+    # so every unread key holds its default; SimConfig rejects an unknown kind
+    kind = values["init.kind"]
+    if kind in INIT_KEYS:
+        for key in seen:
+            if key.startswith("init.") and key not in ("init.kind", *INIT_KEYS[kind]):
+                raise ConfigError(f"{key}: not read by init.kind = {kind}")
     return build_config(values)
 
 

@@ -16,7 +16,7 @@ is ever emitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -94,8 +94,8 @@ def doubling_window(M: float, m: int, beta: float, C_fit: float) -> float:
 
 def doubling_threshold_level(M: float, C_fit: float) -> int:
     """Smallest usable level: m0 = ceil(log2(C_fit M)) + 2, so T_m < 1 above it."""
-    if M <= 0 or C_fit <= 0:
-        raise ValueError("M and C_fit must be positive")
+    if not (0 < M < math.inf and C_fit > 0):
+        raise ValueError("M must be positive and finite, and C_fit positive")
     return int(math.ceil(math.log2(C_fit * M))) + 2
 
 
@@ -103,15 +103,11 @@ def doubling_threshold_level(M: float, C_fit: float) -> int:
 class DoobReport:
     """Empirical exceedance of the running L1 norm against u0_L1 / M."""
 
-    u0_l1: float
-    entries: list = field(default_factory=list)  # dicts per M
+    entries: list  # dicts per M
 
     @property
     def passed(self) -> bool:
         return all(e["passed"] for e in self.entries)
-
-    def to_dict(self):
-        return {"u0_l1": self.u0_l1, "entries": self.entries, "passed": self.passed}
 
 
 def doob_check(records, M_grid, u0_l1: float | None = None) -> DoobReport:
@@ -126,7 +122,7 @@ def doob_check(records, M_grid, u0_l1: float | None = None) -> DoobReport:
     u0 = float(records[0].l1_norm[0]) if u0_l1 is None else float(u0_l1)
     maxima = np.array([r.max_l1 for r in records])
     n = len(records)
-    report = DoobReport(u0_l1=u0)
+    report = DoobReport([])
     for M in M_grid:
         bound = min(1.0, u0 / M)
         emp = float(np.mean(maxima > M))
@@ -280,16 +276,7 @@ class MomentProbeReport:
         return all(v["passed"] for v in self.variance_checks)
 
     def to_dict(self):
-        return {
-            "p": self.p,
-            "T_grid": self.T_grid,
-            "moment_estimates": self.moment_estimates,
-            "fitted_slope": self.fitted_slope,
-            "theoretical_exponent": self.theoretical_exponent,
-            "fitted_C": self.fitted_C,
-            "variance_checks": self.variance_checks,
-            "envelope_passed": self.envelope_passed,
-        }
+        return {**asdict(self), "envelope_passed": self.envelope_passed}
 
 
 class ProbeArgumentError(ValueError):

@@ -6,9 +6,11 @@ consecutive path indices per worker, each block builds its own context,
 steps its seeds as one batch and summarizes its own paths, and the blocks
 are merged in order, so results are independent of the worker count.  Row
 CSVs are written with repr-exact floats and a stable column order, making
-repeated runs byte-identical; wall-clock metrics and the seconds of each
-phase go to a separate run_info.json that is excluded from the determinism
-contract."""
+repeated runs byte-identical; the wall clock, paths per second and the
+seconds of each phase go to a separate run_info.json that is excluded from
+the determinism contract.  Every JSON output opens with the schema_version
+and config_hash header of ``write_json``, and every stamped CSV with the
+stamp line of ``write_csv``."""
 
 from __future__ import annotations
 
@@ -16,12 +18,13 @@ import concurrent.futures
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import SimConfig, config_hash
+from .config import ConfigError, SimConfig, config_hash
 from .diagnostics import (
     detect_doubling,
     doob_check,
@@ -62,17 +65,10 @@ ROW_COLUMNS = tuple(f.name for f in fields(TrajectorySummary))
 
 
 def summarize(record: TrajectoryRecord) -> TrajectorySummary:
-    return TrajectorySummary(
-        seed=record.seed,
-        stop_flag=record.stop_flag,
-        stop_time=record.stop_time,
-        max_sup_norm=record.max_sup_norm,
-        max_l1=record.max_l1,
-        final_I=record.final_I,
-        final_Q=record.final_Q,
-        clamped_fraction=record.clamped_fraction,
-        doubling_count=up_event_count(detect_doubling(record), 0),
-    )
+    """A record's row: the record's values of the columns it has, and its
+    doubling count."""
+    shared = {c: getattr(record, c) for c in ROW_COLUMNS if hasattr(record, c)}
+    return TrajectorySummary(**shared, doubling_count=up_event_count(detect_doubling(record), 0))
 
 
 @dataclass
@@ -81,16 +77,11 @@ class EnsembleResult:
     aggregates: dict
     config_hash: str
     failures: list = field(default_factory=list)
-    wall_clock: float = 0.0
     records: list | None = None
     # records written as trajectories/seed<k>.csv
     trajectories: list = field(default_factory=list)
-    # workers, blocks and seconds per phase, for run_info.json
+    # run_info.json: wall clock, paths/s, workers, blocks, telemetry, phases
     run_info: dict = field(default_factory=dict)
-
-    @property
-    def throughput(self) -> float:
-        return len(self.rows) / self.wall_clock if self.wall_clock > 0 else math.inf
 
     def write(self, out_dir) -> Path:
         """rows.csv, aggregates.json, the trajectories and, last, run_info.json
@@ -98,39 +89,41 @@ class EnsembleResult:
         t0 = time.monotonic()
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        lines = [f"# config_hash={self.config_hash} schema_version={SCHEMA_VERSION}"]
-        lines.append(",".join(ROW_COLUMNS))
-        lines += [r.csv_row() for r in self.rows]
-        (out / "rows.csv").write_text("\n".join(lines) + "\n")
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": self.config_hash,
-            "aggregates": self.aggregates,
-            "failures": self.failures,
-        }
-        (out / "aggregates.json").write_text(json.dumps(payload, indent=2) + "\n")
+        write_csv(out / "rows.csv", self.config_hash, ",".join(ROW_COLUMNS),
+                  [r.csv_row() for r in self.rows])
+        write_json(out / "aggregates.json", self.config_hash,
+                   {"aggregates": self.aggregates, "failures": self.failures})
         if self.trajectories:
             traj_dir = out / "trajectories"
             traj_dir.mkdir(exist_ok=True)
             for r in self.trajectories:
                 write_trajectory_csv(r, traj_dir / f"seed{r.seed}.csv",
                                      config_hash=self.config_hash)
-        info = {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": self.config_hash,
-            "wall_clock_seconds": self.wall_clock,
-            "paths_per_second": self.throughput,
-            **self.run_info,
-        }
-        info["phase_seconds"] = dict(info.get("phase_seconds", {}),
-                                     write=time.monotonic() - t0)
-        (out / "run_info.json").write_text(json.dumps(info, indent=2) + "\n")
+        phases = dict(self.run_info.get("phase_seconds", {}), write=time.monotonic() - t0)
+        write_json(out / "run_info.json", self.config_hash,
+                   dict(self.run_info, phase_seconds=phases))
         return out
 
 
-def compute_aggregates(rows, u0_l1: float, mass_bound: float) -> dict:
-    """Aggregate statistics; a pure function of the summary rows so that
-    stored aggregates can be recomputed and cross-checked on load.
+def write_json(path, config_hash: str, payload: dict) -> None:
+    """Write a JSON output: ``payload`` under the schema_version and
+    config_hash header every JSON output opens with."""
+    header = {"schema_version": SCHEMA_VERSION, "config_hash": config_hash}
+    Path(path).write_text(json.dumps({**header, **payload}, indent=2) + "\n")
+
+
+def write_csv(path, config_hash: str | None, header: str, rows) -> None:
+    """Write a CSV output: the stamp line of the config hash (none without
+    one), the header and the rows."""
+    stamp = [] if config_hash is None else [
+        f"# config_hash={config_hash} schema_version={SCHEMA_VERSION}"]
+    Path(path).write_text("\n".join([*stamp, header, *rows]) + "\n")
+
+
+def compute_aggregates(rows, u0_l1: float, mass_bound: float, failure_count: int) -> dict:
+    """Aggregate statistics; a pure function of the summary rows and the
+    count of failed paths, so that stored aggregates can be recomputed and
+    cross-checked on load.
 
     The bounds are the diagnostics' folds over the rows.  A path stops at
     the first step where I exceeds the mass bound, so its final_Q is Q at
@@ -138,16 +131,14 @@ def compute_aggregates(rows, u0_l1: float, mass_bound: float) -> dict:
     records."""
     n = len(rows)
     if n == 0:
-        return {"paths": 0, "mass_bound": mass_bound}
+        return {"paths": 0, "mass_bound": mass_bound, "failure_count": failure_count}
     max_l1 = np.array([r.max_l1 for r in rows])
     final_I = np.array([r.final_I for r in rows])
     flags = [r.stop_flag for r in rows]
     doob = doob_check(rows, [2.0 * u0_l1, 4.0 * u0_l1, 8.0 * u0_l1], u0_l1=u0_l1)
     qv = qv_report([r.final_Q for r in rows],
                    int(np.count_nonzero(final_I > mass_bound)), mass_bound)
-    counts = {}
-    for r in rows:
-        counts[r.doubling_count] = counts.get(r.doubling_count, 0) + 1
+    counts = Counter(r.doubling_count for r in rows)
     return {
         "paths": n,
         "u0_l1": u0_l1,
@@ -163,6 +154,7 @@ def compute_aggregates(rows, u0_l1: float, mass_bound: float) -> dict:
         "doob": doob.entries,
         "qv_at_mass_bound": qv.to_dict(),
         "doubling_count_histogram": {str(k): v for k, v in sorted(counts.items())},
+        "failure_count": failure_count,
     }
 
 
@@ -216,14 +208,11 @@ def run_ensemble(config: SimConfig, keep_records: bool = False,
     """Run config.paths seeded trajectories and aggregate the results.
 
     The seeds are split into min(workers, paths) blocks of consecutive path
-    indices, whose sizes differ by at most one.  One block runs in this
-    process; more run on a pool with one process per block.  Each block
-    builds its context, runs its seeds as one run_batch call and summarizes
-    its own paths, and the blocks are merged in order.  Every path owns its
-    own counter-based stream, so the worker count cannot change any output
-    byte.  A block that raises is split in halves and rerun down to single
-    seeds, so only the seeds that raise are recorded as failed; an error
-    while building a context is raised.
+    indices (``_run_block``), whose sizes differ by at most one.  One block
+    runs in this process; more run on a pool with one process per block.
+    Only the seeds that raise are recorded as failed (``_run_isolated``);
+    an error while building a context is raised.  The wall clock, paths per
+    second and the seconds of each phase go to ``run_info``.
     """
     t0 = time.monotonic()
     seeds = [config.base_seed + i for i in range(config.paths)]
@@ -242,18 +231,19 @@ def run_ensemble(config: SimConfig, keep_records: bool = False,
     failures = [f for part in block_failures for f in part]
     records = [r for part in block_records for r in part]
     t_blocks = time.monotonic()
-    aggregates = compute_aggregates(rows, u0_l1s[0], config.mass_bound)
-    aggregates["failure_count"] = len(failures)
+    aggregates = compute_aggregates(rows, u0_l1s[0], config.mass_bound, len(failures))
     t_aggregates = time.monotonic()
+    wall_clock = t_aggregates - t0
     result = EnsembleResult(
         rows=rows,
         aggregates=aggregates,
         config_hash=config_hash(config),
         failures=failures,
-        wall_clock=t_aggregates - t0,
         records=records if keep_records else None,
         trajectories=records[:config.save_trajectories],
         run_info={
+            "wall_clock_seconds": wall_clock,
+            "paths_per_second": len(rows) / wall_clock if wall_clock > 0 else math.inf,
             "workers": config.workers,
             "blocks": count,
             **telemetry[0],
@@ -267,12 +257,7 @@ def run_ensemble(config: SimConfig, keep_records: bool = False,
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path, config_hash=None):
-    lines = []
-    if config_hash is not None:
-        lines.append(f"# config_hash={config_hash} schema_version={SCHEMA_VERSION}")
-    lines.append(TrajectoryRecord.CSV_HEADER)
-    lines += list(record.csv_rows())
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, config_hash, TrajectoryRecord.CSV_HEADER, record.csv_rows())
 
 
 def load_ensemble(out_dir) -> EnsembleResult:
@@ -294,8 +279,7 @@ def load_ensemble(out_dir) -> EnsembleResult:
         )
     stored = payload["aggregates"]
     recomputed = compute_aggregates(rows, stored.get("u0_l1", 0.0),
-                                    stored["mass_bound"])
-    recomputed["failure_count"] = len(payload.get("failures", []))
+                                    stored["mass_bound"], len(payload.get("failures", [])))
     mismatch = {
         k for k in recomputed
         if json.loads(json.dumps(recomputed[k])) != stored.get(k)
@@ -326,8 +310,6 @@ class SweepResult:
 
     def to_dict(self):
         return {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": self.config_hash,
             "gammas": self.gammas,
             "thresholds": self.thresholds,
             "exit_fractions": {str(g): v for g, v in self.exit_fractions.items()},
@@ -352,6 +334,15 @@ def sweep_thresholds(threshold_grid) -> list:
     return thresholds
 
 
+def sweep_gammas(gamma_grid) -> list:
+    """The sweep's growth exponents; raises ValueError unless every one is
+    finite and nonnegative."""
+    gammas = [float(g) for g in gamma_grid]
+    if not all(0 <= g < math.inf for g in gammas):
+        raise ValueError(f"growth exponents {gammas} must be finite and >= 0")
+    return gammas
+
+
 def sweep_gamma(config: SimConfig, gamma_grid, threshold_grid) -> SweepResult:
     """Exit fractions per (gamma, threshold) plus doubling counts per gamma.
 
@@ -359,13 +350,16 @@ def sweep_gamma(config: SimConfig, gamma_grid, threshold_grid) -> SweepResult:
     transition is visible.  Thresholds must be powers of two; the
     truncation level is raised to the largest threshold so exits are
     observable.  All gamma cells share the same base seed (common random
-    numbers).
+    numbers).  The doubling levels need a finite mass bound: an infinite
+    one raises ConfigError, before any work.
     """
     thresholds = sweep_thresholds(threshold_grid)
-    gammas = [float(g) for g in gamma_grid]
+    gammas = sweep_gammas(gamma_grid)
+    if not config.mass_bound < math.inf:
+        raise ConfigError(f"run.mass_bound: the sweep's doubling levels need a "
+                          f"finite mass bound, got {config.mass_bound!r}")
 
-    fit_basis = _verification_basis(config.domain)
-    _, c_fit, _ = heat_kernel_decay_fit(fit_basis)
+    _, c_fit, _ = _heat_kernel_fit(config.domain)
     m0 = doubling_threshold_level(config.mass_bound, c_fit)
     beta = config.domain.dimension / 2.0
 
@@ -409,11 +403,15 @@ def sweep_gamma(config: SimConfig, gamma_grid, threshold_grid) -> SweepResult:
 # -- assumption verification -------------------------------------------------
 
 
-def _verification_basis(domain: DomainSpec) -> object:
-    """High-resolution same-geometry basis for continuum exponent fits."""
-    n = {1: 1024, 2: 1024, 3: 256}[domain.dimension]
-    return build_basis(DomainSpec(domain.dimension, domain.boundary, n,
-                                  length=domain.length))
+def _verification_basis(domain: DomainSpec, points: dict):
+    """The domain's geometry at points[d] points per axis, every mode kept,
+    for the continuum fits and quadratures."""
+    return build_basis(replace(domain, grid_points=points[domain.dimension], modes=None))
+
+
+def _heat_kernel_fit(domain: DomainSpec):
+    """(slope, C, residual) of the heat kernel's sup decay on a fine basis."""
+    return heat_kernel_decay_fit(_verification_basis(domain, {1: 1024, 2: 1024, 3: 256}))
 
 
 @dataclass
@@ -430,8 +428,6 @@ class AssumptionReport:
 
     def to_dict(self):
         return {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": self.config_hash,
             "clauses": self.clauses,
             "passed": self.passed,
         }
@@ -447,8 +443,7 @@ def verify_assumptions(config: SimConfig) -> AssumptionReport:
     d = config.domain.dimension
     clauses = {}
 
-    fit_basis = _verification_basis(config.domain)
-    slope, c_fit, rms = heat_kernel_decay_fit(fit_basis)
+    slope, c_fit, rms = _heat_kernel_fit(config.domain)
     clauses["A"] = {
         "fitted_slope": slope,
         "expected": -d / 2,
@@ -457,10 +452,7 @@ def verify_assumptions(config: SimConfig) -> AssumptionReport:
         "passed": abs(slope + d / 2) <= 0.05,
     }
 
-    decay_n = {1: 512, 2: 256, 3: 64}[d]
-    decay_basis = build_basis(
-        DomainSpec(d, config.domain.boundary, decay_n, length=config.domain.length)
-    )
+    decay_basis = _verification_basis(config.domain, {1: 512, 2: 256, 3: 64})
     try:
         report = verify_decay(config.noise, decay_basis)
         clauses["B"] = report.to_dict()
@@ -474,10 +466,7 @@ def verify_assumptions(config: SimConfig) -> AssumptionReport:
             "note": "delta kernel has no finite double integral",
         }
     else:
-        quad_n = {1: 512, 2: 64, 3: 16}[d]
-        quad_basis = build_basis(
-            DomainSpec(d, config.domain.boundary, quad_n, length=config.domain.length)
-        )
+        quad_basis = _verification_basis(config.domain, {1: 512, 2: 64, 3: 16})
         value = config.noise.double_integral(quad_basis)
         clauses["C"] = {"value": value, "passed": bool(np.isfinite(value))}
 

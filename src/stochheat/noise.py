@@ -43,13 +43,7 @@ grid size N.
 
 Every transform is ``numpy.fft`` and the spectral sampler's Gamma(theta)
 is ``math.gamma``, so no run loads scipy; the tests keep scipy's
-transforms as the oracle of the Riesz sampler's bits.  Measured on 2 vCPUs
-with numpy 2.4.6 against scipy 1.17.1: ``make_sampler`` for
-``configs/riesz_3d.conf`` takes 23 ms instead of 362 ms, and a Riesz run
-starts in half the time with 30% less peak memory, while its steps run
-up to 10% slower (``run_batch`` at 8^3 x 50 and 16^3 x 4, and the
-benchmark's Riesz workloads): numpy transforms one line at a time and
-needs the copies that reorder the axes (ROADMAP.md, "Cold start").
+transforms as the oracle of the Riesz sampler's bits.
 """
 
 from __future__ import annotations

@@ -22,8 +22,10 @@ is accumulated with the kernel-specific quadrature of the sampler.
 
 A built run is a ``Stepper``, which ``build_context`` makes from a config:
 the basis, coefficient, sampler, step, initial data, horizon and mass
-bound shared by every path of the config.  A block of seeds steps as one
-(P, *grid) batch through ``Stepper.step``.
+bound shared by every path of the config.  Its initial data is built by
+``initial_field`` from the init.* keys its kind reads (``INIT_KEYS``),
+which ``SimConfig`` calls too.  A block of seeds steps as one (P, *grid)
+batch through ``Stepper.step``.
 Each row draws the standard normals of its increment from its own
 counter-based stream keyed by its seed (Philox; Salmon et al., SC'11), so
 its values do not depend on the batch; one linear map of the sampler turns
@@ -34,11 +36,13 @@ the next chunk on one helper thread, for the stepping core and the
 convolution probe alike, with the values of a serial draw.  A row leaves
 the batch at its stop, the first of the sup-norm reaching the truncation
 level (tau_n), the mass martingale exceeding the bound M (tau_M) or the
-horizon, or as a failed path when its field goes non-finite.
+horizon, or as a failed path, a ``TrajectoryError`` with the step, when
+its field goes non-finite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -69,17 +73,29 @@ _DRAW_NORMALS = 2**10
 _BATCH_NORMALS = 2**20
 
 
-class BlowThroughError(RuntimeError):
-    """A step produced non-finite values: dt too large for the sup-norm."""
+# init.kind -> the init.* keys its data reads; the last one scales the data
+INIT_KEYS = {
+    "constant": ("init.value",),
+    "eigenmode": ("init.mode", "init.amplitude"),
+    "file": ("init.path",),
+}
+
+
+class InitialDataError(ValueError):
+    """Initial data that cannot be built; ``key`` is the init.* key at fault."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 class TrajectoryError(RuntimeError):
-    """Step failure with the step index attached."""
+    """A path's field went non-finite after ``step``."""
 
-    def __init__(self, step: int, cause: Exception):
-        super().__init__(f"step {step}: {cause}")
+    def __init__(self, step: int):
+        super().__init__(f"step {step}: non-finite field after step: step size "
+                         "too large for the current sup-norm")
         self.step = step
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -215,46 +231,55 @@ class TrajectoryRecord:
 
 def initial_field(basis: SpectralBasis, kind: str, *, value: float = 1.0,
                   mode=None, amplitude: float = 1.0, path: str | None = None):
-    """Nonnegative bounded initial data on the grid."""
+    """Nonnegative bounded initial data on the grid from the keys of
+    ``INIT_KEYS[kind]``: a constant, an eigenmode times an amplitude or an
+    ``.npy`` file of the grid's shape.  Data that cannot be built raises
+    InitialDataError with the key at fault."""
+    if kind not in INIT_KEYS:
+        raise InitialDataError("init.kind", f"{kind!r} not one of {'|'.join(INIT_KEYS)}")
     if kind == "constant":
         if value < 0:
-            raise ValueError("constant initial data must be >= 0 (nonnegative data assumption)")
+            raise InitialDataError("init.value", "initial data must be nonnegative "
+                                   "(nonnegative initial condition assumption)")
         return np.full(basis.grid_shape, float(value))
     if kind == "eigenmode":
+        if amplitude < 0:
+            raise InitialDataError("init.amplitude", "must be >= 0 (nonnegative initial data)")
         if mode is None:
             mode = (basis.axis_valid_indices()[0],) * basis.dimension
         mode = tuple(int(k) for k in np.atleast_1d(mode))
         if len(mode) != basis.dimension:
-            raise ValueError(f"eigenmode {mode} needs one index per axis, {basis.dimension}")
+            raise InitialDataError(
+                "init.mode", f"eigenmode {mode} needs one index per axis, {basis.dimension}")
         grid = basis.axis_eigenfunctions(basis.axis_points)
-        axes = [grid[:, basis.axis_index(k)] for k in mode]
-        u0 = axes[0]
-        for ax in axes[1:]:
-            u0 = np.multiply.outer(u0, ax)
-        u0 = amplitude * u0
+        try:
+            axes = [grid[:, basis.axis_index(k)] for k in mode]
+        except IndexError as exc:
+            raise InitialDataError("init.mode", str(exc)) from exc
+        u0 = amplitude * functools.reduce(np.multiply.outer, axes)
         if float(np.min(u0)) < -1e-12 * max(1.0, float(np.max(np.abs(u0)))):
-            raise ValueError(
-                f"eigenmode {mode} times amplitude {amplitude:g} takes negative "
-                "values; initial data must be nonnegative"
-            )
+            raise InitialDataError(
+                "init.mode", f"eigenmode {mode} times amplitude {amplitude:g} takes "
+                "negative values; initial data must be nonnegative")
         return np.maximum(u0, 0.0)
-    if kind == "file":
-        if path is None:
-            raise ValueError("file initial condition needs a path")
+    if not path:
+        raise InitialDataError("init.path", "required for init.kind = file")
+    try:
         u0 = np.load(path)
-        if not isinstance(u0, np.ndarray):
-            u0.close()
-            raise ValueError(f"{path} holds an archive of arrays, not one array")
-        if u0.shape != basis.grid_shape:
-            raise ValueError(
-                f"initial data shape {u0.shape} does not match grid {basis.grid_shape}"
-            )
-        if not np.all(np.isfinite(u0)):
-            raise ValueError("initial data contains non-finite values")
-        if float(np.min(u0)) < 0:
-            raise ValueError("initial data must be nonnegative")
+    except (OSError, EOFError, ValueError) as exc:
+        raise InitialDataError("init.path", str(exc)) from exc
+    if not isinstance(u0, np.ndarray):
+        u0.close()
+        problem = f"{path} holds an archive of arrays, not one array"
+    elif u0.shape != basis.grid_shape:
+        problem = f"initial data shape {u0.shape} does not match grid {basis.grid_shape}"
+    elif not np.all(np.isfinite(u0)):
+        problem = "initial data contains non-finite values"
+    elif float(np.min(u0)) < 0:
+        problem = "initial data must be nonnegative"
+    else:
         return np.asarray(u0, dtype=float)
-    raise ValueError(f"unknown initial condition kind {kind!r}")
+    raise InitialDataError("init.path", problem)
 
 
 def build_context(config) -> Stepper:
@@ -366,9 +391,7 @@ def _run_rows(ctx: Stepper, seeds):
             u, dI, dQ, dclamp, finite = ctx.step(u, sampler.increments(dt, z))
             if not finite.all():
                 for i in live[~finite]:
-                    errors[i] = TrajectoryError(s, BlowThroughError(
-                        "non-finite field after step: step size too large for "
-                        "the current sup-norm"))
+                    errors[i] = TrajectoryError(s)
                 live, u = live[finite], u[finite]
                 dI, dQ, dclamp = dI[finite], dQ[finite], dclamp[finite]
             I[live, s] = I[live, s - 1] + dI
@@ -408,6 +431,5 @@ def run_trajectory(config, seed: int, context: Stepper | None = None) -> Traject
     ctx = context if context is not None else build_context(config)
     records, failures = run_batch(ctx, [seed])
     if failures:
-        error = failures[0][1]
-        raise error from error.cause
+        raise failures[0][1]
     return records[0]

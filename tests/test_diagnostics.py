@@ -173,6 +173,11 @@ class TestDoublingWindow:
         with pytest.raises(ValueError):
             doubling_window(10.0, 2, 0.5, 1.0)
 
+    @pytest.mark.parametrize("M", [0.0, math.inf, math.nan])
+    def test_threshold_level_needs_a_positive_finite_mass_bound(self, M):
+        with pytest.raises(ValueError, match="M must be positive and finite"):
+            doubling_threshold_level(M, 1.0)
+
     def test_threshold_level_makes_window_valid(self):
         M, C = 37.0, 2.2
         m0 = doubling_threshold_level(M, C)
@@ -219,7 +224,7 @@ class TestDoobCheck:
         )
         u0 = recs[0].l1_norm[0]
         report = doob_check(recs, [2 * u0, 4 * u0, 8 * u0])
-        assert report.passed, report.to_dict()
+        assert report.passed, report.entries
 
 
 class TestQVCheck:

@@ -63,6 +63,11 @@ run.base_seed      = 7
 """
 
 
+# MINIMAL without its init.* keys: constant data of the default value 1.0,
+# so an override may switch init.kind without an init.value it would not read
+NO_INIT = MINIMAL.replace("init.kind          = constant\ninit.value         = 2.0\n", "")
+
+
 def write_config(tmp_path, text=MINIMAL, name="run.conf"):
     p = tmp_path / name
     p.write_text(text)
@@ -91,7 +96,7 @@ class TestParseConfig:
     def test_negative_eigenmode_amplitude_rejected(self, tmp_path):
         # named as the amplitude, not as the (nonnegative) eigenmode
         with pytest.raises(ConfigError, match=r"^init\.amplitude:"):
-            parse_config(write_config(tmp_path),
+            parse_config(write_config(tmp_path, NO_INIT),
                          overrides={"init.kind": "eigenmode", "init.amplitude": "-1"})
 
     def test_unknown_key_has_field_path(self, tmp_path):
@@ -168,9 +173,43 @@ class TestParseConfig:
     def test_initial_sup_at_truncation_rejected(self, tmp_path, overrides, key):
         # every path would stop at step 0 as tau_n
         with pytest.raises(ConfigError, match=rf"^{key}: .*sigma\.truncation"):
-            parse_config(write_config(tmp_path), overrides=overrides)
+            parse_config(write_config(tmp_path, NO_INIT), overrides=overrides)
         below = dict(overrides, **{"sigma.truncation": "1e3"})
-        assert parse_config(write_config(tmp_path), overrides=below).sigma.truncation == 1e3
+        assert parse_config(write_config(tmp_path, NO_INIT),
+                            overrides=below).sigma.truncation == 1e3
+
+    @pytest.mark.parametrize("kind, key", [
+        ("constant", "init.mode"), ("constant", "init.amplitude"), ("constant", "init.path"),
+        ("eigenmode", "init.value"), ("eigenmode", "init.path"),
+        ("file", "init.value"), ("file", "init.mode"), ("file", "init.amplitude"),
+    ])
+    def test_init_key_the_kind_does_not_read_rejected(self, tmp_path, kind, key):
+        # ignoring it would run the same data under another hash
+        message = rf"^{key}: not read by init\.kind = {kind}$"
+        value = LEGAL[key][0]
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_config(tmp_path, NO_INIT),
+                         overrides={"init.kind": kind, key: value})
+        text = NO_INIT + f"init.kind = {kind}\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_config(tmp_path, text))
+
+    def test_shipped_config_rejects_unread_init_mode(self):
+        shipped = Path(__file__).resolve().parent.parent / "configs/white_noise_critical.conf"
+        with pytest.raises(ConfigError, match=r"^init\.mode: not read by init\.kind = constant$"):
+            parse_config(shipped, overrides={"init.mode": "3"})
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"init.value": "0"}, "init.value"),
+        ({"init.kind": "eigenmode", "init.amplitude": "0"}, "init.amplitude"),
+        ({"init.kind": "file", "init.path": "zeros.npy"}, "init.path"),
+    ], ids=["constant", "eigenmode", "file"])
+    def test_zero_initial_data_rejected(self, tmp_path, monkeypatch, overrides, key):
+        # int u0 = 0 leaves the Doob levels 2, 4 and 8 int u0 at 0
+        monkeypatch.chdir(tmp_path)
+        np.save("zeros.npy", np.zeros(64))
+        with pytest.raises(ConfigError, match=rf"^{key}: initial data is zero everywhere"):
+            parse_config(write_config(tmp_path, NO_INIT), overrides=overrides)
 
     @pytest.mark.parametrize("key", ["run.max_failures", "run.save_trajectories"])
     def test_negative_output_counts_rejected(self, tmp_path, key):
@@ -267,8 +306,8 @@ LEGAL = {
     "init.kind": ("eigenmode", {}),
     "init.value": ("2.0", {}),
     "init.mode": ("0", {"init.kind": "eigenmode"}),
-    "init.amplitude": ("2.0", {}),
-    "init.path": ("u0.npy", {}),
+    "init.amplitude": ("2.0", {"init.kind": "eigenmode"}),
+    "init.path": ("u0.npy", {"init.kind": "file", "init.path": "base.npy"}),
     "run.dt": ("1e-4", {}),
     "run.horizon": ("0.2", {}),
     "run.mass_bound": ("1e6", {}),
@@ -296,7 +335,11 @@ class TestConfigKeys:
         return getattr(owner, _KEYS[key][2])
 
     @pytest.mark.parametrize("key", list(_KEYS))
-    def test_each_key_reaches_its_field_and_the_hash(self, key):
+    def test_each_key_reaches_its_field_and_the_hash(self, key, tmp_path, monkeypatch):
+        # file data is read when the config is built: both sides need a file
+        monkeypatch.chdir(tmp_path)
+        for name in ("u0.npy", "base.npy"):
+            np.save(name, np.full(_KEYS["domain.grid_points"][1], 2.0))
         value, context = LEGAL[key]
         base = parse_config_lines([], context)
         config = parse_config_lines([], {**context, **WITH_VALUE.get(key, {}), key: value})
@@ -304,6 +347,13 @@ class TestConfigKeys:
         assert self.field_value(config, key) == expected
         assert self.field_value(base, key) != expected
         assert (config_hash(config) == config_hash(base)) == (key in _UNHASHED)
+
+    def test_init_rows_are_the_init_table(self):
+        # INIT_KEYS says which keys each kind reads; every init.* row but
+        # init.kind is read by some kind, and no kind reads another key
+        rows = {key for key in _KEYS if key.startswith("init.")} - {"init.kind"}
+        read = [key for keys in stepping.INIT_KEYS.values() for key in keys]
+        assert set(read) == rows
 
     def test_noise_rows_are_the_kernel_fields(self):
         # the kernel dataclasses are the noise schema: one row per field,
@@ -524,7 +574,7 @@ class TestRunEnsemble:
         assert info["workers"] == 2 and info["blocks"] == 2
         assert set(info["phase_seconds"]) == {"blocks", "aggregates", "write"}
         assert all(v >= 0 for v in info["phase_seconds"].values())
-        assert info["wall_clock_seconds"] == result.wall_clock
+        assert info["wall_clock_seconds"] == result.run_info["wall_clock_seconds"]
         heuristic = build_context(config).dt_heuristic
         assert info["dt_over_heuristic"] == config.dt / heuristic
         assert info["dt_over_heuristic"] > 1  # dt = 2e-4 on 64 Neumann modes
@@ -679,7 +729,7 @@ class TestCLI:
                 np.savez(f, **data)
         elif data is not None:
             np.save(path, data)
-        code = main(["simulate", "--config", str(write_config(tmp_path)),
+        code = main(["simulate", "--config", str(write_config(tmp_path, NO_INIT)),
                      "--set", "init.kind=file", "--set", f"init.path={path}",
                      "--output", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
@@ -731,7 +781,8 @@ class TestCLI:
     ], ids=["not-integers", "two-indices", "two-zero-indices", "off-grid",
             "sign-changing"])
     def test_simulate_rejects_bad_init_mode(self, tmp_path, capsys, overrides):
-        code = main(["simulate", "--config", str(write_config(tmp_path)),
+        base = NO_INIT if "init.kind=eigenmode" in overrides else MINIMAL
+        code = main(["simulate", "--config", str(write_config(tmp_path, base)),
                      *[item for o in overrides for item in ("--set", o)],
                      "--output", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
@@ -762,13 +813,27 @@ class TestCLI:
     def test_simulate_from_initial_data_file(self, tmp_path, capsys):
         path = tmp_path / "u0.npy"
         np.save(path, np.full(64, 2.0))
-        code = main(["simulate", "--config", str(write_config(tmp_path)),
+        code = main(["simulate", "--config", str(write_config(tmp_path, NO_INIT)),
                      "--set", "init.kind=file", "--set", f"init.path={path}",
                      "--output", str(tmp_path / "out")])
         assert code == 0
         run_dir = next((tmp_path / "out").iterdir())
         agg = json.loads((run_dir / "aggregates.json").read_text())["aggregates"]
         assert agg["stop_fractions"]["tau_n"] == 0.0
+
+    @pytest.mark.parametrize("overrides, key", [
+        (["init.mode=3"], "init.mode: not read by init.kind = constant"),
+        (["init.value=0"], "init.value: initial data is zero everywhere"),
+    ], ids=["unread-key", "zero-data"])
+    def test_simulate_rejects_unusable_init_keys(self, tmp_path, capsys, overrides, key):
+        code = main(["simulate", "--config", str(write_config(tmp_path)),
+                     *[item for o in overrides for item in ("--set", o)],
+                     "--set", "run.paths=2", "--output", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_rejects_noise_key_of_another_kernel(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(write_config(tmp_path)),
@@ -825,8 +890,7 @@ class TestCLI:
             seed=i, stop_flag="tau_M", stop_time=0.01, max_sup_norm=1.0,
             max_l1=10.0, final_I=1.0, final_Q=0.5, clamped_fraction=0.0,
             doubling_count=0) for i in range(8)]
-        aggregates = compute_aggregates(rows, u0_l1=1.0, mass_bound=0.5)
-        aggregates["failure_count"] = 0
+        aggregates = compute_aggregates(rows, u0_l1=1.0, mass_bound=0.5, failure_count=0)
         EnsembleResult(rows=rows, aggregates=aggregates,
                        config_hash="0" * 12).write(tmp_path / "run")
         assert main(["report", "--input", str(tmp_path / "run")]) == 0
@@ -922,6 +986,27 @@ class TestCLI:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {flag}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option, value, key", [
+        ("--set", "run.mass_bound=inf", "run.mass_bound"),
+        ("--gammas", "-1", "--gammas"),
+        ("--gammas", "1.5,nan", "--gammas"),
+        ("--gammas", "inf", "--gammas"),
+    ], ids=["infinite-mass-bound", "negative-gamma", "nan-gamma", "infinite-gamma"])
+    def test_sweep_gamma_rejects_before_the_fit(self, tmp_path, capsys, monkeypatch,
+                                                option, value, key):
+        def fit(basis):
+            raise AssertionError("the heat-kernel fit ran")
+        monkeypatch.setattr(ensemble, "heat_kernel_decay_fit", fit)
+        args = {"--gammas": "1.5", option: value}
+        code = main(["sweep-gamma", "--config", str(write_config(tmp_path)),
+                     "--set", "run.paths=2", "--output", str(tmp_path / "out"),
+                     *[item for pair in args.items() for item in pair]])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stochheat
 from stochheat import stepping
 from stochheat.config import SimConfig
 from stochheat.spectral import (
@@ -345,6 +346,28 @@ class TestRunBatch:
         # one draw-ahead helper serves the stepping core and the probe; a
         # second ThreadPoolExecutor in the package would be a second copy
         assert call_sites("ThreadPoolExecutor") == [("stepping.py", "drawn_ahead")]
+
+    def test_init_kinds_are_compared_only_in_stepping(self):
+        # initial_field owns every init.kind fact; a comparison elsewhere
+        # would be a second statement of what a kind reads
+        found = []
+        for module in sorted(Path(stepping.__file__).parent.glob("*.py")):
+            if module.name == "stepping.py":
+                continue
+            found += [
+                (module.name, node.lineno)
+                for node in ast.walk(ast.parse(module.read_text()))
+                if isinstance(node, ast.Compare)
+                for operand in [node.left, *node.comparators]
+                for value in getattr(operand, "elts", [operand])  # x in (...)
+                if isinstance(value, ast.Constant)
+                and value.value in ("constant", "eigenmode", "file")
+            ]
+        assert found == []
+
+    def test_a_failed_path_is_one_error_class(self):
+        assert not hasattr(stepping, "BlowThroughError")
+        assert not hasattr(stochheat, "BlowThroughError")
 
     def test_stepper_is_built_only_by_build_context(self):
         # a built run has one constructor; a second would rebuild per batch
