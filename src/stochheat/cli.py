@@ -137,7 +137,10 @@ def cmd_probe_convolution(args) -> int:
     out_dir = Path(args.output or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
-    out = out_dir / f"probe-{_stamp([chash, args.p, t_grid, args.paths, dt])}.json"
+    # the stream layout is part of the experiment: a report drawn from
+    # other streams is another experiment and gets its own file
+    stamp = _stamp([chash, args.p, t_grid, args.paths, dt, report.streams])
+    out = out_dir / f"probe-{stamp}.json"
     payload = {"schema_version": 1, "config_hash": chash}
     payload.update(report.to_dict())
     out.write_text(json.dumps(payload, indent=2) + "\n")

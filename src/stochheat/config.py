@@ -26,12 +26,12 @@ than noise.kind carry no default: they name a field of a kernel dataclass,
 and the kernel class of ``noise.kind`` says which it reads (its fields),
 which it requires (those without a default) and the defaults.  The init.*
 keys each init.kind reads are its row of ``stepping.INIT_KEYS``, and
-``SimConfig`` builds the initial data with ``stepping.initial_field``, which
-names the key at fault.  Unknown keys, and noise or init keys that the
-chosen kernel or init.kind does not read, are rejected with their field
-path; invariant violations quote the violated constraint.  The config hash
-is a stable digest over every field but those of ``_UNHASHED`` and is
-stamped into every output file.
+``SimConfig`` checks the initial data with ``stepping.initial_sup``, which
+names the key at fault and builds no field for constant data.  Unknown
+keys, and noise or init keys that the chosen kernel or init.kind does not
+read, are rejected with their field path; invariant violations quote the
+violated constraint.  The config hash is a stable digest over every field
+but those of ``_UNHASHED`` and is stamped into every output file.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .noise import KERNELS, KernelValidationError, critical_exponent
-from .spectral import DomainSpec, build_basis
-from .stepping import INIT_KEYS, InitialDataError, SigmaSpec, initial_field
+from .spectral import DomainSpec
+from .stepping import INIT_KEYS, InitialDataError, SigmaSpec, initial_sup
 
 
 class ConfigError(ValueError):
@@ -163,12 +163,12 @@ class SimConfig:
         except KernelValidationError as exc:
             raise ConfigError(f"noise: {exc}") from exc
         try:
-            u0 = initial_field(build_basis(self.domain), self.init_kind,
-                               value=self.init_value, mode=self.init_mode,
-                               amplitude=self.init_amplitude, path=self.init_path)
+            sup = initial_sup(self.domain, self.init_kind, value=self.init_value,
+                              mode=self.init_mode, amplitude=self.init_amplitude,
+                              path=self.init_path)
         except InitialDataError as exc:
             raise ConfigError(f"{exc.key}: {exc}") from exc
-        key, sup = INIT_KEYS[self.init_kind][-1], float(u0.max())
+        key = INIT_KEYS[self.init_kind][-1]
         if sup == 0:
             raise ConfigError(
                 f"{key}: initial data is zero everywhere; every mass bound is "

@@ -22,7 +22,7 @@ import numpy as np
 
 from .noise import SpectralSampler, make_sampler
 from .spectral import SpectralBasis, loglog_slope
-from .stepping import _BATCH_NORMALS, TrajectoryRecord, drawn_ahead, path_rng
+from .stepping import _BATCH_NORMALS, TrajectoryRecord, drawn_ahead
 
 UP = "up"
 DOWN = "down"
@@ -243,6 +243,16 @@ def martingale_mean_check(records) -> MartingaleMeanReport:
 
 # -- stochastic convolution moment probe ---------------------------------
 
+# rows per stream of the probe: each block of rows draws from its own
+# stream, so the blocks of a step can be drawn in any order, on any thread
+PROBE_BLOCK_ROWS = 256
+
+
+def block_rng(seed: int, block: int):
+    """The stream of the probe's rows block * PROBE_BLOCK_ROWS onwards;
+    independent across blocks and seeds."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block))))
+
 
 def moment_admissible(p: float, beta: float, eta: float) -> bool:
     """(1+beta)/p < (1-eta)/2 - beta/(p-2)."""
@@ -261,6 +271,9 @@ class MomentProbeReport:
     fitted_slope: float
     theoretical_exponent: float
     fitted_C: float
+    # the stream layout the normals came from; a report of another layout
+    # holds other draws
+    streams: dict
     variance_checks: list = field(default_factory=list)
 
     @property
@@ -320,9 +333,12 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     large p are tamed with a median-of-means estimate over ``batches``
     groups of paths.  For the spectral kernel with phi = 1 the pointwise
     variance is also compared against the scheme's exact eigenvalue series.
-    The normals come from the one stream through ``stepping.drawn_ahead``,
-    with the values of a serial draw per step.  Needs ``1 <= batches <=
-    paths``; an argument that cannot give a probe raises ProbeArgumentError.
+    Each block of ``PROBE_BLOCK_ROWS`` rows draws its normals from its own
+    SFC64 stream (``block_rng``); the blocks of a step are the units of
+    ``stepping.drawn_ahead``, drawn by its helper thread and by the caller
+    with the values of a serial draw per block and step.  The report names
+    that layout in ``streams``.  Needs ``1 <= batches <= paths``; an
+    argument that cannot give a probe raises ProbeArgumentError.
     """
     if not 1 <= batches <= paths:
         raise ProbeArgumentError(
@@ -363,7 +379,6 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
         phi_vals = np.asarray(phi(*basis.grid_coordinates()), dtype=float)
 
     sampler = make_sampler(noise_spec, basis)
-    rng = path_rng(seed)
 
     spectral_fast = sampler.weights is not None and np.all(phi_vals == 1.0)
     # the grid point nearest the centre, where Z is recorded and the
@@ -374,39 +389,52 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     center = basis.axis_points[list(center_idx)]
 
     Z = np.zeros((paths,) + basis.coeff_shape)
-    running_max = np.zeros(paths)
-    abs_grid = np.empty((paths, math.prod(basis.grid_shape)))
+    highest = np.zeros((paths, math.prod(basis.grid_shape)))  # running max |Z|
     sup_snapshots = np.empty((len(steps_at), paths))
     center_snapshots = np.empty((len(steps_at), paths))
     snap = 0
     center_flat = np.ravel_multi_index(center_idx, basis.grid_shape)
 
-    def coefficients(z):  # the spectral increments of a block of normals
-        if spectral_fast:  # scaled in place, in the draw buffer
-            return np.multiply(z, math.sqrt(dt) * sampler.amplitudes, out=z)
-        return basis.to_spectral_batch(phi_vals * sampler.increments(dt, z))
+    # block b holds rows b*PROBE_BLOCK_ROWS onwards and draws their normals,
+    # step after step, from its own stream; a chunk is the blocks of one
+    # step that fit in _BATCH_NORMALS values (at least one), each a unit
+    per_row = math.prod(sampler.normal_shape)
+    rngs = [block_rng(seed, b) for b in range(-(-paths // PROBE_BLOCK_ROWS))]
+    per_chunk = max(1, _BATCH_NORMALS // (PROBE_BLOCK_ROWS * per_row))
+    groups = -(-len(rngs) // per_chunk)
+    rows = min(paths, per_chunk * PROBE_BLOCK_ROWS)
+    scale = math.sqrt(dt) * sampler.amplitudes if spectral_fast else None
 
-    # each step's (paths, *normal_shape) normals come from the one stream in
-    # consecutive blocks of at most _BATCH_NORMALS values, one block per chunk
-    rows = max(1, _BATCH_NORMALS // math.prod(sampler.normal_shape))
-    blocks = -(-paths // rows)
+    def blocks(k):  # the units of chunk k
+        g = k % groups
+        return range(g * per_chunk, min(len(rngs), (g + 1) * per_chunk))
 
-    def fill(out, k):
-        rng.standard_normal(out=out[:paths - k % blocks * rows])
+    def fill(out, k, b):
+        a = b % per_chunk * PROBE_BLOCK_ROWS
+        z = out[a:a + min(PROBE_BLOCK_ROWS, paths - b * PROBE_BLOCK_ROWS)]
+        rngs[b].standard_normal(out=z)
+        if spectral_fast:  # the spectral increments, scaled in place
+            np.multiply(z, scale, out=z)
 
-    with drawn_ahead((min(rows, paths),) + sampler.normal_shape, fill,
-                     n_steps * blocks) as take:
+    with drawn_ahead((rows,) + sampler.normal_shape, fill, n_steps * groups,
+                     blocks(0)) as take:
+        k = 0
         for s in range(1, n_steps + 1):
-            for a in range(0, paths, rows):  # Z gains a block at a time, in place
-                Z[a:a + rows] += coefficients(take()[:paths - a])
-            Z = basis.semigroup(Z, dt)
+            for a in range(0, paths, rows):  # Z gains a chunk at a time, in place
+                k += 1
+                z = take(blocks(k))[:paths - a]
+                Z[a:a + rows] += z if spectral_fast else basis.to_spectral_batch(
+                    phi_vals * sampler.increments(dt, z))
+            basis.semigroup(Z, dt, in_place=True)
             Z_grid = basis.to_grid_batch(Z).reshape(paths, -1)
-            # max |Z| per row, with |Z| in a buffer of the probe
-            np.maximum(running_max, np.abs(Z_grid, out=abs_grid).max(axis=1),
-                       out=running_max)
-            if s == steps_at[snap]:
-                sup_snapshots[snap] = running_max
+            at_snapshot = s == steps_at[snap]
+            if at_snapshot:
                 center_snapshots[snap] = Z_grid[:, center_flat]
+            # the running max of |Z| at every grid point, |Z| taken in place;
+            # a row's sup is reduced only at the snapshots
+            np.maximum(highest, np.abs(Z_grid, out=Z_grid), out=highest)
+            if at_snapshot:
+                sup_snapshots[snap] = highest.max(axis=1)
                 snap += 1
 
     # median of means over batches for E sup^p
@@ -446,5 +474,7 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
         fitted_slope=slope,
         theoretical_exponent=exponent,
         fitted_C=float(math.exp(intercept)),
+        streams={"generator": type(rngs[0].bit_generator).__name__,
+                 "rows_per_stream": PROBE_BLOCK_ROWS},
         variance_checks=variance_checks,
     )

@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -274,11 +275,10 @@ def _unit_cell_mean(alpha: float, dimension: int) -> float:
         return 2.0**alpha / (1.0 - alpha)
     res = 64
     axes = (np.arange(res) + 0.5) / res - 0.5  # midpoints of [-1/2,1/2]
-    grids = np.meshgrid(*([axes] * dimension), indexing="ij")
+    # one broadcast axis per dimension: only the sums build a full grid
+    grids = np.meshgrid(*([axes] * dimension), indexing="ij", sparse=True)
     r2 = sum(g**2 for g in grids)
-    inside_half = np.all(
-        np.stack([np.abs(g) < 0.25 for g in grids]), axis=0
-    )
+    inside_half = functools.reduce(operator.and_, (np.abs(g) < 0.25 for g in grids))
     vol = (1.0 / res) ** dimension
     annulus = np.where(inside_half, 0.0, r2 ** (-alpha / 2.0))
     S = float(np.sum(annulus)) * vol

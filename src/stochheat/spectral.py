@@ -48,6 +48,13 @@ The transform pairs are numpy real FFTs, one axis at a time:
   reversed, an ``rfft`` of n points and the twiddle exp(-i pi k/2n).
 * periodic: a plain ``rfft``/``irfft``.
 
+An axis of at most ``_DENSE_POINTS`` points inverts with one cached
+(modes x points) synthesis matrix instead, the fast inverse of each unit
+coefficient vector, in matrix products of ``_DENSE_LINES`` lines with the
+last block zero-padded: every line goes through one call of one shape, so
+its values do not depend on its batch or its position in it, and they
+equal the FFT inverse at round-off.
+
 ``heat_flow`` fuses to_spectral -> semigroup -> to_grid: per axis it
 scales the analysis mode by mode (zero beyond the cutoff, which is the
 projection) and synthesizes, with no coefficient array in between; the
@@ -58,6 +65,7 @@ in, and its buffers are kept per thread and reused between calls.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -73,6 +81,15 @@ DIRICHLET = "dirichlet"
 # (2048, 63) DST-I ran about 25% faster in blocks of 256 or 512 lines than
 # whole, and a 8^3 x 50 heat flow stays one block
 _BLOCK_VALUES = 2**16
+
+# an axis of at most _DENSE_POINTS grid points inverts with its synthesis
+# matrix, _DENSE_LINES lines per matrix product, so every line goes through
+# one call of one shape.  On 2 vCPUs with OpenBLAS 0.3.31, 2048 lines took
+# 0.55-0.65 ms against 1.2-2.1 ms by FFT at 63 and 64 points, on one thread;
+# at 128 points OpenBLAS threads the 64-line product (2x the CPU time for
+# 60 against 70 us), which would take the core of the probe's draw helper
+_DENSE_POINTS = 64
+_DENSE_LINES = 64
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -170,7 +187,27 @@ class _Axis:
             if scale is not None:
                 np.multiply(F[..., entries], scale, out=out[..., coeffs])
 
+    @functools.cached_property
+    def synthesis_matrix(self) -> np.ndarray | None:
+        """psi_k(x_j) as a (modes, points) matrix, for an axis of at most
+        ``_DENSE_POINTS`` points, None for a larger one: the fast inverse of
+        each unit coefficient vector, which keeps the matrix at the FFT's
+        round-off (sin of the phases k pi x_j / L loses up to 1e-14 at
+        k x_j ~ 200)."""
+        if len(self.points) > _DENSE_POINTS:
+            return None
+        M = np.empty((len(self.mode_numbers), len(self.points)))
+        self.fft_inverse(np.eye(len(self.mode_numbers)), M)
+        return M
+
     def inverse(self, c: np.ndarray, out: np.ndarray):
+        if self.synthesis_matrix is None:
+            self.fft_inverse(c, out)
+        else:
+            self._dense_inverse(c, out)
+
+    def fft_inverse(self, c: np.ndarray, out: np.ndarray):
+        """The inverse by the axis's transform pair and packing table."""
         T = self._spectrum(c.shape[:-1])
         T.fill(0)
         F = T.view(float)
@@ -183,6 +220,25 @@ class _Axis:
         self.synthesis(T, v)
         for flow, grid in self.flow_parts:
             out[..., grid] = v[..., flow]
+
+    def _dense_inverse(self, c: np.ndarray, out: np.ndarray):
+        """Lines times the synthesis matrix, one product per block of
+        ``_DENSE_LINES`` lines; the last block is zero-padded, so every line
+        goes through one call shape and its values do not depend on its
+        batch or its position in it."""
+        M = self.synthesis_matrix
+        modes, points = M.shape
+        lines = np.ascontiguousarray(c).reshape(-1, modes)
+        values = out.reshape(-1, points)
+        full = len(lines) - len(lines) % _DENSE_LINES
+        # a stack of blocks is one matmul call, one product per block
+        np.matmul(lines[:full].reshape(-1, _DENSE_LINES, modes), M,
+                  out=values[:full].reshape(-1, _DENSE_LINES, points))
+        if full < len(lines):
+            block = self.workspace("dense lines", (_DENSE_LINES, modes))
+            block[:len(lines) - full] = lines[full:]
+            block[len(lines) - full:] = 0.0
+            values[full:] = np.matmul(block, M)[:len(lines) - full]
 
     def flow(self, v: np.ndarray, scales: np.ndarray):
         """Values in flow order: their spectrum scaled by ``scales``, back
@@ -594,19 +650,20 @@ class SpectralBasis:
         """exp(-kappa^2 t) along one axis."""
         return np.exp(-self.axis_eigenvalues * t)
 
-    def semigroup(self, coeffs: np.ndarray, t: float) -> np.ndarray:
-        """Multiply coefficients by exp(-alpha_k t)."""
+    def semigroup(self, coeffs: np.ndarray, t: float, in_place: bool = False) -> np.ndarray:
+        """Multiply coefficients by exp(-alpha_k t), one axis after another,
+        in a new array or, ``in_place``, in ``coeffs`` (a float array)."""
         if t < 0:
             raise ValueError(f"semigroup time must be >= 0, got {t}")
+        out = coeffs if in_place else np.array(coeffs, dtype=float, copy=True)
         if t == 0:
-            return np.array(coeffs, dtype=float, copy=True)
-        out = np.asarray(coeffs, dtype=float)
+            return out
         d = self.dimension
         decay = self.axis_decay(t)
         for axis in range(d):
             shape = [1] * d
             shape[axis] = self.axis_mode_count
-            out = out * decay.reshape(shape)
+            out *= decay.reshape(shape)
         return out
 
     def heat_kernel_tail_bound(self, t: float) -> float:

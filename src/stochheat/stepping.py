@@ -23,17 +23,22 @@ is accumulated with the kernel-specific quadrature of the sampler.
 A built run is a ``Stepper``, which ``build_context`` makes from a config:
 the basis, coefficient, sampler, step, initial data, horizon and mass
 bound shared by every path of the config.  Its initial data is built by
-``initial_field`` from the init.* keys its kind reads (``INIT_KEYS``),
-which ``SimConfig`` calls too.  A block of seeds steps as one (P, *grid)
+``initial_field`` from the init.* keys its kind reads (``INIT_KEYS``);
+``SimConfig`` checks the same keys through ``initial_sup``, which builds no
+field for constant data.  A block of seeds steps as one (P, *grid)
 batch through ``Stepper.step``.
 Each row draws the standard normals of its increment from its own
 counter-based stream keyed by its seed (Philox; Salmon et al., SC'11), so
 its values do not depend on the batch; one linear map of the sampler turns
 the stacked normals into the batch's increments.  A row draws the normals
 of several steps (a chunk) in one call, which takes the same values from
-its stream in the same order as one call per step; ``drawn_ahead`` draws
-the next chunk on one helper thread, for the stepping core and the
-convolution probe alike, with the values of a serial draw.  A row leaves
+its stream in the same order as one call per step.  ``drawn_ahead`` hands
+a chunk out as independent units, here one per row and in the convolution
+probe one per block of rows: one helper thread draws the next chunk's
+units while the batch steps, and the caller draws the units the helper
+has not started when it needs the chunk.  A unit fills its own rows from
+its own streams, so the values are those of a serial draw, whichever
+thread drew them.  A row leaves
 the batch at its stop, the first of the sup-norm reaching the truncation
 level (tau_n), the mass martingale exceeding the bound M (tau_M) or the
 horizon, or as a failed path, a ``TrajectoryError`` with the step, when
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -238,10 +244,7 @@ def initial_field(basis: SpectralBasis, kind: str, *, value: float = 1.0,
     if kind not in INIT_KEYS:
         raise InitialDataError("init.kind", f"{kind!r} not one of {'|'.join(INIT_KEYS)}")
     if kind == "constant":
-        if value < 0:
-            raise InitialDataError("init.value", "initial data must be nonnegative "
-                                   "(nonnegative initial condition assumption)")
-        return np.full(basis.grid_shape, float(value))
+        return np.full(basis.grid_shape, _constant_value(value))
     if kind == "eigenmode":
         if amplitude < 0:
             raise InitialDataError("init.amplitude", "must be >= 0 (nonnegative initial data)")
@@ -282,6 +285,24 @@ def initial_field(basis: SpectralBasis, kind: str, *, value: float = 1.0,
     raise InitialDataError("init.path", problem)
 
 
+def _constant_value(value: float) -> float:
+    if value < 0:
+        raise InitialDataError("init.value", "initial data must be nonnegative "
+                               "(nonnegative initial condition assumption)")
+    return float(value)
+
+
+def initial_sup(domain, kind: str, *, value: float, mode, amplitude: float,
+                path: str | None) -> float:
+    """The sup-norm of the ``initial_field`` of these keys on the basis of
+    ``domain``, with its checks; constant data is checked from its value
+    alone, with no basis or field built."""
+    if kind == "constant":
+        return _constant_value(value)
+    return float(initial_field(build_basis(domain), kind, value=value, mode=mode,
+                               amplitude=amplitude, path=path).max())
+
+
 def build_context(config) -> Stepper:
     """The built run of a SimConfig: its basis, sampler and initial data."""
     basis = build_basis(config.domain)
@@ -298,31 +319,57 @@ def path_rng(seed: int):
 
 
 @contextmanager
-def drawn_ahead(shape, fill, chunks: int, *args):
+def drawn_ahead(shape, fill, chunks: int, units):
     """Yield ``take``, which hands out ``chunks`` chunks of normals in turn.
 
-    ``fill(out, k, *args)`` draws chunk k into one of two buffers of
-    ``shape``; the fills release the GIL and run on one helper thread, so
-    they overlap the caller's transforms.  The k-th ``take(*args)`` waits
-    for chunk k, starts chunk k+1 with its arguments (chunk 0 takes those
-    given here) and returns chunk k, valid until the next call.  The helper
-    is joined on every exit; a normal exit raises the error of a chunk drawn
-    ahead but never taken."""
+    A chunk is drawn as independent units: ``fill(out, k, unit)`` draws one
+    unit of chunk k into ``out``, one of two buffers of ``shape``, and
+    touches no entry another unit writes.  The fills release the GIL; the
+    one helper thread draws a chunk's units in order while the caller
+    transforms the previous chunk.  The k-th ``take(units)`` draws every
+    unit of chunk k the helper has not started, waits for the unit in
+    flight, starts chunk k+1 over ``units`` (chunk 0 is over the units
+    given here) and returns chunk k, valid until the next call.  Each unit
+    fills its own entries from its own streams, so no value depends on
+    which thread drew it.  The helper is joined on every exit; a normal exit
+    finishes a chunk drawn ahead but never taken and raises its error."""
     buffers = np.empty((2,) + tuple(shape))
+    lock = threading.Lock()
+
+    def draw(k, todo):  # the units of chunk k that no thread has started
+        out = buffers[k % 2]
+        while True:
+            with lock:
+                unit = next(todo, None)
+            if unit is None:
+                return
+            fill(out, k, unit)
+
     with ThreadPoolExecutor(1) as helper:
-        pending = helper.submit(fill, buffers[0], 0, *args)
+        def start(k, units):
+            todo = iter(units)
+            return todo, helper.submit(draw, k, todo)
+
+        todo, pending = start(0, units)
         taken = 0
 
-        def take(*args):
-            nonlocal pending, taken
+        def take(units):
+            nonlocal todo, pending, taken
             k, taken = taken, taken + 1
-            pending.result()
+            draw(k, todo)  # every unit the helper has not started
+            pending.result()  # and the one in flight
             if taken < chunks:
-                pending = helper.submit(fill, buffers[taken % 2], taken, *args)
+                todo, pending = start(taken, units)
             return buffers[k % 2]
 
-        yield take
-        pending.result()
+        try:
+            yield take
+            draw(taken, todo)
+            pending.result()
+        finally:  # after an error, the helper starts no further unit
+            with lock:
+                for _ in todo:
+                    pass
 
 
 def run_batch(context: Stepper, seeds):
@@ -365,13 +412,11 @@ def _run_rows(ctx: Stepper, seeds):
     depth = max(1, min(n_steps, -(-_DRAW_NORMALS // per_step),
                        _BATCH_NORMALS // (len(seeds) * per_step)))
 
-    def fill(out, chunk, rows):
-        out = out[:, :min(depth, n_steps - chunk * depth)]
-        for i in rows:
-            rngs[i].standard_normal(out=out[i])
+    def fill(out, chunk, i):  # one unit: row i's steps of the chunk
+        rngs[i].standard_normal(out=out[i, :n_steps - chunk * depth])
 
     shape = (len(seeds), depth) + sampler.normal_shape
-    with drawn_ahead(shape, fill, -(-n_steps // depth), live) as take:
+    with drawn_ahead(shape, fill, -(-n_steps // depth), live.tolist()) as take:
         s = 0
         while True:
             hit_n = sup[live, s] >= ctx.sigma.truncation
@@ -385,7 +430,7 @@ def _run_rows(ctx: Stepper, seeds):
                 break
             j = s % depth
             if j == 0:
-                normals = take(live)
+                normals = take(live.tolist())
             s += 1
             z = normals[:, j] if live.size == len(seeds) else normals[live, j]
             u, dI, dQ, dclamp, finite = ctx.step(u, sampler.increments(dt, z))

@@ -20,7 +20,6 @@ from stochheat.stepping import (
     SigmaSpec,
     TrajectoryRecord,
     build_context,
-    path_rng,
     run_batch,
 )
 from stochheat.diagnostics import (
@@ -39,6 +38,8 @@ from stochheat.diagnostics import (
     qv_bound_check,
     up_event_count,
 )
+
+from test_stepping import HELPER_SLOW, ORDERS, helper_units, interleaved
 
 PI = math.pi
 
@@ -380,35 +381,46 @@ class TestMomentProbe:
             convolution_moment_probe(basis, WhiteNoise(), **args)
         assert info.value.argument == argument
 
+    @staticmethod
+    def block_normals(streams, paths, shape):
+        """One step of a serial reference: each block's rows from its stream."""
+        rows = diagnostics.PROBE_BLOCK_ROWS
+        return np.concatenate([
+            rng.standard_normal((min(rows, paths - b * rows),) + shape)
+            for b, rng in enumerate(streams)])
+
     def test_probe_equals_a_serial_reference_loop(self):
-        # the probe draws step s+1's normals on a helper thread while step s
-        # transforms; its values are those of one draw per step, in order,
-        # and the helper is joined when it returns
+        # 600 paths are three blocks of rows, 256, 256 and 88, each drawing
+        # from its own stream; the probe's values are those of one draw per
+        # block and step, in order, and the helper is joined when it returns
         basis = build_basis(DomainSpec(1, DIRICHLET, 32))
         spec = SpectralKernel(theta=0.25, a=0.0)
-        paths, dt, seed, batches = 64, 5e-4, 5, 8
+        paths, dt, seed, batches = 600, 5e-4, 5, 8
         start = threading.active_count()
         report = convolution_moment_probe(
             basis, spec, p=20, T_grid=[0.01, 0.02], paths=paths, dt=dt,
             seed=seed, batches=batches)
         assert threading.active_count() == start
+        assert report.streams == {"generator": "SFC64", "rows_per_stream": 256}
 
         amplitudes = make_sampler(spec, basis).amplitudes
-        rng = path_rng(seed)
+        streams = [np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, b))))
+                   for b in range(3)]
         centre = np.argmin(np.abs(basis.axis_points - basis.center_point()[0]))
         Z = np.zeros((paths,) + basis.coeff_shape)
         sup = np.zeros(paths)
         sups, centres = [], []
         for s in range(1, 41):
-            xi = rng.standard_normal((paths,) + basis.coeff_shape)
+            xi = self.block_normals(streams, paths, basis.coeff_shape)
             Z = basis.semigroup(Z + math.sqrt(dt) * amplitudes * xi, dt)
             grid = basis.to_grid_batch(Z)
             sup = np.maximum(sup, np.abs(grid).max(axis=1))
             if s in (20, 40):
                 sups.append(sup)
                 centres.append(grid[:, centre])
+        group = paths // batches
         assert report.moment_estimates == [
-            float(np.median((row.reshape(batches, -1) ** 20).mean(axis=1)))
+            float(np.median((row[:group * batches].reshape(batches, -1) ** 20).mean(axis=1)))
             for row in sups]
         assert [v["empirical"] for v in report.variance_checks] == [
             float(c.var()) for c in centres]
@@ -422,36 +434,39 @@ class TestMomentProbe:
                          lambda x: 1 + x),
     }
 
-    @pytest.mark.parametrize("small_blocks", [False, True], ids=["one-block", "blocks"])
+    @pytest.mark.parametrize("small_chunks", [False, True], ids=["one-chunk", "chunks"])
     @pytest.mark.parametrize("case", list(GENERAL))
-    def test_general_path_equals_one_sample_batch_per_step(self, monkeypatch, case,
-                                                           small_blocks):
-        # the probe draws each step's normals from its one stream in blocks
-        # of rows, ahead on the helper thread; its values are those of one
-        # sample_batch call per step.  With a small block budget a step
-        # spans 13 blocks of 5 rows and the last one holds 4
+    def test_general_path_equals_one_sample_batch_per_block_and_step(self, monkeypatch,
+                                                                     case, small_chunks):
+        # blocks of 24 rows: 64 paths are blocks of 24, 24 and 16 rows, each
+        # drawing from its own stream; the probe's values are those of one
+        # sample_batch call per block and step.  With a small chunk budget
+        # a step spans three chunks of one block each
         domain, spec, phi = self.GENERAL[case]
         basis = build_basis(domain)
         sampler = make_sampler(spec, basis)
         paths, dt, seed, batches = 64, 5e-4, 9, 8
-        if small_blocks:
+        monkeypatch.setattr(diagnostics, "PROBE_BLOCK_ROWS", 24)
+        if small_chunks:
             monkeypatch.setattr(diagnostics, "_BATCH_NORMALS",
-                                5 * math.prod(sampler.normal_shape) + 1)
+                                24 * math.prod(sampler.normal_shape) + 1)
         start = threading.active_count()
         report = convolution_moment_probe(
             basis, spec, p=20, T_grid=[0.005, 0.01], paths=paths, dt=dt,
             seed=seed, phi=phi, batches=batches)
         assert threading.active_count() == start
         assert report.variance_checks == []
+        assert report.streams["rows_per_stream"] == 24
 
         phi_vals = (np.ones(basis.grid_shape) if phi is None
                     else phi(*basis.grid_coordinates()))
-        rng = path_rng(seed)
+        streams = [diagnostics.block_rng(seed, b) for b in range(3)]
         Z = np.zeros((paths,) + basis.coeff_shape)
         sup = np.zeros(paths)
         sups = []
         for s in range(1, 21):
-            dW = sampler.sample_batch(dt, rng, paths)
+            dW = np.concatenate([sampler.sample_batch(dt, rng, count)
+                                 for rng, count in zip(streams, (24, 24, 16))])
             Z = basis.semigroup(Z + basis.to_spectral_batch(phi_vals * dW), dt)
             sup = np.maximum(sup, np.abs(basis.to_grid_batch(Z)).max(axis=1))
             if s in (10, 20):
@@ -460,26 +475,32 @@ class TestMomentProbe:
             float(np.median((row.reshape(batches, -1) ** 20).mean(axis=1)))
             for row in sups]
 
+    @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("case", ["white", "spectral"])
-    def test_stream_error_on_a_chunk_drawn_ahead_reaches_the_caller(self, monkeypatch,
-                                                                   case):
-        # the second chunk is drawn on the helper while the first one is
-        # used; its error is raised in the caller and the helper is joined
-        fillers = set()
+    def test_stream_error_reaches_the_caller_from_either_thread(self, monkeypatch,
+                                                               case, order):
+        # each block's second fill raises: the first to raise is drawn by
+        # the caller when the helper is slow, by the helper when the caller
+        # is slow; either way the error is raised in the caller and the
+        # helper is joined
+        raisers = []
+        make_rng = diagnostics.block_rng
 
         class Stream:
-            def __init__(self, seed):
-                self.rng = path_rng(seed)
+            def __init__(self, seed, block):
+                self.rng = make_rng(seed, block)
                 self.fills = 0
 
             def standard_normal(self, out):
-                fillers.add(threading.get_ident())
                 self.fills += 1
                 if self.fills == 2:
+                    raisers.append(threading.get_ident())
                     raise FloatingPointError("stream unavailable")
                 return self.rng.standard_normal(out=out)
 
-        monkeypatch.setattr(diagnostics, "path_rng", Stream)
+        monkeypatch.setattr(diagnostics, "block_rng", Stream)
+        monkeypatch.setattr(diagnostics, "PROBE_BLOCK_ROWS", 16)
+        monkeypatch.setattr(diagnostics, "drawn_ahead", interleaved(order, []))
         if case == "white":
             basis, spec = build_basis(DomainSpec(1, PERIODIC, 32)), WhiteNoise()
         else:
@@ -489,4 +510,29 @@ class TestMomentProbe:
             convolution_moment_probe(basis, spec, p=20, T_grid=[0.002], paths=64,
                                      dt=5e-4, batches=8)
         assert threading.active_count() == start
-        assert len(fillers) == 1 and threading.get_ident() not in fillers
+        assert (raisers[0] == threading.get_ident()) == (order == HELPER_SLOW)
+
+    @pytest.mark.parametrize("case", ["white", "spectral"])
+    def test_report_does_not_depend_on_the_interleaving(self, monkeypatch, case):
+        # 64 paths in blocks of 16 rows: four units per step, drawn by the
+        # caller when the helper is slow and by the helper when the caller is
+        if case == "white":
+            basis, spec = build_basis(DomainSpec(1, PERIODIC, 32)), WhiteNoise()
+        else:
+            basis, spec = build_basis(DomainSpec(1, DIRICHLET, 32)), SpectralKernel(0.25, 0.0)
+        monkeypatch.setattr(diagnostics, "PROBE_BLOCK_ROWS", 16)
+
+        def probe():
+            return convolution_moment_probe(basis, spec, p=20, T_grid=[0.002, 0.004],
+                                            paths=64, dt=5e-4, seed=3, batches=8).to_dict()
+
+        reports = [probe()]
+        for order in ORDERS:
+            drawers = []
+            monkeypatch.setattr(diagnostics, "drawn_ahead", interleaved(order, drawers))
+            reports.append(probe())
+            if order == HELPER_SLOW:
+                assert max(helper_units(drawers).values(), default=0) <= 1
+            else:
+                assert all(not by_caller for _, by_caller in drawers)
+        assert reports[0] == reports[1] == reports[2]

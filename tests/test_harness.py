@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochheat import config as config_module, ensemble, stepping
+from stochheat import config as config_module, diagnostics, ensemble, stepping
 from stochheat.cli import EXIT_CONFIG, EXIT_RUNTIME, main
 from stochheat.config import (
     ConfigError,
@@ -951,6 +951,19 @@ class TestCLI:
         reports = sorted((tmp_path / "out").glob("probe-*.json"))
         assert len(reports) == 2
         assert sorted(json.loads(r.read_text())["p"] for r in reports) == [20.0, 24.0]
+        assert json.loads(reports[0].read_text())["streams"] == {
+            "generator": "SFC64", "rows_per_stream": 256}
+
+    def test_probe_of_another_stream_layout_gets_its_own_file(self, tmp_path, monkeypatch):
+        # the same arguments drawn from other streams are another experiment
+        cfg = write_config(tmp_path)
+        args = ["probe-convolution", "--config", str(cfg), "--p", "20", "--T-grid",
+                "0.002,0.004", "--paths", "64", "--dt", "2e-4", "--output", str(tmp_path)]
+        assert main(args) == 0
+        monkeypatch.setattr(diagnostics, "PROBE_BLOCK_ROWS", 32)
+        assert main(args) == 0
+        reports = [json.loads(r.read_text()) for r in tmp_path.glob("probe-*.json")]
+        assert sorted(r["streams"]["rows_per_stream"] for r in reports) == [32, 256]
 
     @pytest.mark.parametrize("flag, value", [
         ("--paths", "16"),       # fewer paths than the 32 median-of-means groups

@@ -302,6 +302,19 @@ class TestDoubleIntegral:
         oracle = PI**2 * np.mean(np.abs(X - Y) ** -alpha)
         assert abs(got - oracle) / oracle < 0.01
 
+    @pytest.mark.parametrize("alpha, d, value", [
+        (1.0, 3, "2.3800773700971765"),
+        (0.5, 3, "1.5085789646495325"),
+        (1.3, 3, "3.2260030107172795"),
+        (1.9, 3, "6.645795245331097"),
+        (0.7, 2, "2.2850340058936496"),
+        (0.5, 1, "2.8284271247461903"),
+    ])
+    def test_unit_cell_mean_values_are_pinned(self, alpha, d, value):
+        # the 64^d midpoint sum on broadcast axes gives these values bit for
+        # bit; the Riesz variance and double integral rest on them
+        assert repr(_unit_cell_mean.__wrapped__(alpha, d)) == value
+
     def test_white_noise_has_no_double_integral(self):
         basis = basis_for(1, NEUMANN, n=16)
         with pytest.raises(ValueError):

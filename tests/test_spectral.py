@@ -468,6 +468,45 @@ class TestFastTransforms:
             blocked = outputs()
         assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
+    # every size on the dense path: grid_points 8 to 64, axes of 7 to 64 points
+    DENSE = [(bc, n) for bc in BOUNDARY_CONDITIONS for n in (8, 16, 32, 64)]
+
+    @pytest.mark.parametrize("bc, n", DENSE)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_dense_inverse_matches_the_fft_inverse(self, bc, n, d):
+        for modes in sorted({1, n // 2 + 1, n}):
+            basis = make_basis(d, bc, n=n, N=modes)
+            axis = basis._axis
+            assert axis.synthesis_matrix is not None
+            c = np.random.default_rng(n + modes).normal(size=(5,) + basis.coeff_shape)
+            fft = np.asarray(c, dtype=float)
+            for _ in range(d):  # the fast inverse along each field axis
+                x = np.moveaxis(fft, -d, -1)
+                fft = np.empty(x.shape[:-1] + (len(axis.points),))
+                axis.fft_inverse(x, fft)
+            scale = np.sum(np.abs(c), axis=basis.field_axes, keepdims=True)
+            assert np.all(np.abs(basis.to_grid_batch(c) - fft) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("bc, n", DENSE)
+    def test_dense_inverse_row_does_not_depend_on_batch_or_position(self, bc, n):
+        # batches below, at and above one block of 64 lines and across
+        # several, with the row at the start, inside and at the end
+        basis = make_basis(1, bc, n=n)
+        rng = np.random.default_rng(n)
+        row = rng.normal(size=basis.coeff_shape)
+        alone = basis.to_grid(row)
+        for rows in (1, 2, 63, 64, 65, 130, 200):
+            for at in sorted({0, rows // 2, 63 % rows, 64 % rows, rows - 1}):
+                batch = rng.normal(size=(rows,) + basis.coeff_shape)
+                batch[at] = row
+                assert np.array_equal(basis.to_grid_batch(batch)[at], alone)
+
+    @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
+    def test_dense_path_is_chosen_by_axis_size(self, bc):
+        # axes of up to 64 points invert by their matrix, larger ones by FFT
+        assert make_basis(1, bc, n=64)._axis.synthesis_matrix is not None
+        assert make_basis(1, bc, n=128)._axis.synthesis_matrix is None
+
     def test_heat_flow_rejects_bad_time_and_shape(self):
         basis = make_basis(2, NEUMANN, n=8)
         with pytest.raises(ValueError, match="time"):
@@ -684,7 +723,8 @@ class TestStructure:
     def test_axis_classes_state_only_their_transform_pair_and_table(self):
         # forward, inverse and heat flow are written once, on _Axis, from each
         # axis's analysis/synthesis pair and its packing table
-        written_once = {"forward", "inverse", "flow", "flow_scales", "_carries"}
+        written_once = {"forward", "inverse", "fft_inverse", "_dense_inverse",
+                        "synthesis_matrix", "flow", "flow_scales", "_carries"}
         tree = ast.parse(Path(spectral.__file__).read_text())
         axes = [node for node in tree.body if isinstance(node, ast.ClassDef)
                 and any(isinstance(b, ast.Name) and b.id == "_Axis" for b in node.bases)]

@@ -9,8 +9,11 @@ covariance.
 """
 
 import ast
+import collections
 import math
+import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -234,6 +237,151 @@ def call_sites(callee):
     return sites.found
 
 
+HELPER_SLOW, CALLER_SLOW = "helper slow", "caller slow"
+ORDERS = (HELPER_SLOW, CALLER_SLOW)
+
+
+def interleaved(order, drawers, drawn_ahead=stepping.drawn_ahead):
+    """``drawn_ahead`` with one side made slow, so that the other draws
+    every unit it can.  HELPER_SLOW: a unit the helper starts waits until
+    every unit of its chunk has been started, so the helper draws at most
+    one unit per chunk and the caller the rest.  CALLER_SLOW: ``take``
+    waits until the helper has drawn every unit of the chunk, or failed.
+    ``drawers`` collects (chunk, drawn by the caller) per unit."""
+    caller = threading.get_ident()
+
+    @contextmanager
+    def forced(shape, fill, chunks, units):
+        sizes, started = {0: len(units)}, collections.Counter()
+        helper_drew = collections.Counter()
+        changed = threading.Condition()
+        helper_done = collections.defaultdict(threading.Event)
+        failed = []
+
+        def slow_fill(out, k, unit):
+            by_caller = threading.get_ident() == caller
+            with changed:
+                drawers.append((k, by_caller))
+                started[k] += 1
+                changed.notify_all()
+                if not by_caller and order == HELPER_SLOW:
+                    changed.wait_for(lambda: started[k] == sizes[k] or failed, 10)
+            try:
+                fill(out, k, unit)
+            except BaseException:
+                with changed:  # a failed chunk is never finished
+                    failed.append(k)
+                    changed.notify_all()
+                helper_done[k].set()
+                raise
+            if by_caller:
+                return
+            helper_drew[k] += 1
+            if helper_drew[k] == sizes[k]:
+                helper_done[k].set()
+
+        with drawn_ahead(shape, slow_fill, chunks, units) as take:
+            taken = 0
+
+            def slow_take(units):
+                nonlocal taken
+                sizes[taken + 1] = len(units)
+                if order == CALLER_SLOW:
+                    helper_done[taken].wait(10)
+                taken += 1
+                return take(units)
+
+            yield slow_take
+
+    return forced
+
+
+def helper_units(drawers):
+    """Units the helper drew, per chunk."""
+    return collections.Counter(k for k, by_caller in drawers if not by_caller)
+
+
+class TestDrawnAhead:
+    """Chunks of independent units, drawn by one helper thread and by the
+    caller: the values are those of a serial draw."""
+
+    UNITS, WIDTH, CHUNKS = 5, 7, 6
+
+    def serial(self):
+        rngs = [path_rng(u) for u in range(self.UNITS)]
+        return [np.stack([rng.standard_normal(self.WIDTH) for rng in rngs])
+                for _ in range(self.CHUNKS)]
+
+    def drawn(self, draw):
+        rngs = [path_rng(u) for u in range(self.UNITS)]
+
+        def fill(out, k, unit):
+            rngs[unit].standard_normal(out=out[unit])
+
+        units = range(self.UNITS)
+        with draw((self.UNITS, self.WIDTH), fill, self.CHUNKS, units) as take:
+            return [take(units).copy() for _ in range(self.CHUNKS)]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_forced_interleavings_give_the_serial_draw(self, order):
+        start = threading.active_count()
+        drawers = []
+        got = self.drawn(interleaved(order, drawers))
+        assert threading.active_count() == start
+        assert all(np.array_equal(a, b) for a, b in zip(got, self.serial()))
+        assert len(drawers) == self.UNITS * self.CHUNKS
+        if order == HELPER_SLOW:
+            assert max(helper_units(drawers).values(), default=0) <= 1
+        else:
+            assert all(not by_caller for _, by_caller in drawers)
+
+    def test_every_unit_is_drawn_once_under_frequent_thread_switches(self):
+        # the helper and the caller claim units from one iterator; a claim
+        # lost or made twice would skip or repeat a unit
+        units, chunks = range(300), 40
+        claims = []
+
+        def fill(out, k, unit):
+            claims.append((k, unit))
+            out[unit] = k
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with stepping.drawn_ahead((len(units),), fill, chunks, units) as take:
+                for k in range(chunks):
+                    assert np.array_equal(take(units), np.full(len(units), k))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(claims) == [(k, u) for k in range(chunks) for u in units]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_error_of_a_unit_reaches_the_caller_and_the_helper_is_joined(self, order):
+        # the third chunk's units raise on the side that is not slow: under
+        # HELPER_SLOW the first unit the caller draws, under CALLER_SLOW the
+        # first the helper draws
+        start = threading.active_count()
+        drawers, raised = [], []
+        units = range(self.UNITS)
+        caller = threading.get_ident()
+
+        def fill(out, k, unit):
+            on_caller = threading.get_ident() == caller
+            if k == 2 and on_caller == (order == HELPER_SLOW):
+                raised.append(threading.get_ident())
+                raise FloatingPointError("stream unavailable")
+            out[unit] = k
+
+        with pytest.raises(FloatingPointError, match="stream unavailable"):
+            with interleaved(order, drawers)((self.UNITS, 1), fill, self.CHUNKS,
+                                             units) as take:
+                for _ in range(self.CHUNKS):
+                    take(units)
+        assert threading.active_count() == start
+        assert len(raised) == 1
+        assert (raised[0] == caller) == (order == HELPER_SLOW)
+
+
 class TestRunBatch:
     def test_batch_size_does_not_change_records(self, monkeypatch):
         config = make_config(horizon=0.01)
@@ -292,10 +440,11 @@ class TestRunBatch:
         for a, b in zip(reference, records):
             assert list(a.csv_rows()) == list(b.csv_rows())
 
-    def test_draws_run_on_one_helper_thread_joined_on_every_exit(self, monkeypatch):
-        # the next chunk of normals is drawn on one helper thread while the
-        # batch steps; it is joined when run_batch returns, when rows go
-        # non-finite and when a stream raises on the helper
+    def test_draws_run_on_the_helper_and_the_caller_joined_on_every_exit(self,
+                                                                       monkeypatch):
+        # a chunk's rows are drawn by one helper thread and by the caller,
+        # whichever reaches a row first; the helper is joined when run_batch
+        # returns, when rows go non-finite and when a stream raises
         start = threading.active_count()
         fillers = set()  # threads that ran a fill
 
@@ -318,7 +467,7 @@ class TestRunBatch:
         records, failures = run_batch(ctx, [1, 2, 3])
         assert len(records) == 3 and not failures
         assert threading.active_count() == start
-        assert len(fillers) == 1 and threading.get_ident() not in fillers
+        assert len(fillers - {threading.get_ident()}) == 1
 
         blow_up = build_context(make_config(
             sigma=SigmaSpec(1.0, 1.5, 1e309), init_value=1e308,
@@ -328,8 +477,8 @@ class TestRunBatch:
         assert records == [] and len(failures) == 2
         assert threading.active_count() == start
 
-        # the second chunk is drawn ahead, on the helper, and its error is
-        # raised in the caller when the batch reaches that chunk
+        # the second chunk's error is raised in the caller, whichever
+        # thread drew the row that raised
         raising_fill = 2
         with pytest.raises(FloatingPointError, match="stream unavailable"):
             run_batch(ctx, [1, 2, 3])
@@ -341,6 +490,22 @@ class TestRunBatch:
         with pytest.raises(FloatingPointError, match="stream unavailable"):
             run_batch(at_truncation, [1, 2, 3])
         assert threading.active_count() == start
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_forced_interleavings_do_not_change_records(self, monkeypatch, order):
+        ctx = build_context(make_config())
+        seeds = list(range(6))
+        reference, _ = run_batch(ctx, seeds)
+        drawers = []
+        monkeypatch.setattr(stepping, "drawn_ahead", interleaved(order, drawers))
+        records, failures = run_batch(ctx, seeds)
+        assert not failures
+        assert [list(r.csv_rows()) for r in records] == [
+            list(r.csv_rows()) for r in reference]
+        if order == HELPER_SLOW:
+            assert max(helper_units(drawers).values(), default=0) <= 1
+        else:
+            assert all(not by_caller for _, by_caller in drawers)
 
     def test_thread_pool_is_built_only_by_drawn_ahead(self):
         # one draw-ahead helper serves the stepping core and the probe; a
@@ -642,6 +807,29 @@ class TestInitialField:
         np.save(p, data)
         u0 = initial_field(basis, "file", path=str(p))
         assert np.array_equal(u0, data)
+
+    def test_config_checks_constant_data_without_building_a_basis(self, monkeypatch):
+        def no_basis(spec):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(stepping, "build_basis", no_basis)
+        make_config(init_value=3.0)
+        with pytest.raises(ValueError, match="init.value"):
+            make_config(init_value=-1.0)
+        with pytest.raises(ValueError, match="init.value"):
+            make_config(init_value=0.0)
+        with pytest.raises(ValueError, match="init.value"):
+            make_config(init_value=64.0)
+
+    @pytest.mark.parametrize("kind, keys", [
+        ("constant", {"value": 2.5}),
+        ("eigenmode", {"mode": (1,), "amplitude": 3.0}),
+    ])
+    def test_initial_sup_is_the_sup_of_the_field(self, kind, keys):
+        domain = DomainSpec(1, DIRICHLET, 16)
+        args = dict(value=1.0, mode=None, amplitude=1.0, path=None) | keys
+        assert stepping.initial_sup(domain, kind, **args) == float(
+            initial_field(build_basis(domain), kind, **args).max())
 
     def test_file_negative_rejected(self, tmp_path):
         basis = build_basis(DomainSpec(1, NEUMANN, 16))
