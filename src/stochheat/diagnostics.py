@@ -404,6 +404,7 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     groups = -(-len(rngs) // per_chunk)
     rows = min(paths, per_chunk * PROBE_BLOCK_ROWS)
     scale = math.sqrt(dt) * sampler.amplitudes if spectral_fast else None
+    decay = basis.semigroup(np.ones(basis.coeff_shape), dt)  # S(dt), mode by mode
 
     def blocks(k):  # the units of chunk k
         g = k % groups
@@ -425,7 +426,7 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
                 z = take(blocks(k))[:paths - a]
                 Z[a:a + rows] += z if spectral_fast else basis.to_spectral_batch(
                     phi_vals * sampler.increments(dt, z))
-            basis.semigroup(Z, dt, in_place=True)
+            Z *= decay
             Z_grid = basis.to_grid_batch(Z).reshape(paths, -1)
             at_snapshot = s == steps_at[snap]
             if at_snapshot:
