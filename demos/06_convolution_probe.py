@@ -1,11 +1,11 @@
-"""Moment scaling of the stochastic convolution Z = conv(G, phi dW).
+"""Moment scaling of the stochastic convolution Z = conv(G, dW).
 
-For deterministic unit forcing the pointwise variance has the exact
-eigenvalue series sum lambda_k^2 (1 - e^(-2 alpha_k t)) / (2 alpha_k)
-e_k(x)^2, and the sup-moment E sup_{t<=T,x} |Z|^p is bounded by
-C_p T^((1-eta)(p-2)/2 - 2 beta) times the forcing integral.  The probe
-simulates Z, checks the variance against the series, and fits the
-log-log growth of the p-th sup-moment against the envelope exponent.
+The pointwise variance has the exact eigenvalue series
+sum lambda_k^2 (1 - e^(-2 alpha_k t)) / (2 alpha_k) e_k(x)^2, and the
+sup-moment E sup_{t<=T,x} |Z|^p is bounded by
+C_p T^((1-eta)(p-2)/2 - 2 beta).  The probe simulates Z, checks the
+variance against the series, and fits the log-log growth of the p-th
+sup-moment against the envelope exponent.
 """
 
 from stochheat import (

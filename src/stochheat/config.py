@@ -27,7 +27,8 @@ and the kernel class of ``noise.kind`` says which it reads (its fields),
 which it requires (those without a default) and the defaults.  The init.*
 keys each init.kind reads are its row of ``stepping.INIT_KEYS``, and
 ``SimConfig`` checks the initial data with ``stepping.initial_sup``, which
-names the key at fault and builds no field for constant data.  Unknown
+names the key at fault and builds no field for constant data; any other
+field it builds is kept with the config as ``initial_data``.  Unknown
 keys, and noise or init keys that the chosen kernel or init.kind does not
 read, are rejected with their field path; invariant violations quote the
 violated constraint.  The config hash is a stable digest over every field
@@ -36,6 +37,7 @@ but those of ``_UNHASHED`` and is stamped into every output file.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -43,8 +45,8 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .noise import KERNELS, KernelValidationError, critical_exponent
-from .spectral import DomainSpec
-from .stepping import INIT_KEYS, InitialDataError, SigmaSpec, initial_sup
+from .spectral import DomainSpec, build_basis
+from .stepping import INIT_KEYS, InitialDataError, SigmaSpec, initial_field, initial_sup
 
 
 class ConfigError(ValueError):
@@ -163,9 +165,7 @@ class SimConfig:
         except KernelValidationError as exc:
             raise ConfigError(f"noise: {exc}") from exc
         try:
-            sup = initial_sup(self.domain, self.init_kind, value=self.init_value,
-                              mode=self.init_mode, amplitude=self.init_amplitude,
-                              path=self.init_path)
+            sup = initial_sup(self)
         except InitialDataError as exc:
             raise ConfigError(f"{exc.key}: {exc}") from exc
         key = INIT_KEYS[self.init_kind][-1]
@@ -179,6 +179,17 @@ class SimConfig:
                 f"{key}: initial sup-norm {sup:g} is at or above sigma.truncation "
                 f"= {self.sigma.truncation:g}, so every path would stop at step 0 (tau_n)"
             )
+
+    @functools.cached_property
+    def initial_data(self):
+        """The checked initial field on the grid, built once on first use and
+        pickled with the config to the pool workers; read-only, since every
+        run built from the config shares it."""
+        u0 = initial_field(build_basis(self.domain), self.init_kind,
+                           value=self.init_value, mode=self.init_mode,
+                           amplitude=self.init_amplitude, path=self.init_path)
+        u0.setflags(write=False)
+        return u0
 
     def gamma_c(self) -> float | None:
         """Critical exponent for this noise, or None outside eta in (0,1)."""

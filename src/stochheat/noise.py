@@ -297,12 +297,11 @@ def riesz_double_integral(alpha: float, dimension: int, length: float) -> float:
     for j in range(levels):
         s = L * 2.0**-j  # outer half-side of this shell
         axes = (np.arange(res) + 0.5) * (2 * s / res) - s
-        grids = np.meshgrid(*([axes] * dimension), indexing="ij")
-        inner = np.all(np.stack([np.abs(g) <= s / 2 for g in grids]), axis=0)
+        # one broadcast axis per dimension, as in _unit_cell_mean
+        grids = np.meshgrid(*([axes] * dimension), indexing="ij", sparse=True)
+        inner = functools.reduce(operator.and_, (np.abs(g) <= s / 2 for g in grids))
         r2 = sum(g**2 for g in grids)
-        weight = np.ones_like(r2)
-        for g in grids:
-            weight = weight * (L - np.abs(g))
+        weight = functools.reduce(operator.mul, (L - np.abs(g) for g in grids))
         vals = np.where(inner, 0.0, weight * r2 ** (-alpha / 2.0))
         vol = (2 * s / res) ** dimension
         total += float(np.sum(vals)) * vol

@@ -23,10 +23,10 @@ is accumulated with the kernel-specific quadrature of the sampler.
 A built run is a ``Stepper``, which ``build_context`` makes from a config:
 the basis, coefficient, sampler, step, initial data, horizon and mass
 bound shared by every path of the config.  Its initial data is built by
-``initial_field`` from the init.* keys its kind reads (``INIT_KEYS``);
-``SimConfig`` checks the same keys through ``initial_sup``, which builds no
-field for constant data.  A block of seeds steps as one (P, *grid)
-batch through ``Stepper.step``.
+``initial_field`` from the init.* keys its kind reads (``INIT_KEYS``),
+once per config (``SimConfig.initial_data``); ``initial_sup`` checks it,
+and builds no field for constant data.  A block of seeds steps as one
+(P, *grid) batch through ``Stepper.step``.
 Each row draws the standard normals of its increment from its own
 counter-based stream keyed by its seed (Philox; Salmon et al., SC'11), so
 its values do not depend on the batch; one linear map of the sampler turns
@@ -292,25 +292,19 @@ def _constant_value(value: float) -> float:
     return float(value)
 
 
-def initial_sup(domain, kind: str, *, value: float, mode, amplitude: float,
-                path: str | None) -> float:
-    """The sup-norm of the ``initial_field`` of these keys on the basis of
-    ``domain``, with its checks; constant data is checked from its value
-    alone, with no basis or field built."""
-    if kind == "constant":
-        return _constant_value(value)
-    return float(initial_field(build_basis(domain), kind, value=value, mode=mode,
-                               amplitude=amplitude, path=path).max())
+def initial_sup(config) -> float:
+    """The sup-norm of a SimConfig's ``initial_data``, with its checks;
+    constant data is checked from its value alone, with no field built."""
+    if config.init_kind == "constant":
+        return _constant_value(config.init_value)
+    return float(config.initial_data.max())
 
 
 def build_context(config) -> Stepper:
     """The built run of a SimConfig: its basis, sampler and initial data."""
     basis = build_basis(config.domain)
-    u0 = initial_field(basis, config.init_kind, value=config.init_value,
-                       mode=config.init_mode, amplitude=config.init_amplitude,
-                       path=config.init_path)
     return Stepper(basis, config.sigma, make_sampler(config.noise, basis),
-                   config.dt, u0, config.horizon, config.mass_bound)
+                   config.dt, config.initial_data, config.horizon, config.mass_bound)
 
 
 def path_rng(seed: int):

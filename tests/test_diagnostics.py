@@ -273,15 +273,7 @@ class TestMomentProbe:
         assert moment_admissible(20, 0.5, 0.5)
         assert not moment_admissible(4, 0.5, 0.5)
         assert not moment_admissible(2, 0.5, 0.5)
-
-    def test_zero_forcing_gives_zero_moments(self):
-        basis = build_basis(DomainSpec(1, PERIODIC, 32))
-        report = convolution_moment_probe(
-            basis, WhiteNoise(), p=20, T_grid=[0.005, 0.01], paths=64, dt=1e-3,
-            phi=0.0,
-        )
-        assert report.moment_estimates == [0.0, 0.0]
-        assert report.envelope_passed
+        assert not moment_admissible(math.inf, 0.5, 0.5)
 
     def test_variance_matches_series_oracle(self):
         basis = build_basis(DomainSpec(1, DIRICHLET, 64))
@@ -290,7 +282,7 @@ class TestMomentProbe:
             basis, spec, p=20, T_grid=[0.01, 0.02, 0.05], paths=4000, dt=5e-4,
             seed=3,
         )
-        assert report.variance_checks, "spectral phi=1 probe must report the oracle"
+        assert report.variance_checks, "a spectral probe must report the oracle"
         assert report.variance_passed, report.variance_checks
 
     def test_variance_oracle_at_recorded_grid_point(self):
@@ -365,10 +357,23 @@ class TestMomentProbe:
     @pytest.mark.parametrize("argument, kwargs", [
         ("paths", {"paths": 4}),
         ("p", {"p": 4}),
+        # each of the next three once gave moments of 0 or NaN and a pass:
+        # an infinite p, an infinite dt, and sup |Z| < 1 so early that every
+        # sup^200 underflows to 0
+        ("p", {"p": math.inf}),
+        ("dt", {"dt": math.inf}),
+        ("p", {"p": 200, "T_grid": [1e-6, 2e-6, 4e-6], "dt": 1e-6, "paths": 64}),
+        ("p", {"p": math.nan}),
         ("dt", {"dt": 0.0}),
+        ("dt", {"dt": math.nan}),
         ("T_grid", {"T_grid": []}),
         ("T_grid", {"T_grid": [0.0, 0.01]}),
         ("T_grid", {"T_grid": [0.0105]}),
+        ("T_grid", {"T_grid": [0.01, math.inf]}),
+        ("T_grid", {"T_grid": [math.nan, 0.002]}),
+        # a horizon that rounds to no step, and one of more steps than floats hold
+        ("T_grid", {"T_grid": [1e-12]}),
+        ("T_grid", {"T_grid": [1.0], "dt": 5e-324}),
         # a repeated horizon, and two horizons that round to one step count
         ("T_grid", {"T_grid": [0.002, 0.002, 0.004]}),
         ("T_grid", {"T_grid": [0.002, 0.002 + 5e-13, 0.004]}),
@@ -425,13 +430,11 @@ class TestMomentProbe:
         assert [v["empirical"] for v in report.variance_checks] == [
             float(c.var()) for c in centres]
 
-    # the general path (white or Riesz noise, or phi != 1): each case's basis,
-    # kernel and phi
+    # the path of every kernel without per-mode weights: each case's basis
+    # and kernel
     GENERAL = {
-        "white": (DomainSpec(1, PERIODIC, 32), WhiteNoise(), None),
-        "riesz-1d": (DomainSpec(1, NEUMANN, 32), RieszKernel(alpha=0.25), None),
-        "phi-1-plus-x": (DomainSpec(1, DIRICHLET, 32), SpectralKernel(theta=0.25, a=0.0),
-                         lambda x: 1 + x),
+        "white": (DomainSpec(1, PERIODIC, 32), WhiteNoise()),
+        "riesz-1d": (DomainSpec(1, NEUMANN, 32), RieszKernel(alpha=0.25)),
     }
 
     @pytest.mark.parametrize("small_chunks", [False, True], ids=["one-chunk", "chunks"])
@@ -442,7 +445,7 @@ class TestMomentProbe:
         # drawing from its own stream; the probe's values are those of one
         # sample_batch call per block and step.  With a small chunk budget
         # a step spans three chunks of one block each
-        domain, spec, phi = self.GENERAL[case]
+        domain, spec = self.GENERAL[case]
         basis = build_basis(domain)
         sampler = make_sampler(spec, basis)
         paths, dt, seed, batches = 64, 5e-4, 9, 8
@@ -453,13 +456,11 @@ class TestMomentProbe:
         start = threading.active_count()
         report = convolution_moment_probe(
             basis, spec, p=20, T_grid=[0.005, 0.01], paths=paths, dt=dt,
-            seed=seed, phi=phi, batches=batches)
+            seed=seed, batches=batches)
         assert threading.active_count() == start
         assert report.variance_checks == []
         assert report.streams["rows_per_stream"] == 24
 
-        phi_vals = (np.ones(basis.grid_shape) if phi is None
-                    else phi(*basis.grid_coordinates()))
         streams = [diagnostics.block_rng(seed, b) for b in range(3)]
         Z = np.zeros((paths,) + basis.coeff_shape)
         sup = np.zeros(paths)
@@ -467,7 +468,7 @@ class TestMomentProbe:
         for s in range(1, 21):
             dW = np.concatenate([sampler.sample_batch(dt, rng, count)
                                  for rng, count in zip(streams, (24, 24, 16))])
-            Z = basis.semigroup(Z + basis.to_spectral_batch(phi_vals * dW), dt)
+            Z = basis.semigroup(Z + basis.to_spectral_batch(dW), dt)
             sup = np.maximum(sup, np.abs(basis.to_grid_batch(Z)).max(axis=1))
             if s in (10, 20):
                 sups.append(sup)

@@ -440,6 +440,28 @@ class TestRunEnsemble:
             tmp_path / "parallel/rows.csv"
         ).read_bytes()
 
+    def test_initial_data_is_built_once_per_run(self, tmp_path, monkeypatch):
+        # the field SimConfig checks is the field every block steps from: a
+        # file is loaded once and an eigenmode built once
+        path = tmp_path / "u0.npy"
+        np.save(path, np.full(64, 2.0))
+        loads, builds = [], []
+        load, build = np.load, stepping.initial_field
+
+        def counted(basis, kind, **keys):
+            builds.append(kind)
+            return build(basis, kind, **keys)
+
+        monkeypatch.setattr(np, "load", lambda *a, **k: loads.append(a) or load(*a, **k))
+        monkeypatch.setattr(stepping, "initial_field", counted)
+        monkeypatch.setattr(config_module, "initial_field", counted)
+        from_file = run_ensemble(small_config(init_kind="file", init_path=str(path)))
+        run_ensemble(small_config(init_kind="eigenmode"))
+        assert len(loads) == 1
+        assert builds == ["file", "eigenmode"]
+        # the loaded field steps as the constant field it holds
+        assert from_file.rows == run_ensemble(small_config()).rows
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failures_collected_and_run_continues(self, workers):
         config = small_config(
@@ -968,9 +990,13 @@ class TestCLI:
     @pytest.mark.parametrize("flag, value", [
         ("--paths", "16"),       # fewer paths than the 32 median-of-means groups
         ("--p", "3"),            # inadmissible moment order
+        ("--p", "inf"),
         ("--T-grid", "0.0003"),  # not a multiple of dt = 2e-4
         ("--T-grid", "0.002,0.002,0.004"),  # a repeated horizon
+        ("--T-grid", "0.002,inf"),
+        ("--T-grid", "nan,0.002"),
         ("--dt", "0"),           # not positive (and not replaced by run.dt)
+        ("--dt", "inf"),
     ])
     def test_probe_convolution_rejects_bad_argument(self, tmp_path, capsys, flag, value):
         cfg = write_config(tmp_path)
@@ -983,6 +1009,17 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {flag}: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_probe_convolution_rejects_moment_out_of_float_range(self, tmp_path, capsys):
+        # sup |Z| < 1 after one step, so every sup^200 underflows to 0
+        code = main(["probe-convolution", "--config", str(write_config(tmp_path)),
+                     "--p", "200", "--T-grid", "2e-6,4e-6", "--paths", "64",
+                     "--dt", "2e-6", "--output", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --p: ")
+        assert "at T = 2e-06" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [

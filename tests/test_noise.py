@@ -315,6 +315,18 @@ class TestDoubleIntegral:
         # bit; the Riesz variance and double integral rest on them
         assert repr(_unit_cell_mean.__wrapped__(alpha, d)) == value
 
+    @pytest.mark.parametrize("alpha, d, value", [
+        (1.0, 3, "575.80459515752"),
+        (0.5, 3, "717.4883983258608"),
+        (1.4, 3, "520.2011691060655"),
+        (0.7, 2, "86.73828850994722"),
+        (0.3, 1, "11.764851685440236"),
+    ])
+    def test_double_integral_values_are_pinned(self, alpha, d, value):
+        # the 48^d midpoint sums of the shells on broadcast axes give these
+        # values bit for bit, as the full grids they replaced did
+        assert repr(riesz_double_integral(alpha, d, PI)) == value
+
     def test_white_noise_has_no_double_integral(self):
         basis = basis_for(1, NEUMANN, n=16)
         with pytest.raises(ValueError):

@@ -828,7 +828,9 @@ class TestInitialField:
     def test_initial_sup_is_the_sup_of_the_field(self, kind, keys):
         domain = DomainSpec(1, DIRICHLET, 16)
         args = dict(value=1.0, mode=None, amplitude=1.0, path=None) | keys
-        assert stepping.initial_sup(domain, kind, **args) == float(
+        config = make_config(domain=domain, noise=SpectralKernel(theta=0.25, a=0.0),
+                             init_kind=kind, **{f"init_{k}": v for k, v in args.items()})
+        assert stepping.initial_sup(config) == float(
             initial_field(build_basis(domain), kind, **args).max())
 
     def test_file_negative_rejected(self, tmp_path):
