@@ -37,6 +37,7 @@ but those of ``_UNHASHED`` and is stamped into every output file.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -190,6 +191,15 @@ class SimConfig:
                            amplitude=self.init_amplitude, path=self.init_path)
         u0.setflags(write=False)
         return u0
+
+    def with_sigma(self, sigma: SigmaSpec) -> SimConfig:
+        """This config under ``sigma``, checked again.  The initial data does
+        not depend on sigma, so the copy keeps the field this config built,
+        and a sweep over sigma loads or builds it once."""
+        config = copy.copy(self)
+        object.__setattr__(config, "sigma", sigma)
+        config.__post_init__()
+        return config
 
     def gamma_c(self) -> float | None:
         """Critical exponent for this noise, or None outside eta in (0,1)."""

@@ -367,8 +367,7 @@ def sweep_gamma(config: SimConfig, gamma_grid, threshold_grid) -> SweepResult:
     doubling = {}
     truncation = max(config.sigma.truncation, thresholds[-1])
     for g in gammas:
-        cfg = replace(config, sigma=replace(config.sigma, growth=g,
-                                            truncation=truncation))
+        cfg = config.with_sigma(replace(config.sigma, growth=g, truncation=truncation))
         result = run_ensemble(cfg, keep_records=True)
         sups = np.array([r.max_sup_norm for r in result.rows])
         exit_fractions[g] = [float(np.mean(sups >= thr)) for thr in thresholds]

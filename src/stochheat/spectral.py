@@ -50,17 +50,24 @@ The transform pairs are numpy real FFTs, one axis at a time:
 
 An axis of at most ``_DENSE_POINTS`` points inverts with one cached
 (modes x points) synthesis matrix instead, the fast inverse of each unit
-coefficient vector, in matrix products of ``_DENSE_LINES`` lines with the
-last block zero-padded: every line goes through one call of one shape, so
-its values do not depend on its batch or its position in it, and they
-equal the FFT inverse at round-off.
+coefficient vector, and flows with one (points x points) flow matrix per
+time step, the fast flow of each unit vector, cached for the last time.
+``matmul_lines`` multiplies the lines of the last axis by such a matrix in
+products of ``_DENSE_LINES`` lines with the last block zero-padded; the
+heat flow then multiplies each other field axis by the flow matrix's
+transpose, one product per row, or per slab of a row on the middle axis
+of a 3-d field.  Every line goes through calls of one shape, so its
+values do not depend on its batch or its position in it, and they equal
+the FFT inverse and flow at round-off, with bits that depend on the BLAS
+build.
 
-``heat_flow`` fuses to_spectral -> semigroup -> to_grid: per axis it
-scales the analysis mode by mode (zero beyond the cutoff, which is the
-projection) and synthesizes, with no coefficient array in between; the
-result equals the three calls at round-off.  Every transform returns a
-new C-contiguous array, so a row's sums do not depend on the batch it came
-in, and its buffers are kept per thread and reused between calls.
+``heat_flow`` fuses to_spectral -> semigroup -> to_grid: on a larger axis,
+per axis it scales the analysis mode by mode (zero beyond the cutoff,
+which is the projection) and synthesizes, with no coefficient array in
+between; the result equals the three calls at round-off.  Every transform
+returns a new C-contiguous array, so a row's sums do not depend on the
+batch it came in, and its buffers are kept per thread and reused between
+calls.
 """
 
 from __future__ import annotations
@@ -79,22 +86,44 @@ DIRICHLET = "dirichlet"
 
 # values per block of lines in a 2n-point transform workspace (512 kB): a
 # (2048, 63) DST-I ran about 25% faster in blocks of 256 or 512 lines than
-# whole, and a 8^3 x 50 heat flow stays one block
+# whole
 _BLOCK_VALUES = 2**16
 
 # an axis of at most _DENSE_POINTS grid points inverts with its synthesis
-# matrix, _DENSE_LINES lines per matrix product, so every line goes through
-# one call of one shape.  On 2 vCPUs with OpenBLAS 0.3.31, 2048 lines took
-# 0.55-0.65 ms against 1.2-2.1 ms by FFT at 63 and 64 points, on one thread;
-# at 128 points the products still won on wall time (2.6 against 2.7-3.1
-# ms), but OpenBLAS threads each 64-line product there (2x the CPU time for
-# 60 against 70 us), which would take the core of the probe's draw helper
+# matrix and flows with its flow matrix, _DENSE_LINES lines per matrix
+# product, so every line goes through one call of one shape.  On 2 vCPUs
+# with OpenBLAS 0.3.31, 2048 lines took 0.55-0.65 ms against 1.2-2.1 ms by
+# FFT at 63 and 64 points, on one thread, and the heat flow of 50 fields at
+# 8^3 0.10 against 1.05 ms; at 128 points the products still won on wall
+# time (2.6 against 2.7-3.1 ms), but OpenBLAS threads each 64-line product
+# there (2x the CPU time for 60 against 70 us), which would take the core of
+# the draw helper
 _DENSE_POINTS = 64
 _DENSE_LINES = 64
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def matmul_lines(lines: np.ndarray, matrix: np.ndarray, out: np.ndarray, workspace, key):
+    """``out = lines @ matrix`` on the last axis, for lines of any leading
+    shape into a C-contiguous ``out``: one product per block of
+    ``_DENSE_LINES`` lines, the last block zero-padded in the ``key`` buffer
+    of ``workspace``.  Every line goes through one call shape, so its values
+    do not depend on its batch or its position in it."""
+    k, n = matrix.shape
+    lines = np.ascontiguousarray(lines).reshape(-1, k)
+    out = out.reshape(-1, n)
+    full = len(lines) - len(lines) % _DENSE_LINES
+    # a stack of blocks is one matmul call, one product per block
+    np.matmul(lines[:full].reshape(-1, _DENSE_LINES, k), matrix,
+              out=out[:full].reshape(-1, _DENSE_LINES, n))
+    if full < len(lines):
+        block = workspace(key, (_DENSE_LINES, k), lines.dtype)
+        block[:len(lines) - full] = lines[full:]
+        block[len(lines) - full:] = 0
+        out[full:] = np.matmul(block, matrix)[:len(lines) - full]
 
 
 class Workspaces:
@@ -133,7 +162,8 @@ class _Axis:
     slice of T's float view, forward scale, inverse scale).  A forward scale
     of None marks a coefficient that another run reads.  From these ``_Axis``
     writes ``forward`` and ``inverse`` (the last axis of an array of any
-    strides into a C-contiguous ``out``) and the in-place ``flow``.  The
+    strides into a C-contiguous ``out``), the in-place ``flow``, and on a
+    small axis the ``synthesis_matrix`` and ``flow_matrix``.  The
     defaults of ``one_coeffs`` (a constant mode 0) and ``_tail_terms``
     (wavenumbers k pi / L) serve two of the three boundary conditions."""
 
@@ -205,7 +235,7 @@ class _Axis:
         if self.synthesis_matrix is None:
             self.fft_inverse(c, out)
         else:
-            self._dense_inverse(c, out)
+            matmul_lines(c, self.synthesis_matrix, out, self.workspace, "dense lines")
 
     def fft_inverse(self, c: np.ndarray, out: np.ndarray):
         """The inverse by the axis's transform pair and packing table."""
@@ -221,25 +251,6 @@ class _Axis:
         self.synthesis(T, v)
         for flow, grid in self.flow_parts:
             out[..., grid] = v[..., flow]
-
-    def _dense_inverse(self, c: np.ndarray, out: np.ndarray):
-        """Lines times the synthesis matrix, one product per block of
-        ``_DENSE_LINES`` lines; the last block is zero-padded, so every line
-        goes through one call shape and its values do not depend on its
-        batch or its position in it."""
-        M = self.synthesis_matrix
-        modes, points = M.shape
-        lines = np.ascontiguousarray(c).reshape(-1, modes)
-        values = out.reshape(-1, points)
-        full = len(lines) - len(lines) % _DENSE_LINES
-        # a stack of blocks is one matmul call, one product per block
-        np.matmul(lines[:full].reshape(-1, _DENSE_LINES, modes), M,
-                  out=values[:full].reshape(-1, _DENSE_LINES, points))
-        if full < len(lines):
-            block = self.workspace("dense lines", (_DENSE_LINES, modes))
-            block[:len(lines) - full] = lines[full:]
-            block[len(lines) - full:] = 0.0
-            values[full:] = np.matmul(block, M)[:len(lines) - full]
 
     def flow(self, v: np.ndarray, scales: np.ndarray):
         """Values in flow order: their spectrum scaled by ``scales``, back
@@ -257,6 +268,19 @@ class _Axis:
         for coeffs, entries, _, _ in self.runs:
             scales[entries] = decay[coeffs]
         return scales
+
+    def flow_matrix(self, scales: np.ndarray) -> np.ndarray:
+        """The flow by ``scales`` as a (points, points) matrix in grid order,
+        whose row i is the fast flow of the i-th unit vector, as the
+        synthesis matrix is built: values flow as ``values @ matrix``."""
+        eye, v = np.eye(len(self.points)), np.empty((len(self.points),) * 2)
+        for flow, grid in self.flow_parts:
+            v[:, flow] = eye[:, grid]
+        self.flow(v, scales)
+        matrix = np.empty(v.shape)
+        for flow, grid in self.flow_parts:
+            matrix[:, grid] = v[:, flow]
+        return matrix
 
 
 class _SineAxis(_Axis):
@@ -476,7 +500,9 @@ class SpectralBasis:
         # per-axis integrals <1, psi_k>, used by dirichlet_mass and the
         # spectral-kernel double integral
         self.axis_one_coeffs = axis.one_coeffs()
-        self._flow_cache = (None, None)  # (t, scales) of the last heat_flow time
+        # (t, flow) of the last heat_flow time: the spectrum's scales, or on
+        # a dense axis the flow matrix stacked on its transpose
+        self._flow_cache = (None, None)
         # (flow index, grid index) of each part of a field: the axis's flow
         # order on every field axis at once
         self._flow_parts = [tuple((Ellipsis,) + tuple(p[i] for p in combo) for i in (0, 1))
@@ -613,8 +639,10 @@ class SpectralBasis:
         """S(t) on grid values: ``to_grid(semigroup(to_spectral(values), t))``
         of one field or of each row of a (P, *grid) batch, equal at
         round-off, with no coefficient array in between.  Per axis, the
-        forward spectrum is scaled mode by mode and transformed back; modes
-        beyond the cutoff are projected out, at t = 0 too."""
+        forward spectrum is scaled mode by mode and transformed back, or on
+        an axis of at most ``_DENSE_POINTS`` points the values are
+        multiplied by the flow matrix; modes beyond the cutoff are projected
+        out, at t = 0 too."""
         if t < 0:
             raise ValueError(f"heat flow time must be >= 0, got {t}")
         values = np.asarray(values, dtype=float)
@@ -622,10 +650,19 @@ class SpectralBasis:
             raise ValueError(
                 f"grid shape {values.shape} does not end in the basis grid {self.grid_shape}"
             )
-        cached_t, scales = self._flow_cache
+        cached_t, flow = self._flow_cache
         if cached_t != t:
-            scales = self._axis.flow_scales(self.axis_decay(t))
-            self._flow_cache = (t, scales)
+            flow = self._axis.flow_scales(self.axis_decay(t))
+            if self._axis.synthesis_matrix is not None:
+                matrix = self._axis.flow_matrix(flow)
+                flow = np.stack([matrix, matrix.T])
+            self._flow_cache = (t, flow)
+        if flow.ndim == 1:
+            return self._fft_flow(values, flow)
+        return self._dense_flow(values, *flow)
+
+    def _fft_flow(self, values: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        """The flow by the axis's transform pair, along each field axis."""
         # the flow acts in place along the last axis, on values in the flow
         # order of every axis; each pass but the first copies the next field
         # axis to the end
@@ -643,6 +680,26 @@ class SpectralBasis:
         out = np.empty(v.shape)
         for flow, grid in self._flow_parts:
             out[grid] = v[flow]
+        return out
+
+    def _dense_flow(self, values: np.ndarray, matrix: np.ndarray,
+                    transpose: np.ndarray) -> np.ndarray:
+        """The flow as products with the axis's flow matrix: the last field
+        axis as lines times the matrix (``matmul_lines``), then each other
+        field axis, first first, as the transpose times one row, or one slab
+        of a row, per product.  Every row goes through calls of one shape,
+        whatever its batch."""
+        d, g = self.dimension, self.grid_shape[0]
+        out = np.empty(values.shape)
+        workspace = self._axis.workspace
+        # pass j writes targets[j]: two workspaces in turn, then out
+        targets = [workspace(key, values.shape) for key in ("flow a", "flow b")[:d - 1]]
+        targets.append(out)
+        matmul_lines(values, matrix, targets[0], workspace, "dense lines")
+        for axis in range(d - 1):
+            stack = out.size // g ** (d - axis)
+            np.matmul(transpose, targets[axis].reshape(stack, g, -1),
+                      out=targets[axis + 1].reshape(stack, g, -1))
         return out
 
     # -- semigroup and kernels -------------------------------------------

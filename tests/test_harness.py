@@ -440,6 +440,19 @@ class TestRunEnsemble:
             tmp_path / "parallel/rows.csv"
         ).read_bytes()
 
+    def test_riesz_rows_do_not_depend_on_worker_count(self, tmp_path):
+        # the shipped Riesz config steps on the dense heat flow and the dense
+        # torus transforms: each worker count splits its 50 paths into other
+        # batches
+        config = parse_config(Path(__file__).resolve().parent.parent / "configs"
+                              / "riesz_3d.conf")
+        rows = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"workers{workers}"
+            run_ensemble(dataclasses.replace(config, workers=workers), out_dir=out)
+            rows.append((out / "rows.csv").read_bytes())
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+
     def test_initial_data_is_built_once_per_run(self, tmp_path, monkeypatch):
         # the field SimConfig checks is the field every block steps from: a
         # file is loaded once and an eigenmode built once
@@ -660,6 +673,18 @@ class TestSweepGamma:
         for g in result.gammas:
             fr = result.exit_fractions[g]
             assert all(a >= b for a, b in zip(fr, fr[1:]))
+
+    def test_file_data_is_loaded_once_per_sweep(self, tmp_path, monkeypatch):
+        # the initial data does not depend on sigma: each gamma's config
+        # keeps the checked field
+        path = tmp_path / "u0.npy"
+        np.save(path, np.full(64, 2.0))
+        loads, load = [], np.load
+        monkeypatch.setattr(np, "load", lambda *a, **k: loads.append(a) or load(*a, **k))
+        config = small_config(paths=4, horizon=0.005, init_kind="file", init_path=str(path))
+        result = sweep_gamma(config, [1.3, 1.5, 1.7], [4.0])
+        assert len(loads) == 1
+        assert result.gammas == [1.3, 1.5, 1.7]
 
     def test_threshold_must_be_power_of_two(self):
         config = small_config()

@@ -6,8 +6,9 @@ the Riesz double integral, Monte Carlo covariance estimates against the
 kernel values, and an exact check of the circulant-embedding Riesz sampler:
 fed the unit vectors as its normals, it must reproduce the dense covariance
 built from the kernel's definition.  The Riesz sampler's transforms run on
-numpy.fft; the same transforms on scipy.fft (``scipy_riesz_*``) must give
-its values bit for bit.
+numpy.fft, or on DFT matrices on small tori of two or three axes; the same
+transforms on scipy.fft (``scipy_riesz_*``) must give its values bit for
+bit on the FFT path and at round-off on the dense one.
 """
 
 import ast
@@ -507,7 +508,9 @@ class TestSampler:
 
 class TestRieszOnNumpyFFT:
     """The Riesz sampler's numpy.fft transforms give scipy.fft's values bit
-    for bit, so every Riesz output byte is that of the scipy sampler."""
+    for bit, so every Riesz output byte on those tori is that of the scipy
+    sampler.  A torus of two or three axes of at most 15 points maps by
+    products with DFT matrices instead, and equals scipy at round-off."""
 
     # (d, alpha): a valid Riesz exponent per dimension; d = 3 also clips
     KERNELS = [(1, 0.3), (2, 0.7), (3, 1.0), (3, 0.3)]
@@ -522,18 +525,59 @@ class TestRieszOnNumpyFFT:
         samp = make_sampler(spec, basis)
         assert samp.spectrum.tobytes() == scipy_riesz_spectrum(
             spec, basis, samp._embed_len).tobytes()
+        # the dense tori: 12 or 15 points per axis, in d = 2 and 3
+        dense = samp._dft is not None
+        assert dense == (d > 1 and n == 8)
+
+        def assert_equal(got, want, terms):
+            # bit for bit on the FFT path; on the dense path within 1e-14 of
+            # the summed magnitudes of the terms each value adds up, as the
+            # sine and cosine transforms are checked against scipy
+            if dense:
+                assert np.all(np.abs(got - want) <= 1e-14 * terms)
+            else:
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
         rng = np.random.default_rng(100 * d + n + rows)
         # the stepping core passes one step of a chunk: a strided view
         z = rng.standard_normal((rows, 3) + samp.normal_shape)[:, 1]
         for dt in (5e-4, 1.0):
             got = samp.increments(dt, z)
             assert got.flags.c_contiguous
-            assert got.tobytes() == scipy_riesz_increments(samp, dt, z).tobytes()
+            # each value sums the scaled half spectrum, twice over on the
+            # interior columns, at unit phases
+            spectrum = z.view(complex)[..., 0] * (math.sqrt(dt) * samp._scales)
+            terms = 2 * np.sum(np.abs(spectrum), axis=basis.field_axes)
+            assert_equal(got, scipy_riesz_increments(samp, dt, z),
+                         terms.reshape((rows,) + (1,) * d))
         f = 0.5 + rng.random((rows,) + basis.grid_shape)
-        assert samp.qv_form(f).tobytes() == scipy_riesz_qv_form(samp, f).tobytes()
+        # Parseval's sum of qv weights times |F_k|^2, each |F_k| at most the
+        # sum of |f|
+        terms = np.sum(samp._qv_weights) * basis.field_sum(np.abs(f)) ** 2
+        assert_equal(samp.qv_form(f), scipy_riesz_qv_form(samp, f), terms)
         # one field, not a batch, gives a float
         one = samp.qv_form(f[0])
-        assert isinstance(one, float) and one == scipy_riesz_qv_form(samp, f[0])
+        assert isinstance(one, float)
+        assert_equal(one, scipy_riesz_qv_form(samp, f[0]), terms[0])
+
+    # each side of the dense cutoff: tori of 12 and 15 points per axis map by
+    # products in d = 2 and 3, tori of 30 points and every 1-d torus by FFT
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("d, n", [(1, 8), (2, 8), (2, 16), (3, 8), (3, 16)])
+    def test_row_does_not_depend_on_batch_or_position(self, d, n, bc):
+        samp = make_sampler(RieszKernel({1: 0.3, 2: 0.7, 3: 1.0}[d]), basis_for(d, bc, n=n))
+        assert (samp._dft is not None) == (d > 1 and n == 8)
+        rng = np.random.default_rng(10 * d + n)
+        z = rng.standard_normal(samp.normal_shape)
+        f = 0.5 + rng.random(samp.basis.grid_shape)
+        alone = samp.increments(5e-4, z[np.newaxis])[0].tobytes(), samp.qv_form(f)
+        for rows in (1, 2, 9, 20):
+            for at in sorted({0, rows // 2, rows - 1}):
+                batch_z = rng.standard_normal((rows,) + samp.normal_shape)
+                batch_f = 0.5 + rng.random((rows,) + samp.basis.grid_shape)
+                batch_z[at], batch_f[at] = z, f
+                assert samp.increments(5e-4, batch_z)[at].tobytes() == alone[0]
+                assert samp.qv_form(batch_f)[at] == alone[1]
 
     def test_transforms_do_not_keep_state_between_calls(self):
         # the workspaces are reused: a call with fewer rows, or the other

@@ -501,6 +501,27 @@ class TestFastTransforms:
                 batch[at] = row
                 assert np.array_equal(basis.to_grid_batch(batch)[at], alone)
 
+    # each side of the dense cutoff: axes of 7 to 64 points flow by their
+    # matrix, 127 and 128 points by FFT; a mode cutoff makes the flow project
+    @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
+    @pytest.mark.parametrize("d, n, modes", [(1, 64, None), (1, 64, 33), (1, 128, None),
+                                             (2, 16, None), (3, 8, None), (3, 8, 5),
+                                             (3, 16, None)])
+    def test_heat_flow_row_does_not_depend_on_batch_or_position(self, bc, d, n, modes):
+        # batches below, at and above one block of 64 lines and across
+        # several, with the row at the start, inside and at the end
+        basis = make_basis(d, bc, n=n, N=modes)
+        assert (basis._axis.synthesis_matrix is not None) == (n <= 64)
+        rng = np.random.default_rng(n + d)
+        row = rng.normal(size=basis.grid_shape)
+        for t in (0.0, 1e-3):
+            alone = basis.heat_flow(row, t).tobytes()
+            for rows in (1, 2, 63, 64, 65, 130):
+                for at in sorted({0, rows // 2, rows - 1}):
+                    batch = rng.normal(size=(rows,) + basis.grid_shape)
+                    batch[at] = row
+                    assert basis.heat_flow(batch, t)[at].tobytes() == alone
+
     @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
     def test_dense_path_is_chosen_by_axis_size(self, bc):
         # axes of up to 64 points invert by their matrix, larger ones by FFT
