@@ -35,8 +35,8 @@ synthesizes a draw in Fourier space: two normals (real and imaginary
 part) per entry of the torus's real-FFT half spectrum, scaled by the
 square root of the circulant spectrum and mapped to the grid by one
 inverse FFT, pruned to the grid corner.  Its quadratic form is an exact
-FFT convolution, transformed from the grid corner only.  On a torus of two
-or three axes of at most ``_DENSE_TORUS`` points each, both transforms are
+FFT convolution, transformed from the grid corner only.  On a torus of
+three axes of at most ``_DENSE_TORUS`` points each, both transforms are
 products with cached DFT matrices that compute the same linear maps, at
 round-off, with bits that depend on the BLAS build.  Negative circulant
 eigenvalues, which occur for d = 3 and small alpha, are clipped at zero,
@@ -68,13 +68,13 @@ logger = logging.getLogger(__name__)
 # standard normals per chunk of a batched draw (16 MB of float64)
 _CHUNK_NORMALS = 2**21
 
-# a Riesz torus of at least two axes, each of at most _DENSE_TORUS points,
-# runs its pruned transforms as products with cached DFT matrices.  On 2
-# vCPUs with OpenBLAS 0.3.31, per 50-row batch: at 8^3 (M = 15) increments
-# took 0.79 against 1.10 ms by FFT and qv_form 0.90 against 1.28 ms, and at
-# 8^2 0.056 against 0.098 ms and 0.073 against 0.107 ms; at 16^3 (M = 30)
-# qv_form lost (15.1 against 12.4 ms) and so did riesz-3d-16's path-steps/s,
-# and in 1-d, one FFT call for the whole batch, the products gained nothing
+# a 3-d Riesz torus of at most _DENSE_TORUS points per axis runs its pruned
+# transforms as products with cached DFT matrices.  On 2 vCPUs with
+# OpenBLAS 0.3.31, per 50-row batch at 8^3 (M = 15), increments took 0.79
+# against 1.10 ms by FFT and qv_form 0.90 against 1.28 ms; at 16^3 (M = 30)
+# qv_form lost (15.1 against 12.4 ms) and so did riesz-3d-16's path-steps/s.
+# In 1-d, one FFT call for the whole batch, the products gained nothing;
+# 2-d tori stay on FFT until a workload measures them end to end
 _DENSE_TORUS = 15
 
 # largest share of the Riesz circulant's spectral mass that may be clipped
@@ -476,8 +476,8 @@ class RieszSampler(_Sampler):
     sampler and thread, so a call allocates only the C-contiguous
     increments it returns.
 
-    On a torus of two or three axes of at most ``_DENSE_TORUS`` points
-    each, numpy's cost per line outweighs the arithmetic, and both run as
+    On a torus of three axes of at most ``_DENSE_TORUS`` points each,
+    numpy's cost per line outweighs the arithmetic, and both run as
     products with the matrices of ``_dft_matrices`` instead, in the same two
     workspaces: each leading axis as one product per row, or per slab of a
     row, and the last axis in blocks of lines by ``matmul_lines``, so a
@@ -507,7 +507,7 @@ class RieszSampler(_Sampler):
         self._scales = np.sqrt(self.spectrum / (mult * M**d))
         self._qv_weights = mult * self.spectrum * (basis.cell_volume**2 / M**d)
         self._workspace = Workspaces()
-        self._dft = _dft_matrices(g, M) if d > 1 and M <= _DENSE_TORUS else None
+        self._dft = _dft_matrices(g, M) if d == 3 and M <= _DENSE_TORUS else None
 
     def _innermost(self, key, axis: int, shape, dtype=complex) -> np.ndarray:
         """A workspace viewed with the logical ``shape`` (axis 0 the row,

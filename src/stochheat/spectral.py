@@ -50,8 +50,10 @@ The transform pairs are numpy real FFTs, one axis at a time:
 
 An axis of at most ``_DENSE_POINTS`` points inverts with one cached
 (modes x points) synthesis matrix instead, the fast inverse of each unit
-coefficient vector, and flows with one (points x points) flow matrix per
-time step, the fast flow of each unit vector, cached for the last time.
+coefficient vector.  A grid whose flow products stay within
+``_DENSE_PRODUCT`` multiply-adds (axes of up to 64 points in 1-d and 2-d,
+up to 16 in 3-d) flows with one (points x points) flow matrix per time
+step, the fast flow of each unit vector, cached for the last time.
 ``matmul_lines`` multiplies the lines of the last axis by such a matrix in
 products of ``_DENSE_LINES`` lines with the last block zero-padded; the
 heat flow then multiplies each other field axis by the flow matrix's
@@ -61,7 +63,7 @@ values do not depend on its batch or its position in it, and they equal
 the FFT inverse and flow at round-off, with bits that depend on the BLAS
 build.
 
-``heat_flow`` fuses to_spectral -> semigroup -> to_grid: on a larger axis,
+``heat_flow`` fuses to_spectral -> semigroup -> to_grid: on a larger grid,
 per axis it scales the analysis mode by mode (zero beyond the cutoff,
 which is the projection) and synthesizes, with no coefficient array in
 between; the result equals the three calls at round-off.  Every transform
@@ -90,16 +92,25 @@ DIRICHLET = "dirichlet"
 _BLOCK_VALUES = 2**16
 
 # an axis of at most _DENSE_POINTS grid points inverts with its synthesis
-# matrix and flows with its flow matrix, _DENSE_LINES lines per matrix
-# product, so every line goes through one call of one shape.  On 2 vCPUs
-# with OpenBLAS 0.3.31, 2048 lines took 0.55-0.65 ms against 1.2-2.1 ms by
-# FFT at 63 and 64 points, on one thread, and the heat flow of 50 fields at
-# 8^3 0.10 against 1.05 ms; at 128 points the products still won on wall
-# time (2.6 against 2.7-3.1 ms), but OpenBLAS threads each 64-line product
-# there (2x the CPU time for 60 against 70 us), which would take the core of
-# the draw helper
+# matrix, _DENSE_LINES lines per matrix product, so every line goes through
+# one call of one shape.  On 2 vCPUs with OpenBLAS 0.3.31, 2048 lines took
+# 0.55-0.65 ms against 1.2-2.1 ms by FFT at 63 and 64 points, on one thread;
+# at 128 points the products still won on wall time (2.6 against 2.7-3.1
+# ms), but OpenBLAS threads each 64-line product there (2x the CPU time for
+# 60 against 70 us), which would take the core of the draw helper
 _DENSE_POINTS = 64
 _DENSE_LINES = 64
+
+# the heat flow runs as products with its flow matrix while none of them
+# exceeds _DENSE_PRODUCT multiply-adds, 64 lines of 64 points, the size up
+# to which those products ran on one thread: axes of up to 64 points in 1-d
+# and 2-d, up to 16 in 3-d.  On the machine above the heat flow of 50
+# fields at 8^3 took 0.10 against 1.05 ms by FFT.  At 32^3 the whole-row
+# product (32 x 32 by 32 x 1024) is threaded, and a riesz_3d.conf ensemble
+# of 4 paths for 100 steps ran 72-76 path-steps/s and 10.2-10.8 s of CPU
+# against 82-95 and 6.6-7.3 s by FFT; at 64^3 (1 path, 20 steps) wall time
+# was even and CPU 3.9-4.3 against 3.0-3.3 s
+_DENSE_PRODUCT = 64**3
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -500,8 +511,13 @@ class SpectralBasis:
         # per-axis integrals <1, psi_k>, used by dirichlet_mass and the
         # spectral-kernel double integral
         self.axis_one_coeffs = axis.one_coeffs()
-        # (t, flow) of the last heat_flow time: the spectrum's scales, or on
-        # a dense axis the flow matrix stacked on its transpose
+        # the heat flow multiplies by the flow matrix when its largest
+        # product, blocks of lines or a whole row on the first field axis,
+        # stays within _DENSE_PRODUCT multiply-adds
+        g = len(axis.points)
+        self._dense_flow_on = max(_DENSE_LINES, g ** (d - 1)) * g * g <= _DENSE_PRODUCT
+        # (t, flow) of the last heat_flow time: the spectrum's scales, or
+        # under the dense flow the flow matrix
         self._flow_cache = (None, None)
         # (flow index, grid index) of each part of a field: the axis's flow
         # order on every field axis at once
@@ -640,7 +656,7 @@ class SpectralBasis:
         of one field or of each row of a (P, *grid) batch, equal at
         round-off, with no coefficient array in between.  Per axis, the
         forward spectrum is scaled mode by mode and transformed back, or on
-        an axis of at most ``_DENSE_POINTS`` points the values are
+        a grid whose products stay within ``_DENSE_PRODUCT`` the values are
         multiplied by the flow matrix; modes beyond the cutoff are projected
         out, at t = 0 too."""
         if t < 0:
@@ -653,13 +669,12 @@ class SpectralBasis:
         cached_t, flow = self._flow_cache
         if cached_t != t:
             flow = self._axis.flow_scales(self.axis_decay(t))
-            if self._axis.synthesis_matrix is not None:
-                matrix = self._axis.flow_matrix(flow)
-                flow = np.stack([matrix, matrix.T])
+            if self._dense_flow_on:
+                flow = self._axis.flow_matrix(flow)
             self._flow_cache = (t, flow)
-        if flow.ndim == 1:
-            return self._fft_flow(values, flow)
-        return self._dense_flow(values, *flow)
+        if self._dense_flow_on:
+            return self._dense_flow(values, flow)
+        return self._fft_flow(values, flow)
 
     def _fft_flow(self, values: np.ndarray, scales: np.ndarray) -> np.ndarray:
         """The flow by the axis's transform pair, along each field axis."""
@@ -682,8 +697,7 @@ class SpectralBasis:
             out[grid] = v[flow]
         return out
 
-    def _dense_flow(self, values: np.ndarray, matrix: np.ndarray,
-                    transpose: np.ndarray) -> np.ndarray:
+    def _dense_flow(self, values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         """The flow as products with the axis's flow matrix: the last field
         axis as lines times the matrix (``matmul_lines``), then each other
         field axis, first first, as the transpose times one row, or one slab
@@ -691,15 +705,17 @@ class SpectralBasis:
         whatever its batch."""
         d, g = self.dimension, self.grid_shape[0]
         out = np.empty(values.shape)
-        workspace = self._axis.workspace
-        # pass j writes targets[j]: two workspaces in turn, then out
-        targets = [workspace(key, values.shape) for key in ("flow a", "flow b")[:d - 1]]
-        targets.append(out)
-        matmul_lines(values, matrix, targets[0], workspace, "dense lines")
+        # the passes alternate between out and one workspace, starting so
+        # that the last pass writes out
+        targets = [out]
+        if d > 1:
+            flow = self._axis.workspace("flow", values.shape)
+            targets = [out, flow] if d % 2 else [flow, out]
+        matmul_lines(values, matrix, targets[0], self._axis.workspace, "dense lines")
         for axis in range(d - 1):
             stack = out.size // g ** (d - axis)
-            np.matmul(transpose, targets[axis].reshape(stack, g, -1),
-                      out=targets[axis + 1].reshape(stack, g, -1))
+            np.matmul(matrix.T, targets[axis % 2].reshape(stack, g, -1),
+                      out=targets[(axis + 1) % 2].reshape(stack, g, -1))
         return out
 
     # -- semigroup and kernels -------------------------------------------

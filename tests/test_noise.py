@@ -6,7 +6,7 @@ the Riesz double integral, Monte Carlo covariance estimates against the
 kernel values, and an exact check of the circulant-embedding Riesz sampler:
 fed the unit vectors as its normals, it must reproduce the dense covariance
 built from the kernel's definition.  The Riesz sampler's transforms run on
-numpy.fft, or on DFT matrices on small tori of two or three axes; the same
+numpy.fft, or on DFT matrices on small tori of three axes; the same
 transforms on scipy.fft (``scipy_riesz_*``) must give its values bit for
 bit on the FFT path and at round-off on the dense one.
 """
@@ -509,8 +509,8 @@ class TestSampler:
 class TestRieszOnNumpyFFT:
     """The Riesz sampler's numpy.fft transforms give scipy.fft's values bit
     for bit, so every Riesz output byte on those tori is that of the scipy
-    sampler.  A torus of two or three axes of at most 15 points maps by
-    products with DFT matrices instead, and equals scipy at round-off."""
+    sampler.  A torus of three axes of at most 15 points maps by products
+    with DFT matrices instead, and equals scipy at round-off."""
 
     # (d, alpha): a valid Riesz exponent per dimension; d = 3 also clips
     KERNELS = [(1, 0.3), (2, 0.7), (3, 1.0), (3, 0.3)]
@@ -525,9 +525,9 @@ class TestRieszOnNumpyFFT:
         samp = make_sampler(spec, basis)
         assert samp.spectrum.tobytes() == scipy_riesz_spectrum(
             spec, basis, samp._embed_len).tobytes()
-        # the dense tori: 12 or 15 points per axis, in d = 2 and 3
+        # the dense tori: 15 points per axis, in d = 3
         dense = samp._dft is not None
-        assert dense == (d > 1 and n == 8)
+        assert dense == (d == 3 and n == 8)
 
         def assert_equal(got, want, terms):
             # bit for bit on the FFT path; on the dense path within 1e-14 of
@@ -560,13 +560,13 @@ class TestRieszOnNumpyFFT:
         assert isinstance(one, float)
         assert_equal(one, scipy_riesz_qv_form(samp, f[0]), terms[0])
 
-    # each side of the dense cutoff: tori of 12 and 15 points per axis map by
-    # products in d = 2 and 3, tori of 30 points and every 1-d torus by FFT
+    # each side of the dense cutoff: tori of 15 points per axis map by
+    # products in d = 3, tori of 30 points and every 1-d and 2-d torus by FFT
     @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET, PERIODIC])
     @pytest.mark.parametrize("d, n", [(1, 8), (2, 8), (2, 16), (3, 8), (3, 16)])
     def test_row_does_not_depend_on_batch_or_position(self, d, n, bc):
         samp = make_sampler(RieszKernel({1: 0.3, 2: 0.7, 3: 1.0}[d]), basis_for(d, bc, n=n))
-        assert (samp._dft is not None) == (d > 1 and n == 8)
+        assert (samp._dft is not None) == (d == 3 and n == 8)
         rng = np.random.default_rng(10 * d + n)
         z = rng.standard_normal(samp.normal_shape)
         f = 0.5 + rng.random(samp.basis.grid_shape)

@@ -511,7 +511,7 @@ class TestFastTransforms:
         # batches below, at and above one block of 64 lines and across
         # several, with the row at the start, inside and at the end
         basis = make_basis(d, bc, n=n, N=modes)
-        assert (basis._axis.synthesis_matrix is not None) == (n <= 64)
+        assert basis._dense_flow_on == (n <= 64)
         rng = np.random.default_rng(n + d)
         row = rng.normal(size=basis.grid_shape)
         for t in (0.0, 1e-3):
@@ -527,6 +527,14 @@ class TestFastTransforms:
         # axes of up to 64 points invert by their matrix, larger ones by FFT
         assert make_basis(1, bc, n=64)._axis.synthesis_matrix is not None
         assert make_basis(1, bc, n=128)._axis.synthesis_matrix is None
+
+    @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
+    def test_dense_flow_is_chosen_by_product_size(self, bc):
+        # the flow is dense while its largest product, 64 lines or a whole
+        # row on the first field axis, stays within 64^3 multiply-adds
+        for d, n, dense in [(1, 64, True), (1, 128, False), (2, 64, True),
+                            (3, 16, True), (3, 32, False), (3, 64, False)]:
+            assert make_basis(d, bc, n=n)._dense_flow_on == dense
 
     def test_heat_flow_rejects_bad_time_and_shape(self):
         basis = make_basis(2, NEUMANN, n=8)
