@@ -166,6 +166,8 @@ def cmd_report(args) -> int:
         return EXIT_RUNTIME
     agg = result.aggregates
     print(f"config hash : {result.config_hash}")
+    if "streams" in result.run_info:
+        print(f"streams     : {json.dumps(result.run_info['streams'])}")
     print("aggregates (recomputed from rows and verified):")
     print(json.dumps(agg, indent=2))
     # one verdict per paper bound, from the stored passed flags

@@ -47,7 +47,14 @@ from pathlib import Path
 
 from .noise import KERNELS, KernelValidationError, critical_exponent
 from .spectral import DomainSpec, build_basis
-from .stepping import INIT_KEYS, InitialDataError, SigmaSpec, initial_field, initial_sup
+from .stepping import (
+    BIT_GENERATOR,
+    INIT_KEYS,
+    InitialDataError,
+    SigmaSpec,
+    initial_field,
+    initial_sup,
+)
 
 
 class ConfigError(ValueError):
@@ -150,7 +157,10 @@ class SimConfig:
             )
         if self.paths < 1:
             raise ConfigError("run.paths: must be >= 1")
-        # path k is seeded by base_seed + k, a Philox key: a uint64
+        # path k is seeded by base_seed + k.  SeedSequence takes any
+        # nonnegative int, so the generator sets no upper bound; the uint64
+        # bound keeps every seed a valid seed of any numpy bit generator and
+        # accepts the configs earlier versions accepted
         if not 0 <= self.base_seed <= 2**64 - self.paths:
             raise ConfigError(
                 f"run.base_seed: must be in [0, 2^64 - run.paths] = "
@@ -222,7 +232,8 @@ def config_hash(config: SimConfig) -> str:
     ``_UNHASHED`` keys must not affect results, and the hash certifies
     result-determining inputs only.  For file initial data the SHA-256 of
     the file's bytes is included, so two files saved at one path give two
-    hashes.
+    hashes.  The name of the streams' bit generator is included too: the
+    same config drawn from another generator is another experiment.
     """
     owners = {"domain": config.domain, "noise": config.noise, "sigma": config.sigma}
     payload = {}
@@ -235,6 +246,7 @@ def config_hash(config: SimConfig) -> str:
     if "init.path" in INIT_KEYS[config.init_kind]:
         payload["init"]["sha256"] = hashlib.sha256(
             Path(config.init_path).read_bytes()).hexdigest()
+    payload["generator"] = BIT_GENERATOR
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 

@@ -22,7 +22,13 @@ import numpy as np
 
 from .noise import SpectralSampler, make_sampler
 from .spectral import SpectralBasis, loglog_slope
-from .stepping import _BATCH_NORMALS, TrajectoryRecord, drawn_ahead
+from .stepping import (
+    _BATCH_NORMALS,
+    BIT_GENERATOR,
+    TrajectoryRecord,
+    drawn_ahead,
+    seeded_stream,
+)
 
 UP = "up"
 DOWN = "down"
@@ -251,7 +257,7 @@ PROBE_BLOCK_ROWS = 256
 def block_rng(seed: int, block: int):
     """The stream of the probe's rows block * PROBE_BLOCK_ROWS onwards;
     independent across blocks and seeds."""
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block))))
+    return seeded_stream((seed, block))
 
 
 def moment_admissible(p: float, beta: float, eta: float) -> bool:
@@ -470,7 +476,7 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
         fitted_slope=slope,
         theoretical_exponent=exponent,
         fitted_C=float(math.exp(intercept)),
-        streams={"generator": type(rngs[0].bit_generator).__name__,
+        streams={"generator": BIT_GENERATOR,
                  "rows_per_stream": PROBE_BLOCK_ROWS},
         variance_checks=variance_checks,
     )

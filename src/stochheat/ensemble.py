@@ -35,9 +35,9 @@ from .diagnostics import (
 )
 from .noise import DecayFitError, KernelValidationError, verify_decay
 from .spectral import DomainSpec, build_basis, heat_kernel_decay_fit
-from .stepping import TrajectoryRecord, build_context, run_batch
+from .stepping import BIT_GENERATOR, TrajectoryRecord, build_context, run_batch
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -80,7 +80,8 @@ class EnsembleResult:
     records: list | None = None
     # records written as trajectories/seed<k>.csv
     trajectories: list = field(default_factory=list)
-    # run_info.json: wall clock, paths/s, workers, blocks, telemetry, phases
+    # run_info.json: wall clock, paths/s, workers, blocks, streams,
+    # telemetry, phases
     run_info: dict = field(default_factory=dict)
 
     def write(self, out_dir) -> Path:
@@ -246,6 +247,8 @@ def run_ensemble(config: SimConfig, keep_records: bool = False,
             "paths_per_second": len(rows) / wall_clock if wall_clock > 0 else math.inf,
             "workers": config.workers,
             "blocks": count,
+            # the stream layout of the rows, as the probe report names its own
+            "streams": {"generator": BIT_GENERATOR, "per": "path"},
             **telemetry[0],
             "phase_seconds": {"blocks": t_blocks - t0,
                               "aggregates": t_aggregates - t_blocks},
@@ -261,7 +264,10 @@ def write_trajectory_csv(record: TrajectoryRecord, path, config_hash=None):
 
 
 def load_ensemble(out_dir) -> EnsembleResult:
-    """Load a persisted ensemble and cross-check stored aggregates."""
+    """Load a persisted ensemble and cross-check stored aggregates.
+
+    run_info.json, when present, is loaded as it stands: it lies outside
+    the determinism contract, so nothing is checked against it."""
     out = Path(out_dir)
     lines = [
         ln for ln in (out / "rows.csv").read_text().splitlines()
@@ -289,11 +295,13 @@ def load_ensemble(out_dir) -> EnsembleResult:
             f"stored aggregates disagree with rows for keys {sorted(mismatch)}: "
             "result files are inconsistent"
         )
+    info = out / "run_info.json"
     return EnsembleResult(
         rows=rows,
         aggregates=stored,
         config_hash=payload["config_hash"],
         failures=payload.get("failures", []),
+        run_info=json.loads(info.read_text()) if info.exists() else {},
     )
 
 

@@ -27,9 +27,10 @@ bound shared by every path of the config.  Its initial data is built by
 once per config (``SimConfig.initial_data``); ``initial_sup`` checks it,
 and builds no field for constant data.  A block of seeds steps as one
 (P, *grid) batch through ``Stepper.step``.
-Each row draws the standard normals of its increment from its own
-counter-based stream keyed by its seed (Philox; Salmon et al., SC'11), so
-its values do not depend on the batch; one linear map of the sampler turns
+Each row draws the standard normals of its increment from its own stream,
+an SFC64 generator seeded through ``SeedSequence(seed)`` (``seeded_stream``,
+the one constructor of a stream in the package), so its values do not
+depend on the batch; one linear map of the sampler turns
 the stacked normals into the batch's increments.  A row draws the normals
 of several steps (a chunk) in one call, which takes the same values from
 its stream in the same order as one call per step.  ``drawn_ahead`` hands
@@ -307,9 +308,24 @@ def build_context(config) -> Stepper:
                    config.dt, config.initial_data, config.horizon, config.mass_bound)
 
 
+# the numpy bit generator of every stream, which config_hash and the reports
+# name.  A name, not the class: numpy loads numpy.random (about 2.5 MB) on
+# first access, which a process that only parses, hashes and aggregates
+# while its pool steps need not pay
+BIT_GENERATOR = "SFC64"
+
+
+def seeded_stream(key):
+    """The stream of ``key``, a nonnegative int or a tuple of them:
+    ``BIT_GENERATOR`` seeded through ``SeedSequence(key)``, which hashes the
+    key, so that streams of nearby keys are independent."""
+    bit_generator = getattr(np.random, BIT_GENERATOR)
+    return np.random.Generator(bit_generator(np.random.SeedSequence(key)))
+
+
 def path_rng(seed: int):
-    """Counter-based per-path stream; independent across seeds."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    """The stream of the path of ``seed``."""
+    return seeded_stream(seed)
 
 
 @contextmanager

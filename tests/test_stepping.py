@@ -11,6 +11,8 @@ covariance.
 import ast
 import collections
 import math
+import os
+import subprocess
 import sys
 import threading
 from contextlib import contextmanager
@@ -215,8 +217,9 @@ class TestBatchEquivalence:
         assert np.array_equal(sampler.qv_form(f), [sampler.qv_form(row) for row in f])
 
 
-def call_sites(callee):
-    """(module, enclosing function) of every call of ``callee`` in the package."""
+def call_sites(*callees):
+    """(module, enclosing function) of every call of one of ``callees`` in the
+    package."""
     class Sites(ast.NodeVisitor):
         def __init__(self):
             self.scope, self.found = ["<module>"], []
@@ -227,7 +230,7 @@ def call_sites(callee):
             self.scope.pop()
 
         def visit_Call(self, node):
-            if callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            if {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & set(callees):
                 self.found.append((module.name, self.scope[-1]))
             self.generic_visit(node)
 
@@ -404,14 +407,14 @@ class TestRunBatch:
     def test_normals_depth_does_not_change_records(self, monkeypatch, draw_normals,
                                                    batch_normals, depth):
         # 16 rows of 16 normals per step over 50 steps; rows stop at tau_n
-        # mid-chunk and seed 6 goes non-finite at step 11.  The reference
+        # mid-chunk and seed 20 goes non-finite at step 17.  The reference
         # draws one step of normals per call, as a depth of 1 does.
         config = make_config(
             domain=DomainSpec(1, NEUMANN, 16), noise=SpectralKernel(0.75, 1.0),
             sigma=SigmaSpec(1.0, 4.0, 1e100), dt=1e-3, horizon=0.05,
             mass_bound=float("inf"), init_value=1.5)
         ctx = build_context(config)
-        seeds = list(range(16))
+        seeds = list(range(5, 21))
         draws = []  # steps of normals per draw call
 
         class CountedStream:
@@ -432,7 +435,7 @@ class TestRunBatch:
             monkeypatch.setattr(stepping, "_BATCH_NORMALS", batch_normals)
             records, failures = run_batch(ctx, seeds)
         assert max(draws) == depth
-        assert [(seed, exc.step) for seed, exc in failures] == [(6, 11)]
+        assert [(seed, exc.step) for seed, exc in failures] == [(20, 17)]
         assert [(seed, str(exc)) for seed, exc in failures] == [
             (seed, str(exc)) for seed, exc in ref_failures]
         assert any(r.stop_flag == STOP_TAU_N and r.steps % depth for r in records)
@@ -537,6 +540,44 @@ class TestRunBatch:
     def test_stepper_is_built_only_by_build_context(self):
         # a built run has one constructor; a second would rebuild per batch
         assert call_sites("Stepper") == [("stepping.py", "build_context")]
+
+    def test_streams_are_built_only_by_seeded_stream(self):
+        # a stream has one constructor, over the generator config_hash names;
+        # a bit generator, seed sequence or Generator built elsewhere would
+        # draw values that no stamp accounts for
+        bit_generators = [name for name, obj in vars(np.random).items()
+                          if isinstance(obj, type) and issubclass(obj, np.random.BitGenerator)]
+        assert {"Philox", "SFC64", "PCG64", "MT19937"} <= set(bit_generators)
+        builders = [*bit_generators, "SeedSequence", "Generator", "default_rng",
+                    "RandomState"]
+        assert call_sites(*builders) == [("stepping.py", "seeded_stream")] * 2
+        philox = [
+            (module.name, node.lineno)
+            for module in sorted(Path(stepping.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(module.read_text()))
+            if "Philox" in (getattr(node, "id", None), getattr(node, "attr", None))
+        ]
+        assert philox == []
+
+    def test_parsing_and_hashing_do_not_load_numpy_random(self):
+        # the main process of a pooled run parses, hashes and aggregates;
+        # loading numpy.random there raised its peak memory by about 2.5 MB
+        check = ("import sys; import stochheat as sh; "
+                 "sh.config_hash(sh.parse_config(sys.argv[1])); "
+                 "assert 'numpy.random' not in sys.modules, 'numpy.random loaded'")
+        config = Path(__file__).resolve().parent.parent / "configs" / "white_noise_critical.conf"
+        src = str(Path(stochheat.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", check, str(config)],
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                                  p for p in (src, os.environ.get("PYTHONPATH")) if p)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**64 - 1])
+    def test_path_stream_is_sfc64_seeded_through_seed_sequence(self, seed):
+        reference = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+        assert np.array_equal(path_rng(seed).standard_normal(100),
+                              reference.standard_normal(100))
 
     def test_batch_where_every_row_fails_returns(self):
         config = make_config(sigma=SigmaSpec(1.0, 1.5, 1e309), init_value=1e308,
