@@ -38,11 +38,12 @@ inverse FFT, pruned to the grid corner.  Its quadratic form is an exact
 FFT convolution, transformed from the grid corner only.  On a torus of
 three axes of at most ``_DENSE_TORUS`` points each, both transforms are
 products with cached DFT matrices that compute the same linear maps, at
-round-off, with bits that depend on the BLAS build.  Negative circulant
-eigenvalues, which occur for d = 3 and small alpha, are clipped at zero,
-logged and reported as ``clipped_fraction``; the draws and the quadratic
-form share the clipped spectrum.  Memory and work are O(N log N) in the
-grid size N.
+round-off, with bits that depend on the BLAS build: one
+``spectral.axis_products`` chain each, the one the dense heat flow runs
+on.  Negative circulant eigenvalues, which occur for d = 3 and small
+alpha, are clipped at zero, logged and reported as ``clipped_fraction``;
+the draws and the quadratic form share the clipped spectrum.  Memory and
+work are O(N log N) in the grid size N.
 
 Every transform is ``numpy.fft`` or a numpy matrix product, and the
 spectral sampler's Gamma(theta) is ``math.gamma``, so no run loads scipy;
@@ -60,8 +61,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .spectral import (NEUMANN, PERIODIC, SpectralBasis, Workspaces, loglog_slope,
-                       matmul_lines)
+from .spectral import (NEUMANN, PERIODIC, SpectralBasis, Workspaces, axis_products,
+                       loglog_slope)
 
 logger = logging.getLogger(__name__)
 
@@ -390,18 +391,21 @@ def _smooth_len(n: int) -> int:
 
 def _dft_matrices(g: int, M: int):
     """The Riesz sampler's pruned transforms on an M-point torus axis as
-    matrices, each the transform of the unit vectors: the ``ifft`` cut to
-    its first g outputs (g, M); the ``irfft`` of M points cut to g, as a real
-    map of the interleaved (Re, Im) pairs of the half spectrum (2K, g), K =
-    M//2 + 1; the ``rfft`` of g points zero-padded to M, as a real map to
-    those pairs (g, 2K); and the ``fft`` zero-padded from g to M (M, g)."""
+    matrices that act as ``values @ matrix``, each the transform of the
+    unit vectors: the ``ifft`` cut to its first g outputs (M, g); the
+    ``irfft`` of M points cut to g, as a real map of the interleaved (Re,
+    Im) pairs of the half spectrum (2K, g), K = M//2 + 1; the ``rfft`` of g
+    points zero-padded to M, as a real map to those pairs (g, 2K); and the
+    ``fft`` zero-padded from g to M (g, M).  The first and the last are
+    transposed views, whose transposes ``axis_products`` multiplies by one
+    slab per product."""
     half = np.eye(M // 2 + 1)
     irfft = np.stack([np.fft.irfft(half, M, norm="forward")[:, :g],
                       np.fft.irfft(1j * half, M, norm="forward")[:, :g]], axis=1)
-    return (np.fft.ifft(np.eye(M), axis=0, norm="forward")[:g],
+    return (np.fft.ifft(np.eye(M), axis=0, norm="forward")[:g].T,
             irfft.reshape(-1, g),
             np.fft.rfft(np.eye(g), M).view(float),
-            np.fft.fft(np.eye(g), M, axis=0))
+            np.fft.fft(np.eye(g), M, axis=0).T)
 
 
 def _rfft_multiplicity(embed_len: int) -> np.ndarray:
@@ -477,11 +481,12 @@ class RieszSampler(_Sampler):
     increments it returns.
 
     On a torus of three axes of at most ``_DENSE_TORUS`` points each,
-    numpy's cost per line outweighs the arithmetic, and both run as
-    products with the matrices of ``_dft_matrices`` instead, in the same two
-    workspaces: each leading axis as one product per row, or per slab of a
-    row, and the last axis in blocks of lines by ``matmul_lines``, so a
-    row's values do not depend on its batch.
+    numpy's cost per line outweighs the arithmetic, and both run as one
+    ``axis_products`` chain with the matrices of ``_dft_matrices`` instead,
+    in the same two workspaces and in the order of the FFT passes: the
+    leading axes, first first, then the last in ``increments``, and the
+    last axis, then the leading ones, last first, in ``qv_form``.  A row's
+    values do not depend on its batch.
     """
 
     def __init__(self, spec: RieszKernel, basis: SpectralBasis):
@@ -529,7 +534,12 @@ class RieszSampler(_Sampler):
         x = self._workspace("a", (len(z),) + self.normal_shape[:-1], complex)
         np.multiply(z.view(complex)[..., 0], math.sqrt(dt) * self._scales, out=x)
         if self._dft is not None:
-            return self._dense_increments(x)
+            # each leading axis, first first, then the last axis as (Re, Im)
+            # lines; of the three passes the first writes "b", as "a" holds x
+            inverse, irfft = self._dft[:2]
+            passes = [(axis, inverse) for axis in self.basis.field_axes[:-1]] + [(-1, irfft)]
+            return axis_products(x, passes, np.empty((len(z),) + self.basis.grid_shape),
+                                 self._workspace, "ba")
         d, g, M = self.basis.dimension, self.basis.grid_shape[0], self._embed_len
         # each pass writes its axis innermost, and the next reads a copy of
         # its first g outputs with the next axis innermost; the first pass
@@ -545,23 +555,6 @@ class RieszSampler(_Sampler):
         values = self._workspace("b", x.shape[:-1] + (M,))
         np.fft.irfft(x, M, norm="forward", out=values)
         return values[..., :g].copy()
-
-    def _dense_increments(self, x: np.ndarray) -> np.ndarray:
-        """The pruned inverse of the scaled half spectrum ``x`` (workspace
-        "a") by the DFT matrices: each leading axis, first first, as the
-        cut ifft matrix times one row, or one slab of a row, per product,
-        then the last axis as (Re, Im) lines times the real irfft map."""
-        inverse, irfft = self._dft[:2]
-        d, g, M, rows = self.basis.dimension, self.basis.grid_shape[0], self._embed_len, len(x)
-        keys = "ab"
-        for axis in range(1, d):
-            stack = rows * g ** (axis - 1)
-            y = self._workspace(keys[axis % 2], (stack, g, x.size // (stack * M)), complex)
-            np.matmul(inverse, x.reshape(stack, M, -1), out=y)
-            x = y
-        values = np.empty((rows,) + self.basis.grid_shape)
-        matmul_lines(x.view(float), irfft, values, self._workspace, keys[d % 2])
-        return values
 
     def qv_form(self, f_values: np.ndarray):
         d = self.basis.dimension
@@ -593,19 +586,11 @@ class RieszSampler(_Sampler):
     def _dense_qv_spectrum(self, f: np.ndarray):
         """The zero-padded forward transform by the DFT matrices: the last
         axis as lines times the real rfft map, then each leading axis, last
-        first, as the padded fft matrix times one slab, or one row, per
-        product; the passes alternate so that the last writes "a"."""
+        first, into workspace "a"."""
         rfft, fft = self._dft[2:]
-        d, g, M = self.basis.dimension, self.basis.grid_shape[0], self._embed_len
-        keys = "ab"
-        x = self._workspace(keys[(d - 1) % 2], f.shape[:-1] + (M // 2 + 1,), complex)
-        matmul_lines(f, rfft, x.view(float), self._workspace, keys[d % 2])
-        for axis in range(d - 1, 0, -1):
-            stack = len(f) * g ** (axis - 1)
-            y = self._workspace(keys[(axis - 1) % 2], (stack, M, x.size // (stack * g)), complex)
-            np.matmul(fft, x.reshape(stack, g, -1), out=y)
-            x = y
-        x = x.reshape((len(f),) + self.normal_shape[:-1])
+        passes = [(-1, rfft)] + [(axis, fft) for axis in reversed(self.basis.field_axes[:-1])]
+        x = self._workspace("a", (len(f),) + self.normal_shape[:-1], complex)
+        axis_products(f, passes, x, self._workspace, "ab")
         return x, x.view(float)
 
 

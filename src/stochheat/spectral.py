@@ -48,25 +48,33 @@ The transform pairs are numpy real FFTs, one axis at a time:
   reversed, an ``rfft`` of n points and the twiddle exp(-i pi k/2n).
 * periodic: a plain ``rfft``/``irfft``.
 
-An axis of at most ``_DENSE_POINTS`` points inverts with one cached
-(modes x points) synthesis matrix instead, the fast inverse of each unit
-coefficient vector.  A grid whose flow products stay within
-``_DENSE_PRODUCT`` multiply-adds (axes of up to 64 points in 1-d and 2-d,
-up to 16 in 3-d) flows with one (points x points) flow matrix per time
-step, the fast flow of each unit vector, cached for the last time.
-``matmul_lines`` multiplies the lines of the last axis by such a matrix in
-products of ``_DENSE_LINES`` lines with the last block zero-padded; the
-heat flow then multiplies each other field axis by the flow matrix's
-transpose, one product per row, or per slab of a row on the middle axis
-of a 3-d field.  Every line goes through calls of one shape, so its
-values do not depend on its batch or its position in it, and they equal
-the FFT inverse and flow at round-off, with bits that depend on the BLAS
-build.
+Every field transform runs through one of two cores.
+``SpectralBasis._along_field_axes`` applies a line transform of the axis to
+each field axis in turn: ``forward`` for ``to_spectral``, ``inverse`` for
+``to_grid`` and ``flow`` for ``heat_flow`` on a larger grid.  The flow
+scales the analysis mode by mode (zero beyond the cutoff, which is the
+projection) and synthesizes, with no coefficient array in between, so
+``heat_flow`` equals to_spectral -> semigroup -> to_grid at round-off.
+``axis_products`` multiplies the values along each field axis in turn by a
+matrix: the last axis through ``matmul_lines``, in products of
+``_DENSE_LINES`` lines with the last block zero-padded, and a leading one
+as the matrix's transpose times one row, or one slab of a row, per
+product.  Small sizes run on matrices:
 
-``heat_flow`` fuses to_spectral -> semigroup -> to_grid: on a larger grid,
-per axis it scales the analysis mode by mode (zero beyond the cutoff,
-which is the projection) and synthesizes, with no coefficient array in
-between; the result equals the three calls at round-off.  Every transform
+* an axis of at most ``_DENSE_POINTS`` points inverts with one cached
+  (modes x points) synthesis matrix by ``matmul_lines``, the fast inverse
+  of each unit coefficient vector;
+* a grid whose flow products stay within ``_DENSE_PRODUCT`` multiply-adds
+  (axes of up to 64 points in 1-d and 2-d, up to 16 in 3-d) flows by
+  ``axis_products`` with one (points x points) flow matrix per time step,
+  the fast flow of the identity, cached for the last time: the last field
+  axis first, then the others, first first;
+* the Riesz sampler of ``noise`` runs its transforms on a small 3-d torus
+  by ``axis_products`` too.
+
+Every line goes through calls of one shape, so its values do not depend on
+its batch or its position in it, and they equal the FFT inverse and flow
+at round-off, with bits that depend on the BLAS build.  Every transform
 returns a new C-contiguous array, so a row's sums do not depend on the
 batch it came in, and its buffers are kept per thread and reused between
 calls.
@@ -75,7 +83,6 @@ calls.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -137,6 +144,35 @@ def matmul_lines(lines: np.ndarray, matrix: np.ndarray, out: np.ndarray, workspa
         out[full:] = np.matmul(block, matrix)[:len(lines) - full]
 
 
+def axis_products(x: np.ndarray, passes, out: np.ndarray, workspace, keys) -> np.ndarray:
+    """``x`` times the matrix of each (axis, matrix) of ``passes`` in turn,
+    into ``out``: the values along field axis ``axis`` (negative, counted
+    from the end) times the (k, n) ``matrix``, read in the matrix's dtype,
+    so a complex array is read as its (Re, Im) floats and back.  The last
+    axis goes through ``matmul_lines``, with its padded block in the
+    "dense lines" workspace; a leading axis is the matrix's transpose times
+    one slab of the array per product, so a row's values do not depend on
+    its batch.  The last pass writes ``out``, and the ones before it
+    alternate, back from it, between the workspaces of ``keys[1]`` and
+    ``keys[0]``, where a key of None is ``out`` itself."""
+    last = len(passes) - 1
+    for i, (axis, matrix) in enumerate(passes):
+        x = x.view(matrix.dtype)
+        k, n = matrix.shape
+        key = keys[(last - i) % 2]
+        if i == last or key is None:
+            y = out
+        else:
+            y = workspace(key, x.shape[:axis] + (n,) + x.shape[x.ndim + axis + 1:], matrix.dtype)
+        if axis == -1:
+            matmul_lines(x, matrix, y, workspace, "dense lines")
+        else:
+            stack = math.prod(x.shape[:axis])
+            np.matmul(matrix.T, x.reshape(stack, k, -1), out=y.reshape(stack, n, -1))
+        x = y
+    return out
+
+
 class Workspaces:
     """Buffers of the calling thread, by key, reused from call to call.
 
@@ -167,14 +203,17 @@ class _Axis:
 
     A subclass sets the grid ``points``, the public ``mode_numbers`` of the
     retained modes and their ``wavenumbers``, one transform pair on the last
-    axis in ``flow_parts`` order, ``analysis(v) -> T`` to a half spectrum of
-    ``spectrum_length`` complex entries and ``synthesis(T, v)`` (which may
-    overwrite T), and its packing table ``runs`` of (coefficient slice,
-    slice of T's float view, forward scale, inverse scale).  A forward scale
-    of None marks a coefficient that another run reads.  From these ``_Axis``
-    writes ``forward`` and ``inverse`` (the last axis of an array of any
-    strides into a C-contiguous ``out``), the in-place ``flow``, and on a
-    small axis the ``synthesis_matrix`` and ``flow_matrix``.  The
+    axis of values in ``flow_parts`` order, ``analysis(v) -> T`` to a half
+    spectrum of ``spectrum_length`` complex entries and ``synthesis(T, v)``
+    (which may overwrite T), and its packing table ``runs`` of (coefficient
+    slice, slice of T's float view, forward scale, inverse scale).  A
+    forward scale of None marks a coefficient that another run reads.  From
+    these ``_Axis`` writes the reorder into flow order and back once each
+    (``_analyze``, ``_synthesize``), and with them ``forward``,
+    ``fft_inverse`` and ``flow``: the last axis of an array of any strides
+    in grid order into a C-contiguous ``out`` in grid order.  ``inverse`` is
+    ``fft_inverse`` or, on a small axis, a product with the
+    ``synthesis_matrix``; ``flow_matrix`` is the flow of the identity.  The
     defaults of ``one_coeffs`` (a constant mode 0) and ``_tail_terms``
     (wavenumbers k pi / L) serve two of the three boundary conditions."""
 
@@ -218,13 +257,29 @@ class _Axis:
         """The half-spectrum workspace for lines of leading shape ``lead``."""
         return self.workspace("spectrum", lead + (self.spectrum_length,), complex)
 
-    def forward(self, x: np.ndarray, out: np.ndarray):
+    def _analyze(self, x: np.ndarray) -> np.ndarray:
+        """The half spectrum of values ``x`` in grid order, of any strides:
+        the analysis of x put in flow order."""
         if len(self.flow_parts) > 1:
             v = self.workspace("reordered", x.shape)
             for flow, grid in self.flow_parts:
                 v[..., flow] = x[..., grid]
             x = v
-        F = self.analysis(x).view(float)
+        return self.analysis(x)
+
+    def _synthesize(self, T: np.ndarray, out: np.ndarray):
+        """The synthesis of the half spectrum ``T`` (which it may overwrite)
+        put back in grid order, into ``out``."""
+        if len(self.flow_parts) == 1:
+            self.synthesis(T, out)
+            return
+        v = self.workspace("reordered", out.shape)
+        self.synthesis(T, v)
+        for flow, grid in self.flow_parts:
+            out[..., grid] = v[..., flow]
+
+    def forward(self, x: np.ndarray, out: np.ndarray):
+        F = self._analyze(x).view(float)
         for coeffs, entries, scale, _ in self.runs:
             if scale is not None:
                 np.multiply(F[..., entries], scale, out=out[..., coeffs])
@@ -255,21 +310,15 @@ class _Axis:
         F = T.view(float)
         for coeffs, entries, _, scale in self.runs:
             np.multiply(c[..., coeffs], scale, out=F[..., entries])
-        if len(self.flow_parts) == 1:
-            self.synthesis(T, out)
-            return
-        v = self.workspace("reordered", out.shape)
-        self.synthesis(T, v)
-        for flow, grid in self.flow_parts:
-            out[..., grid] = v[..., flow]
+        self._synthesize(T, out)
 
-    def flow(self, v: np.ndarray, scales: np.ndarray):
-        """Values in flow order: their spectrum scaled by ``scales``, back
-        in place."""
-        T = self.analysis(v)
+    def flow(self, x: np.ndarray, out: np.ndarray, scales: np.ndarray):
+        """The spectrum of values ``x`` scaled by ``scales`` and transformed
+        back into ``out``."""
+        T = self._analyze(x)
         F = T.view(float)
         F *= scales
-        self.synthesis(T, v)
+        self._synthesize(T, out)
 
     def flow_scales(self, decay: np.ndarray) -> np.ndarray:
         """Scales of the flow's spectrum: the ``decay`` exp(-kappa_k^2 t) of
@@ -281,16 +330,11 @@ class _Axis:
         return scales
 
     def flow_matrix(self, scales: np.ndarray) -> np.ndarray:
-        """The flow by ``scales`` as a (points, points) matrix in grid order,
-        whose row i is the fast flow of the i-th unit vector, as the
-        synthesis matrix is built: values flow as ``values @ matrix``."""
-        eye, v = np.eye(len(self.points)), np.empty((len(self.points),) * 2)
-        for flow, grid in self.flow_parts:
-            v[:, flow] = eye[:, grid]
-        self.flow(v, scales)
-        matrix = np.empty(v.shape)
-        for flow, grid in self.flow_parts:
-            matrix[:, grid] = v[:, flow]
+        """The flow by ``scales`` as a (points, points) matrix, whose row i
+        is the fast flow of the i-th unit vector, as the synthesis matrix is
+        built: values flow as ``values @ matrix``."""
+        matrix = np.empty((len(self.points),) * 2)
+        self.flow(np.eye(len(self.points)), matrix, scales)
         return matrix
 
 
@@ -364,8 +408,8 @@ class _CosineAxis(_Axis):
             self.runs += ((slice(half, half + 1), slice(n + 1, n + 2), None, -inverse),
                           (slice(half + 1, modes), slice(n - 1, 2 * (n - modes) + 1, -2),
                            -base, -inverse))
-        # the flow keeps Makhoul's order, the even entries then the odd ones
-        # reversed, so a field is reordered once per heat flow, not per axis
+        # the transform pair reads and writes Makhoul's order, the even
+        # entries then the odd ones reversed
         self.flow_parts = ((slice(None, half), slice(0, None, 2)),
                            (slice(half, None), slice(None, None, -2)))
 
@@ -519,10 +563,6 @@ class SpectralBasis:
         # (t, flow) of the last heat_flow time: the spectrum's scales, or
         # under the dense flow the flow matrix
         self._flow_cache = (None, None)
-        # (flow index, grid index) of each part of a field: the axis's flow
-        # order on every field axis at once
-        self._flow_parts = [tuple((Ellipsis,) + tuple(p[i] for p in combo) for i in (0, 1))
-                            for combo in itertools.product(axis.flow_parts, repeat=d)]
 
     # -- eigendata -----------------------------------------------------
 
@@ -552,9 +592,6 @@ class SpectralBasis:
             shape[axis] = self.axis_mode_count
             out = out + self.axis_eigenvalues.reshape(shape)
         return out
-
-    def sorted_eigenvalues(self) -> np.ndarray:
-        return np.sort(self.eigenvalue_tensor().ravel())
 
     @property
     def alpha_max(self) -> float:
@@ -598,31 +635,27 @@ class SpectralBasis:
 
     # -- transforms ------------------------------------------------------
 
-    def _by_blocks(self, transform, *arrays):
-        """Call ``transform`` on blocks of the leading axis of arrays whose
-        last axis is the transformed one.  A block's lines fill at most
-        ``_BLOCK_VALUES`` values of the 2n-point workspaces, which keeps
-        those in cache; every line is transformed alone, so the blocks do
-        not change any value."""
-        x = arrays[0]
-        if x.ndim == 1:
-            transform(*arrays)
-            return
-        rows = max(1, _BLOCK_VALUES // (2 * self.spec.grid_points * math.prod(x.shape[1:-1])))
-        for start in range(0, len(x), rows):
-            transform(*(a[start:start + rows] for a in arrays))
-
     def _along_field_axes(self, transform, array, length: int) -> np.ndarray:
-        """Apply a last-axis transform to each field axis, first axis first.
+        """Apply a last-axis transform ``transform(x, out)`` to each field
+        axis, first axis first.
 
         Each pass moves the next field axis to the end of the previous
         pass's output and writes a new array whose last axis has ``length``
-        entries, so the last pass leaves the axes in order."""
+        entries, so the last pass leaves the axes in order.  A pass goes by
+        blocks of the leading axis whose lines fill at most
+        ``_BLOCK_VALUES`` values of the 2n-point workspaces, which keeps
+        those in cache; every line is transformed alone, so the blocks do
+        not change any value."""
         out = np.asarray(array, dtype=float)
         for _ in range(self.dimension):
             x = np.moveaxis(out, -self.dimension, -1)
             out = np.empty(x.shape[:-1] + (length,))
-            self._by_blocks(transform, x, out)
+            if x.ndim == 1:
+                transform(x, out)
+                continue
+            rows = max(1, _BLOCK_VALUES // (2 * self.spec.grid_points * math.prod(x.shape[1:-1])))
+            for start in range(0, len(x), rows):
+                transform(x[start:start + rows], out[start:start + rows])
         return out
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
@@ -655,10 +688,11 @@ class SpectralBasis:
         """S(t) on grid values: ``to_grid(semigroup(to_spectral(values), t))``
         of one field or of each row of a (P, *grid) batch, equal at
         round-off, with no coefficient array in between.  Per axis, the
-        forward spectrum is scaled mode by mode and transformed back, or on
-        a grid whose products stay within ``_DENSE_PRODUCT`` the values are
-        multiplied by the flow matrix; modes beyond the cutoff are projected
-        out, at t = 0 too."""
+        forward spectrum is scaled mode by mode and transformed back
+        (``_Axis.flow``), or on a grid whose products stay within
+        ``_DENSE_PRODUCT`` the values are multiplied by the flow matrix
+        (``axis_products``); modes beyond the cutoff are projected out, at
+        t = 0 too."""
         if t < 0:
             raise ValueError(f"heat flow time must be >= 0, got {t}")
         values = np.asarray(values, dtype=float)
@@ -672,51 +706,14 @@ class SpectralBasis:
             if self._dense_flow_on:
                 flow = self._axis.flow_matrix(flow)
             self._flow_cache = (t, flow)
-        if self._dense_flow_on:
-            return self._dense_flow(values, flow)
-        return self._fft_flow(values, flow)
-
-    def _fft_flow(self, values: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        """The flow by the axis's transform pair, along each field axis."""
-        # the flow acts in place along the last axis, on values in the flow
-        # order of every axis; each pass but the first copies the next field
-        # axis to the end
-        d = self.dimension
-        first = np.moveaxis(values, -d, -1)
-        v = np.empty(first.shape)
-        for flow, grid in self._flow_parts:
-            v[flow] = first[grid]
-        for j in range(d):
-            if j:
-                v = np.moveaxis(v, -d, -1).copy()
-            self._by_blocks(lambda block: self._axis.flow(block, scales), v)
-        if len(self._flow_parts) == 1:  # one part: the flow order is grid order
-            return v
-        out = np.empty(v.shape)
-        for flow, grid in self._flow_parts:
-            out[grid] = v[flow]
-        return out
-
-    def _dense_flow(self, values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        """The flow as products with the axis's flow matrix: the last field
-        axis as lines times the matrix (``matmul_lines``), then each other
-        field axis, first first, as the transpose times one row, or one slab
-        of a row, per product.  Every row goes through calls of one shape,
-        whatever its batch."""
-        d, g = self.dimension, self.grid_shape[0]
-        out = np.empty(values.shape)
-        # the passes alternate between out and one workspace, starting so
-        # that the last pass writes out
-        targets = [out]
-        if d > 1:
-            flow = self._axis.workspace("flow", values.shape)
-            targets = [out, flow] if d % 2 else [flow, out]
-        matmul_lines(values, matrix, targets[0], self._axis.workspace, "dense lines")
-        for axis in range(d - 1):
-            stack = out.size // g ** (d - axis)
-            np.matmul(matrix.T, targets[axis % 2].reshape(stack, g, -1),
-                      out=targets[(axis + 1) % 2].reshape(stack, g, -1))
-        return out
+        if not self._dense_flow_on:
+            return self._along_field_axes(lambda x, out: self._axis.flow(x, out, flow),
+                                          values, self.grid_shape[0])
+        # the last field axis, then the others, first first, alternating
+        # between out and one workspace
+        passes = [(-1, flow)] + [(axis, flow) for axis in self.field_axes[:-1]]
+        return axis_products(values, passes, np.empty(values.shape), self._axis.workspace,
+                             (None, "flow"))
 
     # -- semigroup and kernels -------------------------------------------
 
@@ -801,14 +798,6 @@ class SpectralBasis:
         """h^d sum over grid points (trapezoid/midpoint rule for this grid),
         per row of a batch."""
         return self.cell_volume * self.field_sum(values)
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        return float(self.cell_volume * np.sum(f * g))
-
-    def grid_coordinates(self):
-        """Tuple of d coordinate arrays (meshgrid, ij indexing)."""
-        axes = (self.axis_points,) * self.dimension
-        return np.meshgrid(*axes, indexing="ij")
 
     def center_point(self) -> np.ndarray:
         return np.full(self.dimension, self.length / 2.0)

@@ -58,10 +58,15 @@ def basis_for(d=1, bc=DIRICHLET, n=64, **kw):
     return build_basis(DomainSpec(d, bc, n, **kw))
 
 
+def grid_coordinates(basis):
+    """The d coordinate arrays of the grid (meshgrid, ij indexing)."""
+    return np.meshgrid(*(basis.axis_points,) * basis.dimension, indexing="ij")
+
+
 def riesz_covariance(spec, basis):
     """Dense grid covariance of the Riesz kernel from its definition:
     |x-y|^(-alpha) off the diagonal, the kernel's cell mean on it."""
-    pts = np.stack([g.ravel() for g in basis.grid_coordinates()], axis=1)
+    pts = np.stack([g.ravel() for g in grid_coordinates(basis)], axis=1)
     r = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     np.fill_diagonal(r, 1.0)
     C = r ** (-spec.alpha)
@@ -74,7 +79,7 @@ def riesz_covariance_entry(spec, basis, i, j):
     """One entry of the grid covariance: the kernel off the diagonal."""
     if i == j:
         return _unit_cell_mean(spec.alpha, basis.dimension) * basis.h ** (-spec.alpha)
-    pts = [g.ravel() for g in basis.grid_coordinates()]
+    pts = [g.ravel() for g in grid_coordinates(basis)]
     return spec.kernel(basis, [p[i] for p in pts], [p[j] for p in pts])
 
 
@@ -436,7 +441,7 @@ class TestSampler:
         Y = samp.sample_batch(1.0, IdentityNormals(), count).reshape(count, -1)
         C = riesz_covariance(spec, basis)
         assert np.max(np.abs(Y.T @ Y - C) / C) < 1e-12
-        f = 1.5 + np.sin(sum(basis.grid_coordinates()))
+        f = 1.5 + np.sin(sum(grid_coordinates(basis)))
         direct = basis.cell_volume**2 * f.ravel() @ C @ f.ravel()
         assert samp.qv_form(f) == pytest.approx(direct, rel=1e-12)
 
@@ -480,7 +485,7 @@ class TestSampler:
         C = riesz_covariance(spec, basis)
         assert np.max(np.abs(sampled - C) / C) < 0.01
         # qv_form is the quadratic form of the covariance actually sampled
-        f = 1.5 + np.sin(sum(basis.grid_coordinates()))
+        f = 1.5 + np.sin(sum(grid_coordinates(basis)))
         exact = basis.cell_volume**2 * f.ravel() @ sampled @ f.ravel()
         assert samp.qv_form(f) == pytest.approx(exact, rel=1e-12)
 

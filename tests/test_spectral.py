@@ -206,7 +206,7 @@ class TestEigenpairs:
 
     def test_eigenvalues_sorted_on_demand(self):
         basis = make_basis(2, NEUMANN, n=8)
-        ev = basis.sorted_eigenvalues()
+        ev = np.sort(basis.eigenvalue_tensor().ravel())
         assert ev[0] == 0.0
         assert np.all(np.diff(ev) >= 0)
         assert len(ev) == 64
@@ -231,7 +231,6 @@ class TestOrthonormality:
         basis = make_basis(2, bc, n=16)
         idx = basis.axis_valid_indices()
         pairs = [(idx[0], idx[0]), (idx[0], idx[1]), (idx[1], idx[2]), (idx[2], idx[1])]
-        X, Y = basis.grid_coordinates()
         fields = []
         for kx, ky in pairs:
             fx = axis_column(basis, kx)
@@ -240,7 +239,7 @@ class TestOrthonormality:
         for a in range(4):
             for b in range(4):
                 expected = 1.0 if a == b else 0.0
-                got = basis.inner(fields[a], fields[b])
+                got = basis.cell_volume * np.sum(fields[a] * fields[b])
                 assert abs(got - expected) < 1e-8, (pairs[a], pairs[b])
 
 
@@ -408,6 +407,12 @@ class TestFastTransforms:
     @settings(max_examples=60, deadline=None)
     @given(basis=any_basis, rows=st.integers(0, 3), seed=st.integers(0, 2**31 - 1))
     @example(basis=make_basis(3, NEUMANN, n=16, N=1), rows=0, seed=687290)
+    # axes of 127 and 128 points, which invert by the transform pair, not by
+    # the synthesis matrix
+    @example(basis=make_basis(1, DIRICHLET, n=128), rows=3, seed=1)
+    @example(basis=make_basis(1, NEUMANN, n=128), rows=0, seed=2)
+    @example(basis=make_basis(2, DIRICHLET, n=128, N=40), rows=0, seed=3)
+    @example(basis=make_basis(2, NEUMANN, n=128, N=65), rows=2, seed=4)
     def test_sine_cosine_transforms_match_scipy(self, basis, rows, seed):
         assume(basis.boundary != PERIODIC)  # a real FFT, no sine or cosine transform
         rng = np.random.default_rng(seed)
@@ -436,6 +441,28 @@ class TestFastTransforms:
         f = np.random.default_rng(seed).normal(size=((rows,) if rows else ()) + basis.grid_shape)
         explicit = basis.to_grid_batch(basis.semigroup(basis.to_spectral_batch(f), t))
         assert np.max(np.abs(basis.heat_flow(f, t) - explicit)) < 1e-13 * np.max(np.abs(f))
+
+    # grids on the FFT side of the dense cutoffs, which any_basis never
+    # reaches: in 1-d and 2-d axes of 127 and 128 points flow and invert by
+    # the transform pair, and in 3-d at 32 points per axis the flow does
+    FFT_SIDE = [(bc, d, n, modes) for bc in BOUNDARY_CONDITIONS
+                for d, n, modes in [(1, 128, None), (2, 128, None), (2, 128, 65), (3, 32, None)]]
+
+    @pytest.mark.parametrize("bc, d, n, modes", FFT_SIDE)
+    def test_fft_heat_flow_equals_the_three_transforms(self, bc, d, n, modes):
+        # as the two property tests next to this one: a batch and one field,
+        # from inputs in Fortran order and every other row, into C-contiguous
+        # outputs
+        basis = make_basis(d, bc, n=n, N=modes)
+        assert not basis._dense_flow_on
+        rng = np.random.default_rng(n + d)
+        f = np.asfortranarray(rng.normal(size=(4,) + basis.grid_shape))[::2]
+        for t in (0.0, 1e-3, 0.05):
+            explicit = basis.to_grid_batch(basis.semigroup(basis.to_spectral_batch(f), t))
+            for got, want in [(basis.heat_flow(f, t), explicit),
+                              (basis.heat_flow(f[1], t), explicit[1])]:
+                assert got.flags.c_contiguous
+                assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(f))
 
     @settings(max_examples=40, deadline=None)
     @given(basis=any_basis, rows=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
@@ -752,8 +779,8 @@ class TestStructure:
     def test_axis_classes_state_only_their_transform_pair_and_table(self):
         # forward, inverse and heat flow are written once, on _Axis, from each
         # axis's analysis/synthesis pair and its packing table
-        written_once = {"forward", "inverse", "fft_inverse", "_dense_inverse",
-                        "synthesis_matrix", "flow", "flow_scales", "_carries"}
+        written_once = {"forward", "inverse", "fft_inverse", "_analyze", "_synthesize",
+                        "synthesis_matrix", "flow", "flow_scales", "flow_matrix"}
         tree = ast.parse(Path(spectral.__file__).read_text())
         axes = [node for node in tree.body if isinstance(node, ast.ClassDef)
                 and any(isinstance(b, ast.Name) and b.id == "_Axis" for b in node.bases)]
@@ -772,6 +799,49 @@ class TestStructure:
         found = [(axis.name, name) for axis in axes for name in defined(axis)
                  if name in written_once]
         assert found == []
+
+    @staticmethod
+    def enclosing(tree, is_site):
+        """(innermost enclosing function or class, line) of each node of
+        ``tree`` for which ``is_site`` holds."""
+        found = []
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = node.name
+            if is_site(node):
+                found.append((scope, node.lineno))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, "<module>")
+        return found
+
+    def test_matrix_products_only_in_the_two_product_helpers(self):
+        # every field transform by matrices goes through matmul_lines or the
+        # product chain axis_products
+        def is_matmul(node):
+            return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "matmul")
+
+        scopes = {scope for module in self.sources
+                  for scope, _ in self.enclosing(ast.parse(module.read_text()), is_matmul)}
+        assert scopes == {"matmul_lines", "axis_products"}
+
+    def test_flow_order_is_read_only_by_the_axis(self):
+        # the flow-order reorder is written once in each direction, on _Axis
+        def reads_flow_parts(node):
+            return (isinstance(node, ast.Attribute) and node.attr == "flow_parts"
+                    and isinstance(node.ctx, ast.Load))
+
+        tree = ast.parse(Path(spectral.__file__).read_text())
+        axis = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "_Axis")
+        everywhere = [site for module in self.sources
+                      for site in self.enclosing(ast.parse(module.read_text()), reads_flow_parts)]
+        in_axis = self.enclosing(axis, reads_flow_parts)
+        assert sorted(everywhere) == sorted(in_axis)
+        assert {scope for scope, _ in in_axis} == {"_analyze", "_synthesize"}
 
     def test_boundary_name_compared_only_by_the_axis_map_and_dirichlet_mass(self):
         boundary_names = {"PERIODIC", "NEUMANN", "DIRICHLET", "BOUNDARY_CONDITIONS",
