@@ -37,7 +37,7 @@ from .noise import DecayFitError, KernelValidationError, verify_decay
 from .spectral import DomainSpec, build_basis, heat_kernel_decay_fit
 from .stepping import BIT_GENERATOR, TrajectoryRecord, build_context, run_batch
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -248,7 +248,9 @@ def run_ensemble(config: SimConfig, keep_records: bool = False,
             "workers": config.workers,
             "blocks": count,
             # the stream layout of the rows, as the probe report names its own
-            "streams": {"generator": BIT_GENERATOR, "per": "path"},
+            "streams": {"generator": BIT_GENERATOR, "per": "path",
+                        "normal_shape": list(config.noise.normal_shape(
+                            build_basis(config.domain)))},
             **telemetry[0],
             "phase_seconds": {"blocks": t_blocks - t0,
                               "aggregates": t_aggregates - t_blocks},

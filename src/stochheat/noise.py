@@ -13,9 +13,10 @@ Derived exponents on the box Laplacian: beta = d/2 always, eta = alpha/2
 The critical growth exponent is gamma_c = 1 + (1-eta)/(2 beta).
 
 Kernel behaviour lives on the kernel classes, one code path per family:
-``params(d)`` (one shared check of eta), ``sampler(basis)``,
-``kernel(basis, x, y)``, ``double_integral(basis)``, ``decay_values(basis,
-t_grid)`` and ``integrable``; the spectral kernel's ``weights(basis)`` are
+``params(d)`` (one shared check of eta), ``sampler(basis)``, the shape of
+a draw's normals ``normal_shape(basis)``, ``kernel(basis, x, y)``,
+``double_integral(basis)``, ``decay_values(basis, t_grid)`` and
+``integrable``; the spectral kernel's ``weights(basis)`` are
 its per-mode weights, which its sampler and its other methods read.  Each
 kernel is a dataclass whose fields are the noise.* config keys it reads,
 its defaults their defaults.  ``KERNELS`` maps each ``noise.kind`` to its
@@ -35,15 +36,19 @@ synthesizes a draw in Fourier space: two normals (real and imaginary
 part) per entry of the torus's real-FFT half spectrum, scaled by the
 square root of the circulant spectrum and mapped to the grid by one
 inverse FFT, pruned to the grid corner.  Its quadratic form is an exact
-FFT convolution, transformed from the grid corner only.  On a torus of
-three axes of at most ``_DENSE_TORUS`` points each, both transforms are
-products with cached DFT matrices that compute the same linear maps, at
-round-off, with bits that depend on the BLAS build: one
-``spectral.axis_products`` chain each, the one the dense heat flow runs
-on.  Negative circulant eigenvalues, which occur for d = 3 and small
-alpha, are clipped at zero, logged and reported as ``clipped_fraction``;
-the draws and the quadratic form share the clipped spectrum.  Memory and
-work are O(N log N) in the grid size N.
+FFT convolution, transformed from the grid corner only.  On a grid of
+three axes of at most ``_DENSE_TORUS`` points each, the torus is the
+minimal one, 2g - 2 points per axis, wherever that clips no spectral
+mass.  There the circulant, whose first row is even along each axis, is
+diagonal in a real cosine-sine tensor basis: a draw takes one normal
+per torus point, and both transforms are products with that basis's
+cached synthesis matrix, one ``spectral.axis_products`` chain each, the
+one the dense heat flow runs on; their bits depend on the BLAS build.
+Negative circulant eigenvalues, which occur for d = 3 and small alpha,
+are clipped at zero, logged and reported as ``clipped_fraction``; the
+draws and the quadratic form share the clipped spectrum, which each
+process computes once per (alpha, d, grid).  Memory and work are
+O(N log N) in the grid size N.
 
 Every transform is ``numpy.fft`` or a numpy matrix product, and the
 spectral sampler's Gamma(theta) is ``math.gamma``, so no run loads scipy;
@@ -69,14 +74,18 @@ logger = logging.getLogger(__name__)
 # standard normals per chunk of a batched draw (16 MB of float64)
 _CHUNK_NORMALS = 2**21
 
-# a 3-d Riesz torus of at most _DENSE_TORUS points per axis runs its pruned
-# transforms as products with cached DFT matrices.  On 2 vCPUs with
-# OpenBLAS 0.3.31, per 50-row batch at 8^3 (M = 15), increments took 0.79
-# against 1.10 ms by FFT and qv_form 0.90 against 1.28 ms; at 16^3 (M = 30)
-# qv_form lost (15.1 against 12.4 ms) and so did riesz-3d-16's path-steps/s.
-# In 1-d, one FFT call for the whole batch, the products gained nothing;
-# 2-d tori stay on FFT until a workload measures them end to end
-_DENSE_TORUS = 15
+# a 3-d Riesz grid of at most _DENSE_TORUS points per axis runs its torus
+# on the real cosine-sine basis.  On 2 vCPUs with OpenBLAS 0.3.31, per
+# 50-row batch at 8^3, increments took 0.34-0.48 ms (M = 14) against
+# 1.2-2.0 ms by FFT (M = 15) and 0.91-1.08 ms by the complex DFT matrices
+# the basis replaced; qv_form took 0.38-0.57 ms against 1.5-2.3 and
+# 0.99-1.20 ms (medians of 300-400 calls), and a row's normals per step
+# went from 3 600 to 2 744.  At 16^3 (M = 30) the basis also beat the FFT on
+# one thread in process (5.1-6.7 against 15-18 ms for each transform), but
+# no end-to-end run has measured it there.  In 1-d, one FFT call for the
+# whole batch, the products gained nothing; 2-d tori stay on FFT until a
+# workload measures them end to end
+_DENSE_TORUS = 8
 
 # largest share of the Riesz circulant's spectral mass that may be clipped
 _CLIP_TOLERANCE = 0.01
@@ -136,6 +145,12 @@ class RieszKernel(_Kernel):
 
     def sampler(self, basis: SpectralBasis):
         return RieszSampler(self, basis)
+
+    def normal_shape(self, basis: SpectralBasis) -> tuple:
+        """The shape of one draw's normals: those of the circulant
+        embedding, one normal per torus point on the dense torus."""
+        self.validate_for(basis.dimension)
+        return _riesz_embedding(self.alpha, basis.dimension, basis.grid_shape[0], basis.h)[3]
 
     def kernel(self, basis: SpectralBasis, x, y) -> float:
         """Pointwise Lambda(x,y) = |x-y|^(-alpha), off the diagonal."""
@@ -206,6 +221,10 @@ class SpectralKernel(_Kernel):
     def sampler(self, basis: SpectralBasis):
         return SpectralSampler(self, basis)
 
+    def normal_shape(self, basis: SpectralBasis) -> tuple:
+        """One normal per retained mode."""
+        return basis.coeff_shape
+
     def kernel(self, basis: SpectralBasis, x, y) -> float:
         """Pointwise Lambda(x,y), the series truncated at the retained modes."""
         fx = basis.axis_eigenfunctions(np.atleast_1d(np.asarray(x, dtype=float)))
@@ -245,6 +264,10 @@ class WhiteNoise(_Kernel):
     def sampler(self, basis: SpectralBasis):
         return WhiteNoiseSampler(self, basis)
 
+    def normal_shape(self, basis: SpectralBasis) -> tuple:
+        """One normal per cell."""
+        return basis.grid_shape
+
     def kernel(self, basis: SpectralBasis, x, y) -> float:
         raise ValueError("white noise has a distributional (delta) kernel")
 
@@ -283,19 +306,23 @@ def _unit_cell_mean(alpha: float, dimension: int) -> float:
     Uses the self-similar shell decomposition: the integral over the cell
     equals the integral over the annulus cell-minus-half-cell divided by
     (1 - 2^(alpha-d)), and the annulus integrand is smooth.  A pure function
-    of its arguments that costs a 64^d grid, so each process computes it
-    once per (alpha, d).
+    of its arguments that sums a 64^d midpoint grid, so each process
+    computes it once per (alpha, d).  The midpoints are exact dyadics,
+    symmetric under each axis reflection, so the integrand is evaluated on
+    the positive octant and mirrored into the full grid, which is summed.
     """
     if dimension == 1:
         return 2.0**alpha / (1.0 - alpha)
     res = 64
-    axes = (np.arange(res) + 0.5) / res - 0.5  # midpoints of [-1/2,1/2]
+    half = (np.arange(res // 2) + 0.5) / res  # positive midpoints of [-1/2,1/2]
     # one broadcast axis per dimension: only the sums build a full grid
-    grids = np.meshgrid(*([axes] * dimension), indexing="ij", sparse=True)
+    grids = np.meshgrid(*([half] * dimension), indexing="ij", sparse=True)
     r2 = sum(g**2 for g in grids)
-    inside_half = functools.reduce(operator.and_, (np.abs(g) < 0.25 for g in grids))
+    inside_half = functools.reduce(operator.and_, (g < 0.25 for g in grids))
     vol = (1.0 / res) ** dimension
     annulus = np.where(inside_half, 0.0, r2 ** (-alpha / 2.0))
+    for axis in range(dimension):
+        annulus = np.concatenate([np.flip(annulus, axis), annulus], axis=axis)
     S = float(np.sum(annulus)) * vol
     return S / (1.0 - 2.0 ** (alpha - dimension))
 
@@ -363,7 +390,7 @@ class SpectralSampler(_Sampler):
         self.basis = basis
         self.weights = spec.weights(basis)
         self.amplitudes = np.sqrt(self.weights)
-        self.normal_shape = basis.coeff_shape
+        self.normal_shape = spec.normal_shape(basis)
 
     def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
         """One normal per retained mode, scaled and sent to the grid."""
@@ -389,25 +416,6 @@ def _smooth_len(n: int) -> int:
         n += 1
 
 
-def _dft_matrices(g: int, M: int):
-    """The Riesz sampler's pruned transforms on an M-point torus axis as
-    matrices that act as ``values @ matrix``, each the transform of the
-    unit vectors: the ``ifft`` cut to its first g outputs (M, g); the
-    ``irfft`` of M points cut to g, as a real map of the interleaved (Re,
-    Im) pairs of the half spectrum (2K, g), K = M//2 + 1; the ``rfft`` of g
-    points zero-padded to M, as a real map to those pairs (g, 2K); and the
-    ``fft`` zero-padded from g to M (g, M).  The first and the last are
-    transposed views, whose transposes ``axis_products`` multiplies by one
-    slab per product."""
-    half = np.eye(M // 2 + 1)
-    irfft = np.stack([np.fft.irfft(half, M, norm="forward")[:, :g],
-                      np.fft.irfft(1j * half, M, norm="forward")[:, :g]], axis=1)
-    return (np.fft.ifft(np.eye(M), axis=0, norm="forward")[:g].T,
-            irfft.reshape(-1, g),
-            np.fft.rfft(np.eye(g), M).view(float),
-            np.fft.fft(np.eye(g), M, axis=0).T)
-
-
 def _rfft_multiplicity(embed_len: int) -> np.ndarray:
     """Number of full-spectrum entries each last-axis column of ``rfftn``
     over ``embed_len`` points stands for: 1 for the zero and Nyquist
@@ -419,6 +427,15 @@ def _rfft_multiplicity(embed_len: int) -> np.ndarray:
     return mult
 
 
+def _clipped_fraction(lam: np.ndarray, embed_len: int) -> float:
+    """The negative mass of a half spectrum ``lam`` (see ``_clip_spectrum``)
+    over its total absolute mass."""
+    mult = _rfft_multiplicity(embed_len)
+    clipped = abs(float(np.sum(mult * np.clip(lam, None, 0.0))))
+    total = float(np.sum(mult * np.abs(lam)))
+    return clipped / total if total > 0 else 0.0
+
+
 def _clip_spectrum(lam: np.ndarray, embed_len: int):
     """Circulant spectrum with negative eigenvalues clipped at zero.
 
@@ -428,20 +445,84 @@ def _clip_spectrum(lam: np.ndarray, embed_len: int):
     mass over the total absolute mass; raises FactorizationError when it
     exceeds ``_CLIP_TOLERANCE`` (kernel too singular for the grid).
     """
-    mult = _rfft_multiplicity(embed_len)
-    clipped = abs(float(np.sum(mult * np.clip(lam, None, 0.0))))
-    total = float(np.sum(mult * np.abs(lam)))
-    frac = clipped / total if total > 0 else 0.0
+    frac = _clipped_fraction(lam, embed_len)
     if frac > _CLIP_TOLERANCE:
         raise FactorizationError(
             f"covariance clipped mass fraction {frac:.3g} exceeds {_CLIP_TOLERANCE}: "
             "kernel too singular for this resolution"
         )
-    if clipped > 0:
-        logger.warning(
-            "Riesz covariance: clipped %.3g of the circulant spectral mass", frac
-        )
     return np.clip(lam, 0.0, None), frac
+
+
+def _dense_torus(dimension: int, points: int) -> bool:
+    """Whether the Riesz torus of a grid of ``points`` per axis runs on the
+    real cosine-sine basis rather than on FFTs."""
+    return dimension == 3 and points <= _DENSE_TORUS
+
+
+def _circulant_spectrum(alpha: float, dimension: int, h: float, embed_len: int):
+    """The half spectrum of the Riesz circulant on the torus of
+    ``embed_len`` points per axis, spacing h: the ``rfft`` of its first row
+    over the last axis, then an ``fft`` over each leading axis, first axis
+    first.  The row is |h k|^(-alpha) at the wrapped offset k, and the
+    cell mean at k = 0."""
+    d, M = dimension, embed_len
+    wrap = np.minimum(np.arange(M), M - np.arange(M))
+    grids = np.meshgrid(*([wrap] * d), indexing="ij", sparse=True)
+    r = h * np.sqrt(sum(k * k for k in grids).astype(float))
+    with np.errstate(divide="ignore"):
+        row = r ** (-alpha)
+    row[(0,) * d] = _unit_cell_mean(alpha, d) * h ** (-alpha)
+    lam = np.fft.rfft(row)
+    for axis in range(d - 1):
+        lam = np.fft.fft(lam, axis=axis)
+    return lam.real
+
+
+# a run needs one embedding, and verify_assumptions one more, on its 64^3
+# decay grid, whose spectrum is 8.5 MB: a small cache bounds what a process
+# keeps
+@functools.lru_cache(maxsize=4)
+def _riesz_embedding(alpha: float, dimension: int, points: int, h: float):
+    """The circulant embedding of the Riesz grid covariance on ``points``
+    points per axis, spacing h: (M, clipped half spectrum, clipped fraction,
+    normal_shape) for a torus of M points per axis.  A pure function of its
+    arguments, cached, so the sampler and ``config_hash`` of a run compute
+    it once; the spectrum is read-only, as every caller shares it.
+
+    M is ``_smooth_len(2 points - 2)``, a fast FFT length.  The dense torus
+    takes the minimal length 2 points - 2 instead when its spectrum clips no
+    mass, so the clipped fraction is never above that of the FFT length
+    (Dietrich & Newsam grow an embedding until it is nonnegative).  Its
+    normals are one per torus point; the FFT torus takes the (Re, Im) pairs
+    of its half spectrum.  Raises FactorizationError as ``_clip_spectrum``.
+    """
+    d, minimal = dimension, 2 * points - 2
+    dense = _dense_torus(d, points)
+    for M in ([minimal] if dense else []) + [_smooth_len(minimal)]:
+        lam = _circulant_spectrum(alpha, d, h, M)
+        if _clipped_fraction(lam, M) == 0.0:
+            break
+    spectrum, fraction = _clip_spectrum(lam, M)
+    spectrum.flags.writeable = False
+    shape = (M,) * d if dense else (M,) * (d - 1) + (M // 2 + 1, 2)
+    return M, spectrum, fraction, shape
+
+
+def _cosine_sine_basis(spectrum: np.ndarray, points: int, embed_len: int):
+    """The real synthesis matrix of the torus and the weight of each tensor
+    mode.  An axis of M points has the M modes cos(2 pi j k / M), k = 0..M//2,
+    and sin(2 pi j k / M), k = 1..(M+1)//2 - 1; the matrix holds them on the
+    first ``points`` points, shape (M, points).  A mode's weight is the
+    circulant eigenvalue at its frequencies, read from the half spectrum,
+    times m_k / M per axis, m_k as ``_rfft_multiplicity``."""
+    M, d = embed_len, spectrum.ndim
+    k = np.concatenate([np.arange(M // 2 + 1), np.arange(1, (M + 1) // 2)])
+    phases = (2 * np.pi / M) * (np.multiply.outer(k, np.arange(points)) % M)
+    matrix = np.where((np.arange(M) <= M // 2)[:, None], np.cos(phases), np.sin(phases))
+    per_axis = _rfft_multiplicity(M)[k] / M
+    weights = spectrum[np.ix_(*[k] * d)] * functools.reduce(np.multiply.outer, [per_axis] * d)
+    return matrix, weights
 
 
 class RieszSampler(_Sampler):
@@ -449,13 +530,13 @@ class RieszSampler(_Sampler):
 
     The grid covariance depends only on the lattice offset k, as
     c(k) = |h k|^(-alpha) off the diagonal and the cell mean at k = 0, so it
-    is the restriction of a circulant on the M^d torus, M >= 2g - 2 and
-    2·3·5-smooth, whose spectrum lam is the real FFT of its first row: an
-    ``rfft`` over the last axis, then an ``fft`` over each leading axis,
-    first axis first.
+    is the restriction of a circulant on the M^d torus of
+    ``_riesz_embedding``, M >= 2g - 2, whose spectrum lam is the real FFT of
+    its first row.  The row is even along each axis separately, and so is
+    lam.
 
-    A draw is synthesized in Fourier space.  The normals are the real and
-    imaginary parts of that half spectrum, ``normal_shape =
+    A draw is synthesized in Fourier space.  On the FFT torus the normals
+    are the real and imaginary parts of the half spectrum, ``normal_shape =
     (M,)*(d-1) + (M//2+1, 2)``.  They are scaled by sqrt(lam dt M^d / m),
     where m is 2 on the interior last-axis columns and 1 on the zero and
     Nyquist columns, of which ``irfft`` keeps only the Hermitian part.  The
@@ -480,13 +561,16 @@ class RieszSampler(_Sampler):
     sampler and thread, so a call allocates only the C-contiguous
     increments it returns.
 
-    On a torus of three axes of at most ``_DENSE_TORUS`` points each,
-    numpy's cost per line outweighs the arithmetic, and both run as one
-    ``axis_products`` chain with the matrices of ``_dft_matrices`` instead,
-    in the same two workspaces and in the order of the FFT passes: the
-    leading axes, first first, then the last in ``increments``, and the
-    last axis, then the leading ones, last first, in ``qv_form``.  A row's
-    values do not depend on its batch.
+    On the dense torus, three axes of g <= ``_DENSE_TORUS`` points each,
+    numpy's cost per line outweighs the arithmetic.  As lam is even along
+    each axis, the circulant is diagonal in the real cosine-sine tensor
+    basis of ``_cosine_sine_basis``, which takes one normal per torus point,
+    ``normal_shape = (M,) * 3``.  ``increments`` scales them by the square
+    roots of dt times the mode weights, and maps them to the grid by one
+    ``axis_products`` chain with the (M, g) synthesis matrix on each axis;
+    ``qv_form`` maps f by its transpose and sums the weighted squares.  The
+    chains run in the same two workspaces, and a row's values do not depend
+    on its batch.
     """
 
     def __init__(self, spec: RieszKernel, basis: SpectralBasis):
@@ -494,25 +578,26 @@ class RieszSampler(_Sampler):
         self.spec = spec
         self.basis = basis
         d, g = basis.dimension, basis.grid_shape[0]
-        M = _smooth_len(2 * g - 2)
+        M, self.spectrum, self.clipped_fraction, self.normal_shape = _riesz_embedding(
+            spec.alpha, d, g, basis.h)
+        if self.clipped_fraction > 0:
+            logger.warning("Riesz covariance: clipped %.3g of the circulant spectral mass",
+                           self.clipped_fraction)
         self._embed_len = M
-        self.normal_shape = (M,) * (d - 1) + (M // 2 + 1, 2)
-        wrap = np.minimum(np.arange(M), M - np.arange(M))
-        grids = np.meshgrid(*([wrap] * d), indexing="ij", sparse=True)
-        r = basis.h * np.sqrt(sum(k * k for k in grids).astype(float))
-        with np.errstate(divide="ignore"):
-            row = r ** (-spec.alpha)
-        row[(0,) * d] = _unit_cell_mean(spec.alpha, d) * basis.h ** (-spec.alpha)
-        lam = np.fft.rfft(row)
-        for axis in basis.field_axes[:-1]:
-            lam = np.fft.fft(lam, axis=axis)
-        self.spectrum, self.clipped_fraction = _clip_spectrum(lam.real, M)
-        mult = _rfft_multiplicity(M)
-        # the unnormalized inverse ("forward" norm) leaves 1/M^d to the scales
-        self._scales = np.sqrt(self.spectrum / (mult * M**d))
-        self._qv_weights = mult * self.spectrum * (basis.cell_volume**2 / M**d)
         self._workspace = Workspaces()
-        self._dft = _dft_matrices(g, M) if d == 3 and M <= _DENSE_TORUS else None
+        if _dense_torus(d, g):
+            # the real synthesis matrix and its transpose, each C-contiguous,
+            # and the mode weights in place of lam
+            synthesis, weights = _cosine_sine_basis(self.spectrum, g, M)
+            self._dft = synthesis, np.ascontiguousarray(synthesis.T)
+            self._scales = np.sqrt(weights)
+            self._qv_weights = weights * basis.cell_volume**2
+        else:
+            self._dft = None
+            mult = _rfft_multiplicity(M)
+            # the unnormalized inverse ("forward" norm) leaves 1/M^d to the scales
+            self._scales = np.sqrt(self.spectrum / (mult * M**d))
+            self._qv_weights = mult * self.spectrum * (basis.cell_volume**2 / M**d)
 
     def _innermost(self, key, axis: int, shape, dtype=complex) -> np.ndarray:
         """A workspace viewed with the logical ``shape`` (axis 0 the row,
@@ -529,17 +614,16 @@ class RieszSampler(_Sampler):
         return out
 
     def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
-        """Normals on the half spectrum, scaled, one pruned inverse
-        transform."""
-        x = self._workspace("a", (len(z),) + self.normal_shape[:-1], complex)
-        np.multiply(z.view(complex)[..., 0], math.sqrt(dt) * self._scales, out=x)
+        """Normals on the spectrum, scaled, one pruned inverse transform."""
         if self._dft is not None:
-            # each leading axis, first first, then the last axis as (Re, Im)
-            # lines; of the three passes the first writes "b", as "a" holds x
-            inverse, irfft = self._dft[:2]
-            passes = [(axis, inverse) for axis in self.basis.field_axes[:-1]] + [(-1, irfft)]
+            # of the three passes the first writes "b", as "a" holds x
+            x = self._workspace("a", (len(z),) + self.normal_shape)
+            np.multiply(z, math.sqrt(dt) * self._scales, out=x)
+            passes = [(axis, self._dft[0]) for axis in self.basis.field_axes]
             return axis_products(x, passes, np.empty((len(z),) + self.basis.grid_shape),
                                  self._workspace, "ba")
+        x = self._workspace("a", (len(z),) + self.normal_shape[:-1], complex)
+        np.multiply(z.view(complex)[..., 0], math.sqrt(dt) * self._scales, out=x)
         d, g, M = self.basis.dimension, self.basis.grid_shape[0], self._embed_len
         # each pass writes its axis innermost, and the next reads a copy of
         # its first g outputs with the next axis innermost; the first pass
@@ -559,18 +643,21 @@ class RieszSampler(_Sampler):
     def qv_form(self, f_values: np.ndarray):
         d = self.basis.dimension
         f = f_values.reshape((-1,) + self.basis.grid_shape)
-        # the spectrum of f zero-padded to the torus, in workspace "a", and
-        # its float view in memory order, which is squared in place
-        spectrum, squares = (self._fft_qv_spectrum(f) if self._dft is None
-                             else self._dense_qv_spectrum(f))
-        np.square(squares, out=squares)
-        power = self._workspace("b", spectrum.shape)
-        np.add(spectrum.real, spectrum.imag, out=power)
+        if self._dft is None:
+            power = self._fft_power(f)
+        else:
+            # the coefficients of f in the real basis, squared in place
+            passes = [(axis, self._dft[1]) for axis in self.basis.field_axes]
+            power = axis_products(f, passes, self._workspace("a", (len(f),) + self.normal_shape),
+                                  self._workspace, "ab")
+            np.square(power, out=power)
         power *= self._qv_weights
         total = self.basis.field_sum(power)
         return total if f_values.ndim > d else float(total[0])
 
-    def _fft_qv_spectrum(self, f: np.ndarray):
+    def _fft_power(self, f: np.ndarray):
+        """|F|^2 on the half spectrum of f zero-padded to the torus, in
+        workspace "b"."""
         d, M = self.basis.dimension, self._embed_len
         # each pass, zero-padded from g to M points, writes its axis
         # innermost; the next reads a copy with its own axis innermost
@@ -580,18 +667,13 @@ class RieszSampler(_Sampler):
             x = self._copy_innermost("b", out, axis)
             out = self._innermost("a", axis, x.shape[:axis] + (M,) + x.shape[axis + 1:])
             np.fft.fft(x, M, axis=axis, out=out)
-        # the last pass wrote axis 1 innermost
-        return out, out.transpose((0,) + tuple(range(2, d + 1)) + (1,)).view(float)
-
-    def _dense_qv_spectrum(self, f: np.ndarray):
-        """The zero-padded forward transform by the DFT matrices: the last
-        axis as lines times the real rfft map, then each leading axis, last
-        first, into workspace "a"."""
-        rfft, fft = self._dft[2:]
-        passes = [(-1, rfft)] + [(axis, fft) for axis in reversed(self.basis.field_axes[:-1])]
-        x = self._workspace("a", (len(f),) + self.normal_shape[:-1], complex)
-        axis_products(f, passes, x, self._workspace, "ab")
-        return x, x.view(float)
+        # the last pass wrote axis 1 innermost: square its float view in
+        # memory order, in place
+        squares = out.transpose((0,) + tuple(range(2, d + 1)) + (1,)).view(float)
+        np.square(squares, out=squares)
+        power = self._workspace("b", out.shape)
+        np.add(out.real, out.imag, out=power)
+        return power
 
 
 class WhiteNoiseSampler(_Sampler):
@@ -601,7 +683,7 @@ class WhiteNoiseSampler(_Sampler):
         spec.validate_for(basis.dimension)
         self.spec = spec
         self.basis = basis
-        self.normal_shape = basis.grid_shape
+        self.normal_shape = spec.normal_shape(basis)
 
     def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
         return math.sqrt(dt / self.basis.cell_volume) * z

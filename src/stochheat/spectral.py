@@ -147,23 +147,21 @@ def matmul_lines(lines: np.ndarray, matrix: np.ndarray, out: np.ndarray, workspa
 def axis_products(x: np.ndarray, passes, out: np.ndarray, workspace, keys) -> np.ndarray:
     """``x`` times the matrix of each (axis, matrix) of ``passes`` in turn,
     into ``out``: the values along field axis ``axis`` (negative, counted
-    from the end) times the (k, n) ``matrix``, read in the matrix's dtype,
-    so a complex array is read as its (Re, Im) floats and back.  The last
-    axis goes through ``matmul_lines``, with its padded block in the
-    "dense lines" workspace; a leading axis is the matrix's transpose times
-    one slab of the array per product, so a row's values do not depend on
-    its batch.  The last pass writes ``out``, and the ones before it
-    alternate, back from it, between the workspaces of ``keys[1]`` and
-    ``keys[0]``, where a key of None is ``out`` itself."""
+    from the end) times the (k, n) ``matrix``.  The last axis goes through
+    ``matmul_lines``, with its padded block in the "dense lines" workspace;
+    a leading axis is the matrix's transpose times one slab of the array
+    per product, so a row's values do not depend on its batch.  The last
+    pass writes ``out``, and the ones before it alternate, back from it,
+    between the workspaces of ``keys[1]`` and ``keys[0]``, where a key of
+    None is ``out`` itself."""
     last = len(passes) - 1
     for i, (axis, matrix) in enumerate(passes):
-        x = x.view(matrix.dtype)
         k, n = matrix.shape
         key = keys[(last - i) % 2]
         if i == last or key is None:
             y = out
         else:
-            y = workspace(key, x.shape[:axis] + (n,) + x.shape[x.ndim + axis + 1:], matrix.dtype)
+            y = workspace(key, x.shape[:axis] + (n,) + x.shape[x.ndim + axis + 1:])
         if axis == -1:
             matmul_lines(x, matrix, y, workspace, "dense lines")
         else:

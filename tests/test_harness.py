@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochheat import config as config_module, diagnostics, ensemble, stepping
+from stochheat import config as config_module, diagnostics, ensemble, noise, stepping
 from stochheat.cli import EXIT_CONFIG, EXIT_RUNTIME, main
 from stochheat.config import (
     ConfigError,
@@ -279,13 +280,16 @@ class TestConfigHash:
     def test_shipped_config_hashes_unchanged(self):
         # a refactor of the hashed payload must not move existing stamps.
         # These moved once when the paths' streams went from Philox to
-        # SFC64: that changed every row, so the hash names the generator
+        # SFC64: that changed every row, so the hash names the generator.
+        # They moved again when the hash took in each kernel's normal_shape,
+        # as the small 3-d Riesz torus went to the real cosine-sine basis on
+        # its minimal embedding: that changed every riesz_3d row
         configs = Path(__file__).resolve().parent.parent / "configs"
         assert {c: config_hash(parse_config(configs / f"{c}.conf")) for c in (
             "dirichlet_spectral", "riesz_3d", "white_noise_critical")} == {
-            "dirichlet_spectral": "2cf3d9445a8a",
-            "riesz_3d": "2dc2ac537aab",
-            "white_noise_critical": "2611c120d618",
+            "dirichlet_spectral": "d09f33ce02ed",
+            "riesz_3d": "e2482cb4560d",
+            "white_noise_critical": "cc5e609c71e0",
         }
 
     def test_bit_generator_hashed(self, monkeypatch):
@@ -293,6 +297,17 @@ class TestConfigHash:
         before = config_hash(self.base())
         monkeypatch.setattr(config_module, "BIT_GENERATOR", "PCG64")
         assert config_hash(self.base()) != before
+
+    def test_embedding_length_hashed(self, monkeypatch):
+        # the same config drawn in another layout of normals is another
+        # experiment: a Riesz torus of another length moves the stamp
+        riesz = {"noise.kind": "riesz", "noise.alpha": "0.25"}
+        before = config_hash(self.base(**riesz))
+        monkeypatch.setattr(noise, "_smooth_len", lambda n: n + 1)
+        # a fresh cache, so the patched length is computed
+        monkeypatch.setattr(noise, "_riesz_embedding",
+                            functools.cache(noise._riesz_embedding.__wrapped__))
+        assert config_hash(self.base(**riesz)) != before
 
 
 SPECTRAL = {"noise.kind": "spectral", "noise.theta": "1.5", "noise.shift": "1"}
@@ -615,16 +630,17 @@ class TestRunEnsemble:
         run_ensemble(small_config(), out_dir=tmp_path / "run")
         path = tmp_path / "run/aggregates.json"
         payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         payload["schema_version"] = 2
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="schema_version 2; this version reads 3"):
+        with pytest.raises(ValueError, match="schema_version 2; this version reads 4"):
             load_ensemble(tmp_path / "run")
 
     def test_run_info_names_the_streams(self, tmp_path):
         run_ensemble(small_config(paths=2), out_dir=tmp_path / "run")
         info = json.loads((tmp_path / "run/run_info.json").read_text())
-        assert info["streams"] == {"generator": "SFC64", "per": "path"}
+        # white noise on 64 cells: one normal per cell
+        assert info["streams"] == {"generator": "SFC64", "per": "path", "normal_shape": [64]}
         assert load_ensemble(tmp_path / "run").run_info["streams"] == info["streams"]
 
     def test_run_info_reports_workers_blocks_and_phases(self, tmp_path, monkeypatch):
@@ -657,6 +673,8 @@ class TestRunEnsemble:
         info = json.loads((tmp_path / "run/run_info.json").read_text())
         assert info["clipped_fraction"] == build_context(config).sampler.clipped_fraction
         assert 0.0 <= info["clipped_fraction"] < 0.01
+        # the draw layout: the (Re, Im) pairs of the 15 x 8 half spectrum
+        assert info["streams"]["normal_shape"] == [15, 8, 2]
 
     def test_tampered_rows_detected(self, tmp_path):
         config = small_config(paths=6)
@@ -950,7 +968,8 @@ class TestCLI:
         capsys.readouterr()
         assert main(["report", "--input", str(run_dir)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert 'streams     : {"generator": "SFC64", "per": "path"}' in lines
+        assert ('streams     : {"generator": "SFC64", "per": "path", "normal_shape": [64]}'
+                in lines)
 
     def test_report_prints_one_verdict_per_bound(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -6,13 +6,16 @@ the Riesz double integral, Monte Carlo covariance estimates against the
 kernel values, and an exact check of the circulant-embedding Riesz sampler:
 fed the unit vectors as its normals, it must reproduce the dense covariance
 built from the kernel's definition.  The Riesz sampler's transforms run on
-numpy.fft, or on DFT matrices on small tori of three axes; the same
-transforms on scipy.fft (``scipy_riesz_*``) must give its values bit for
-bit on the FFT path and at round-off on the dense one.
+numpy.fft, or on a real cosine-sine basis on small tori of three axes; the
+same transforms on scipy.fft (``scipy_riesz_*``) must give its values bit
+for bit on the FFT path, and scipy's DCT-I and DST-I (``scipy_dense_*``)
+at round-off on the dense one.
 """
 
 import ast
+import functools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -83,9 +86,10 @@ def riesz_covariance_entry(spec, basis, i, j):
     return spec.kernel(basis, [p[i] for p in pts], [p[j] for p in pts])
 
 
-def scipy_riesz_spectrum(spec, basis, embed_len):
-    """The circulant spectrum of the Riesz sampler, clipped, from scipy's
-    ``rfftn`` of the circulant's first row."""
+def scipy_riesz_row_spectrum(spec, basis, embed_len):
+    """The circulant spectrum of the Riesz sampler on a torus of
+    ``embed_len`` points per axis, before clipping: scipy's ``rfftn`` of
+    the circulant's first row."""
     import scipy.fft
 
     d, M = basis.dimension, embed_len
@@ -95,7 +99,12 @@ def scipy_riesz_spectrum(spec, basis, embed_len):
     with np.errstate(divide="ignore"):
         row = r ** (-spec.alpha)
     row[(0,) * d] = _unit_cell_mean(spec.alpha, d) * basis.h ** (-spec.alpha)
-    return _clip_spectrum(scipy.fft.rfftn(row, axes=basis.field_axes).real, M)[0]
+    return scipy.fft.rfftn(row, axes=basis.field_axes).real
+
+
+def scipy_riesz_spectrum(spec, basis, embed_len):
+    """The circulant spectrum of the Riesz sampler, clipped."""
+    return _clip_spectrum(scipy_riesz_row_spectrum(spec, basis, embed_len), embed_len)[0]
 
 
 def scipy_riesz_increments(sampler, dt, z):
@@ -124,6 +133,71 @@ def scipy_riesz_qv_form(sampler, f_values):
         coeffs = scipy.fft.fft(coeffs, n=M, axis=axis, overwrite_x=True)
     weighted = sampler._qv_weights * (coeffs.real**2 + coeffs.imag**2)
     return sampler.basis.field_sum(weighted)
+
+
+def dense_mode_frequencies(M):
+    """The frequency of each real mode of an M-point torus axis, in the
+    sampler's order: the cosines k = 0..M//2, then the sines."""
+    return np.concatenate([np.arange(M // 2 + 1), np.arange(1, (M + 1) // 2)])
+
+
+def scipy_dense_weights(sampler):
+    """The weight of each real tensor mode of the dense torus: the
+    circulant eigenvalue at its frequencies, from scipy's spectrum, times
+    m_k / M per axis, with m_k = 1 on the zero and Nyquist frequencies and
+    2 on the others, which stand for k and -k."""
+    M = sampler._embed_len
+    k = dense_mode_frequencies(M)
+    m = np.where((k == 0) | (2 * k == M), 1.0, 2.0) / M
+    spectrum = scipy_riesz_spectrum(sampler.spec, sampler.basis, M)
+    return spectrum[np.ix_(k, k, k)] * m[:, None, None] * m[:, None] * m
+
+
+def scipy_dense_axis(x, axis, sampler, synthesis):
+    """The dense torus's map along one axis: its M real modes to the first
+    g grid points (``synthesis``), or the transpose.  At M = 2g - 2 the
+    cosines on the g points are the DCT-I kernel, and the sines on the
+    g - 2 interior points the DST-I kernel; at odd M the modes are summed
+    from their formula."""
+    import scipy.fft
+
+    M, g = sampler._embed_len, sampler.basis.grid_shape[0]
+    x = np.moveaxis(x, axis, -1)
+    if M == 2 * g - 2:
+        # the DCT-I counts its end points once and the others twice
+        ends = np.full(g, 0.5)
+        ends[[0, -1]] = 1.0
+        if synthesis:
+            out = scipy.fft.dct(x[..., :g] * ends, type=1)
+            out[..., 1:-1] += scipy.fft.dst(x[..., g:], type=1) / 2
+        else:
+            out = np.concatenate([scipy.fft.dct(x * ends, type=1),
+                                  scipy.fft.dst(x[..., 1:-1], type=1) / 2], axis=-1)
+    else:
+        k = dense_mode_frequencies(M)
+        phases = 2 * np.pi * np.outer(k, np.arange(g)) / M
+        modes = np.where((np.arange(M) <= M // 2)[:, None], np.cos(phases), np.sin(phases))
+        out = x @ modes if synthesis else x @ modes.T
+    return np.moveaxis(out, -1, axis)
+
+
+def scipy_dense_increments(sampler, dt, z):
+    """RieszSampler.increments on the dense torus: the normals scaled by
+    sqrt(dt w), mapped to the grid along each axis."""
+    x = z * np.sqrt(dt * scipy_dense_weights(sampler))
+    for axis in sampler.basis.field_axes:
+        x = scipy_dense_axis(x, axis, sampler, synthesis=True)
+    return x
+
+
+def scipy_dense_qv_form(sampler, f_values):
+    """RieszSampler.qv_form on the dense torus: the weighted squares of the
+    coefficients of f in the real basis, times h^(2d)."""
+    x = f_values
+    for axis in sampler.basis.field_axes:
+        x = scipy_dense_axis(x, axis, sampler, synthesis=False)
+    weights = scipy_dense_weights(sampler) * sampler.basis.cell_volume**2
+    return sampler.basis.field_sum(weights * x**2)
 
 
 class IdentityNormals:
@@ -322,6 +396,25 @@ class TestDoubleIntegral:
         assert repr(_unit_cell_mean.__wrapped__(alpha, d)) == value
 
     @pytest.mark.parametrize("alpha, d, value", [
+        (1.0, 3, "2.3800773700971765"),
+        (0.3, 3, "1.274037155465461"),
+        (0.5, 3, "1.5085789646495325"),
+        (1.4, 3, "3.594413773909659"),
+        (0.7, 2, "2.2850340058936496"),
+    ])
+    def test_unit_cell_mean_is_the_full_grid_sum(self, alpha, d, value):
+        # the octant mirrored into the full grid is the array the 64^d
+        # midpoint sum of the whole cell adds up, so the sums agree bit for
+        # bit with the one written out here
+        axes = (np.arange(64) + 0.5) / 64 - 0.5
+        grids = np.meshgrid(*([axes] * d), indexing="ij", sparse=True)
+        r2 = sum(g**2 for g in grids)
+        inside_half = functools.reduce(operator.and_, (np.abs(g) < 0.25 for g in grids))
+        annulus = np.where(inside_half, 0.0, r2 ** (-alpha / 2.0))
+        full = float(np.sum(annulus)) * (1.0 / 64) ** d / (1.0 - 2.0 ** (alpha - d))
+        assert repr(_unit_cell_mean.__wrapped__(alpha, d)) == repr(full) == value
+
+    @pytest.mark.parametrize("alpha, d, value", [
         (1.0, 3, "575.80459515752"),
         (0.5, 3, "717.4883983258608"),
         (1.4, 3, "520.2011691060655"),
@@ -489,6 +582,30 @@ class TestSampler:
         exact = basis.cell_volume**2 * f.ravel() @ sampled @ f.ravel()
         assert samp.qv_form(f) == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha, embed_len", [
+        (0.1, 15), (0.3, 15), (0.5, 15), (1.0, 14), (1.2, 14), (1.4, 14)])
+    def test_dense_torus_clips_no_more_than_the_fast_length(self, alpha, embed_len):
+        # the dense 8^3 torus embeds in 2g - 2 = 14 points where that clips
+        # no mass, else in the fast FFT length 15: it never clips more
+        basis = basis_for(3, NEUMANN, n=8)
+        samp = make_sampler(RieszKernel(alpha), basis)
+        fast = _smooth_len(14)
+        _, fast_fraction = _clip_spectrum(
+            scipy_riesz_row_spectrum(RieszKernel(alpha), basis, fast), fast)
+        assert samp.clipped_fraction <= fast_fraction
+        assert samp._embed_len == embed_len
+        assert samp.normal_shape == (embed_len,) * 3
+        # the cached spectrum is shared by every sampler of the process
+        assert not samp.spectrum.flags.writeable
+
+    @pytest.mark.parametrize("d, spec, n", [(d, s, 16) for d, s in SAMPLER_CASES]
+                             + [(3, RieszKernel(1.0), 8)],
+                             ids=[f"{d}d-{s.variant}" for d, s in SAMPLER_CASES] + ["3d-dense"])
+    def test_kernel_names_its_samplers_normal_shape(self, d, spec, n):
+        # config_hash reads the layout from the kernel, without a sampler
+        basis = basis_for(d, NEUMANN, n=n)
+        assert spec.normal_shape(basis) == make_sampler(spec, basis).normal_shape
+
     def test_factorization_failure_raises(self):
         lam = np.array([3.0, -1.0])  # torus of 2 points: eigenvalues 3, -1
         with pytest.raises(FactorizationError):
@@ -514,8 +631,9 @@ class TestSampler:
 class TestRieszOnNumpyFFT:
     """The Riesz sampler's numpy.fft transforms give scipy.fft's values bit
     for bit, so every Riesz output byte on those tori is that of the scipy
-    sampler.  A torus of three axes of at most 15 points maps by products
-    with DFT matrices instead, and equals scipy at round-off."""
+    sampler.  The torus of a grid of three axes of at most 8 points maps by
+    products with its real cosine-sine basis instead, and equals scipy's
+    DCT-I and DST-I, or the modes' formula at odd lengths, at round-off."""
 
     # (d, alpha): a valid Riesz exponent per dimension; d = 3 also clips
     KERNELS = [(1, 0.3), (2, 0.7), (3, 1.0), (3, 0.3)]
@@ -530,9 +648,11 @@ class TestRieszOnNumpyFFT:
         samp = make_sampler(spec, basis)
         assert samp.spectrum.tobytes() == scipy_riesz_spectrum(
             spec, basis, samp._embed_len).tobytes()
-        # the dense tori: 15 points per axis, in d = 3
+        # the dense tori: 8 points per axis or fewer, in d = 3
         dense = samp._dft is not None
         assert dense == (d == 3 and n == 8)
+        increments, qv_form = ((scipy_dense_increments, scipy_dense_qv_form) if dense
+                               else (scipy_riesz_increments, scipy_riesz_qv_form))
 
         def assert_equal(got, want, terms):
             # bit for bit on the FFT path; on the dense path within 1e-14 of
@@ -549,21 +669,25 @@ class TestRieszOnNumpyFFT:
         for dt in (5e-4, 1.0):
             got = samp.increments(dt, z)
             assert got.flags.c_contiguous
-            # each value sums the scaled half spectrum, twice over on the
-            # interior columns, at unit phases
-            spectrum = z.view(complex)[..., 0] * (math.sqrt(dt) * samp._scales)
-            terms = 2 * np.sum(np.abs(spectrum), axis=basis.field_axes)
-            assert_equal(got, scipy_riesz_increments(samp, dt, z),
-                         terms.reshape((rows,) + (1,) * d))
+            if dense:
+                # each value sums the scaled normals, times modes of at most 1
+                terms = np.sum(np.abs(z) * (math.sqrt(dt) * samp._scales),
+                               axis=basis.field_axes)
+            else:
+                # each value sums the scaled half spectrum, twice over on the
+                # interior columns, at unit phases
+                spectrum = z.view(complex)[..., 0] * (math.sqrt(dt) * samp._scales)
+                terms = 2 * np.sum(np.abs(spectrum), axis=basis.field_axes)
+            assert_equal(got, increments(samp, dt, z), terms.reshape((rows,) + (1,) * d))
         f = 0.5 + rng.random((rows,) + basis.grid_shape)
         # Parseval's sum of qv weights times |F_k|^2, each |F_k| at most the
         # sum of |f|
         terms = np.sum(samp._qv_weights) * basis.field_sum(np.abs(f)) ** 2
-        assert_equal(samp.qv_form(f), scipy_riesz_qv_form(samp, f), terms)
+        assert_equal(samp.qv_form(f), qv_form(samp, f), terms)
         # one field, not a batch, gives a float
         one = samp.qv_form(f[0])
         assert isinstance(one, float)
-        assert_equal(one, scipy_riesz_qv_form(samp, f[0]), terms[0])
+        assert_equal(one, qv_form(samp, f[0]), terms[0])
 
     # each side of the dense cutoff: tori of 15 points per axis map by
     # products in d = 3, tori of 30 points and every 1-d and 2-d torus by FFT
