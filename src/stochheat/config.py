@@ -235,7 +235,7 @@ def config_hash(config: SimConfig) -> str:
     hashes.  The name of the streams' bit generator is included too: the
     same config drawn from another generator is another experiment.  So is
     the shape of a draw's normals, the kernel's ``normal_shape`` on the
-    domain, which the kernel computes without building a sampler: the same
+    domain, which the kernel computes without a basis or a sampler: the same
     config drawn in another layout is another experiment too.
     """
     owners = {"domain": config.domain, "noise": config.noise, "sigma": config.sigma}
@@ -250,7 +250,7 @@ def config_hash(config: SimConfig) -> str:
         payload["init"]["sha256"] = hashlib.sha256(
             Path(config.init_path).read_bytes()).hexdigest()
     payload["generator"] = BIT_GENERATOR
-    payload["normal_shape"] = list(config.noise.normal_shape(build_basis(config.domain)))
+    payload["normal_shape"] = list(config.noise.normal_shape(config.domain))
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 

@@ -249,8 +249,7 @@ def run_ensemble(config: SimConfig, keep_records: bool = False,
             "blocks": count,
             # the stream layout of the rows, as the probe report names its own
             "streams": {"generator": BIT_GENERATOR, "per": "path",
-                        "normal_shape": list(config.noise.normal_shape(
-                            build_basis(config.domain)))},
+                        "normal_shape": list(config.noise.normal_shape(config.domain))},
             **telemetry[0],
             "phase_seconds": {"blocks": t_blocks - t0,
                               "aggregates": t_aggregates - t_blocks},

@@ -14,7 +14,7 @@ The critical growth exponent is gamma_c = 1 + (1-eta)/(2 beta).
 
 Kernel behaviour lives on the kernel classes, one code path per family:
 ``params(d)`` (one shared check of eta), ``sampler(basis)``, the shape of
-a draw's normals ``normal_shape(basis)``, ``kernel(basis, x, y)``,
+a draw's normals ``normal_shape(domain)``, ``kernel(basis, x, y)``,
 ``double_integral(basis)``, ``decay_values(basis, t_grid)`` and
 ``integrable``; the spectral kernel's ``weights(basis)`` are
 its per-mode weights, which its sampler and its other methods read.  Each
@@ -66,8 +66,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .spectral import (NEUMANN, PERIODIC, SpectralBasis, Workspaces, axis_products,
-                       loglog_slope)
+from .spectral import (NEUMANN, PERIODIC, DomainSpec, SpectralBasis, Workspaces,
+                       axis_products, loglog_slope)
 
 logger = logging.getLogger(__name__)
 
@@ -146,11 +146,11 @@ class RieszKernel(_Kernel):
     def sampler(self, basis: SpectralBasis):
         return RieszSampler(self, basis)
 
-    def normal_shape(self, basis: SpectralBasis) -> tuple:
+    def normal_shape(self, domain: DomainSpec) -> tuple:
         """The shape of one draw's normals: those of the circulant
         embedding, one normal per torus point on the dense torus."""
-        self.validate_for(basis.dimension)
-        return _riesz_embedding(self.alpha, basis.dimension, basis.grid_shape[0], basis.h)[3]
+        self.validate_for(domain.dimension)
+        return _riesz_embedding(self.alpha, domain)[3]
 
     def kernel(self, basis: SpectralBasis, x, y) -> float:
         """Pointwise Lambda(x,y) = |x-y|^(-alpha), off the diagonal."""
@@ -221,9 +221,9 @@ class SpectralKernel(_Kernel):
     def sampler(self, basis: SpectralBasis):
         return SpectralSampler(self, basis)
 
-    def normal_shape(self, basis: SpectralBasis) -> tuple:
+    def normal_shape(self, domain: DomainSpec) -> tuple:
         """One normal per retained mode."""
-        return basis.coeff_shape
+        return (domain.axis_shape[1],) * domain.dimension
 
     def kernel(self, basis: SpectralBasis, x, y) -> float:
         """Pointwise Lambda(x,y), the series truncated at the retained modes."""
@@ -264,9 +264,9 @@ class WhiteNoise(_Kernel):
     def sampler(self, basis: SpectralBasis):
         return WhiteNoiseSampler(self, basis)
 
-    def normal_shape(self, basis: SpectralBasis) -> tuple:
+    def normal_shape(self, domain: DomainSpec) -> tuple:
         """One normal per cell."""
-        return basis.grid_shape
+        return (domain.axis_shape[0],) * domain.dimension
 
     def kernel(self, basis: SpectralBasis, x, y) -> float:
         raise ValueError("white noise has a distributional (delta) kernel")
@@ -390,7 +390,7 @@ class SpectralSampler(_Sampler):
         self.basis = basis
         self.weights = spec.weights(basis)
         self.amplitudes = np.sqrt(self.weights)
-        self.normal_shape = spec.normal_shape(basis)
+        self.normal_shape = spec.normal_shape(basis.spec)
 
     def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
         """One normal per retained mode, scaled and sent to the grid."""
@@ -483,21 +483,25 @@ def _circulant_spectrum(alpha: float, dimension: int, h: float, embed_len: int):
 # decay grid, whose spectrum is 8.5 MB: a small cache bounds what a process
 # keeps
 @functools.lru_cache(maxsize=4)
-def _riesz_embedding(alpha: float, dimension: int, points: int, h: float):
-    """The circulant embedding of the Riesz grid covariance on ``points``
-    points per axis, spacing h: (M, clipped half spectrum, clipped fraction,
-    normal_shape) for a torus of M points per axis.  A pure function of its
-    arguments, cached, so the sampler and ``config_hash`` of a run compute
-    it once; the spectrum is read-only, as every caller shares it.
+def _riesz_embedding(alpha: float, domain: DomainSpec):
+    """The circulant embedding of the Riesz grid covariance on the grid of
+    ``domain``, g points per axis: (M, clipped half spectrum, clipped
+    fraction, normal_shape) for a torus of M points per axis.  A pure
+    function of its arguments, cached, so the sampler and ``config_hash``
+    of a run compute it once; the spectrum is read-only, as every caller
+    shares it.
 
-    M is ``_smooth_len(2 points - 2)``, a fast FFT length.  The dense torus
-    takes the minimal length 2 points - 2 instead when its spectrum clips no
-    mass, so the clipped fraction is never above that of the FFT length
-    (Dietrich & Newsam grow an embedding until it is nonnegative).  Its
-    normals are one per torus point; the FFT torus takes the (Re, Im) pairs
-    of its half spectrum.  Raises FactorizationError as ``_clip_spectrum``.
+    M is ``_smooth_len(2g - 2)``, a fast FFT length.  The dense torus takes
+    the minimal length 2g - 2 instead when its spectrum clips no mass, so
+    the clipped fraction is never above that of the FFT length (Dietrich &
+    Newsam grow an embedding until it is nonnegative).  Its normals are one
+    per torus point; the FFT torus takes the (Re, Im) pairs of its half
+    spectrum.  Raises FactorizationError as ``_clip_spectrum``.
     """
-    d, minimal = dimension, 2 * points - 2
+    d, points = domain.dimension, domain.axis_shape[0]
+    # the grid spacing, as the basis computes it
+    h = domain.length / domain.grid_points
+    minimal = 2 * points - 2
     dense = _dense_torus(d, points)
     for M in ([minimal] if dense else []) + [_smooth_len(minimal)]:
         lam = _circulant_spectrum(alpha, d, h, M)
@@ -579,7 +583,7 @@ class RieszSampler(_Sampler):
         self.basis = basis
         d, g = basis.dimension, basis.grid_shape[0]
         M, self.spectrum, self.clipped_fraction, self.normal_shape = _riesz_embedding(
-            spec.alpha, d, g, basis.h)
+            spec.alpha, basis.spec)
         if self.clipped_fraction > 0:
             logger.warning("Riesz covariance: clipped %.3g of the circulant spectral mass",
                            self.clipped_fraction)
@@ -683,7 +687,7 @@ class WhiteNoiseSampler(_Sampler):
         spec.validate_for(basis.dimension)
         self.spec = spec
         self.basis = basis
-        self.normal_shape = spec.normal_shape(basis)
+        self.normal_shape = spec.normal_shape(basis.spec)
 
     def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
         return math.sqrt(dt / self.basis.cell_volume) * z

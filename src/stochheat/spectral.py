@@ -223,6 +223,11 @@ class _Axis:
         self.n, self.L, self.h = n, L, L / n
         self.workspace = Workspaces()
 
+    @staticmethod
+    def point_count(n: int) -> int:
+        """The number of grid points of an axis of n cells."""
+        return n
+
     def _phases(self, x) -> np.ndarray:
         """kappa_k x for every retained k, shape x.shape + (modes,)."""
         return np.multiply.outer(np.asarray(x, dtype=float), self.wavenumbers)
@@ -339,6 +344,10 @@ class _Axis:
 class _SineAxis(_Axis):
     """Dirichlet: psi_k = sqrt(2/L) sin(k pi x / L), k = 1..n-1, on the
     interior points j h; the transform is DST-I."""
+
+    @staticmethod
+    def point_count(n: int) -> int:
+        return n - 1
 
     def __init__(self, n: int, modes: int, L: float):
         super().__init__(n, L)
@@ -523,6 +532,13 @@ class DomainSpec:
         if not 0 < self.length < math.inf:
             raise ValueError(f"length must be positive and finite, got {self.length!r}")
 
+    @property
+    def axis_shape(self) -> tuple:
+        """(grid points, retained modes) per axis, as the basis has them,
+        without building it."""
+        points = _AXES[self.boundary].point_count(self.grid_points)
+        return points, min(self.modes, points)
+
 
 class SpectralBasis:
     """Immutable eigenbasis of the Laplacian on a DomainSpec.
@@ -543,9 +559,9 @@ class SpectralBasis:
         self._axis = axis = _AXES[spec.boundary](spec.grid_points, spec.modes, spec.length)
         self.h = axis.h
         self.axis_points = axis.points
-        self.axis_mode_count = len(axis.mode_numbers)
+        points, self.axis_mode_count = spec.axis_shape
         self.axis_eigenvalues = axis.wavenumbers**2
-        self.grid_shape = (len(self.axis_points),) * d
+        self.grid_shape = (points,) * d
         self.coeff_shape = (self.axis_mode_count,) * d
         self.cell_volume = self.h**d
         # the trailing d axes of a field (grid, coefficients), batched or not

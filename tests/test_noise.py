@@ -604,7 +604,7 @@ class TestSampler:
     def test_kernel_names_its_samplers_normal_shape(self, d, spec, n):
         # config_hash reads the layout from the kernel, without a sampler
         basis = basis_for(d, NEUMANN, n=n)
-        assert spec.normal_shape(basis) == make_sampler(spec, basis).normal_shape
+        assert spec.normal_shape(basis.spec) == make_sampler(spec, basis).normal_shape
 
     def test_factorization_failure_raises(self):
         lam = np.array([3.0, -1.0])  # torus of 2 points: eigenvalues 3, -1

@@ -169,6 +169,16 @@ class TestDomainSpec:
         spec = DomainSpec(1, NEUMANN, 16)
         assert spec.modes == 16
 
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN, PERIODIC])
+    @pytest.mark.parametrize("modes", [None, 16, 5])
+    def test_axis_shape_counts_the_basis_arrays(self, bc, modes):
+        # the kernels read the shapes from the spec, without a basis
+        spec = DomainSpec(2, bc, 16, modes=modes)
+        basis = build_basis(spec)
+        assert spec.axis_shape == (len(basis.axis_points), len(basis.axis_valid_indices()))
+        assert basis.grid_shape == (spec.axis_shape[0],) * 2
+        assert basis.coeff_shape == (spec.axis_shape[1],) * 2
+
 
 class TestEigenpairs:
     def test_dirichlet_first_mode(self):
