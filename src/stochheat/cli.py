@@ -5,8 +5,8 @@ report.  Config values come from a key-value file (see config.py for the
 schema) and any key can be overridden on the command line with repeated
 ``--set key=value`` flags.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure threshold
-exceeded (or inconsistent result files for ``report``).
+Exit codes: 0 success, 1 configuration error, 2 runtime failure: failures
+over the threshold, a dead pool worker, or inconsistent ``report`` files.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .config import ConfigError, config_hash, parse_config
@@ -239,6 +240,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenExecutor as exc:  # a dead pool worker, by a base that loads no multiprocessing
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

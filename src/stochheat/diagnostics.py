@@ -343,7 +343,7 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     ``stepping.drawn_ahead``, drawn by its helper thread and by the caller
     with the values of a serial draw per block and step.  The report names
     that layout in ``streams``.  Needs ``1 <= batches <= paths``, finite
-    ``dt`` and horizons, and moments that are positive finite floats; an
+    ``dt``, two finite horizons or more, and positive finite moments; an
     argument that cannot give a probe raises ProbeArgumentError.
     """
     if not 1 <= batches <= paths:
@@ -362,8 +362,6 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     if not 0 < dt < math.inf:
         raise ProbeArgumentError("dt", f"dt = {dt} must be positive and finite")
     T_grid = sorted(float(T) for T in T_grid)
-    if not T_grid:
-        raise ProbeArgumentError("T_grid", "T_grid needs at least one horizon")
     steps_at = []
     for T in T_grid:  # an infinite or nan horizon takes no step
         k = round(T / dt) if T / dt < math.inf else 0
@@ -375,6 +373,9 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
                 "T_grid", f"T_grid = {T_grid} has two horizons at step {k} of "
                 f"dt = {dt}: each horizon needs its own step")
         steps_at.append(k)
+    if len(steps_at) < 2:
+        raise ProbeArgumentError(
+            "T_grid", f"T_grid = {T_grid}: a slope needs at least two horizons")
     n_steps = steps_at[-1]
 
     sampler = make_sampler(noise_spec, basis)

@@ -36,8 +36,9 @@ synthesizes a draw in Fourier space: two normals (real and imaginary
 part) per entry of the torus's real-FFT half spectrum, scaled by the
 square root of the circulant spectrum and mapped to the grid by one
 inverse FFT, pruned to the grid corner.  Its quadratic form is an exact
-FFT convolution, transformed from the grid corner only.  On a grid of
-three axes of at most ``_DENSE_TORUS`` points each, the torus is the
+FFT convolution, transformed from the grid corner only.  Where
+``spectral.dense_chain`` puts the torus on products, as on grids of at
+most 32 points per axis in 1-d and 2-d and 8 in 3-d, the torus is the
 minimal one, 2g - 2 points per axis, wherever that clips no spectral
 mass.  There the circulant, whose first row is even along each axis, is
 diagonal in a real cosine-sine tensor basis: a draw takes one normal
@@ -47,8 +48,7 @@ one the dense heat flow runs on; their bits depend on the BLAS build.
 Negative circulant eigenvalues, which occur for d = 3 and small alpha,
 are clipped at zero, logged and reported as ``clipped_fraction``; the
 draws and the quadratic form share the clipped spectrum, which each
-process computes once per (alpha, d, grid).  Memory and work are
-O(N log N) in the grid size N.
+process computes once per (alpha, d, grid).
 
 Every transform is ``numpy.fft`` or a numpy matrix product, and the
 spectral sampler's Gamma(theta) is ``math.gamma``, so no run loads scipy;
@@ -67,25 +67,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .spectral import (NEUMANN, PERIODIC, DomainSpec, SpectralBasis, Workspaces,
-                       axis_products, loglog_slope)
+                       axis_products, dense_chain, loglog_slope)
 
 logger = logging.getLogger(__name__)
 
 # standard normals per chunk of a batched draw (16 MB of float64)
 _CHUNK_NORMALS = 2**21
-
-# a 3-d Riesz grid of at most _DENSE_TORUS points per axis runs its torus
-# on the real cosine-sine basis.  On 2 vCPUs with OpenBLAS 0.3.31, per
-# 50-row batch at 8^3, increments took 0.34-0.48 ms (M = 14) against
-# 1.2-2.0 ms by FFT (M = 15) and 0.91-1.08 ms by the complex DFT matrices
-# the basis replaced; qv_form took 0.38-0.57 ms against 1.5-2.3 and
-# 0.99-1.20 ms (medians of 300-400 calls), and a row's normals per step
-# went from 3 600 to 2 744.  At 16^3 (M = 30) the basis also beat the FFT on
-# one thread in process (5.1-6.7 against 15-18 ms for each transform), but
-# no end-to-end run has measured it there.  In 1-d, one FFT call for the
-# whole batch, the products gained nothing; 2-d tori stay on FFT until a
-# workload measures them end to end
-_DENSE_TORUS = 8
 
 # largest share of the Riesz circulant's spectral mass that may be clipped
 _CLIP_TOLERANCE = 0.01
@@ -148,7 +135,7 @@ class RieszKernel(_Kernel):
 
     def normal_shape(self, domain: DomainSpec) -> tuple:
         """The shape of one draw's normals: those of the circulant
-        embedding, one normal per torus point on the dense torus."""
+        embedding, one normal per torus point on a torus on products."""
         self.validate_for(domain.dimension)
         return _riesz_embedding(self.alpha, domain)[3]
 
@@ -454,12 +441,6 @@ def _clip_spectrum(lam: np.ndarray, embed_len: int):
     return np.clip(lam, 0.0, None), frac
 
 
-def _dense_torus(dimension: int, points: int) -> bool:
-    """Whether the Riesz torus of a grid of ``points`` per axis runs on the
-    real cosine-sine basis rather than on FFTs."""
-    return dimension == 3 and points <= _DENSE_TORUS
-
-
 def _circulant_spectrum(alpha: float, dimension: int, h: float, embed_len: int):
     """The half spectrum of the Riesz circulant on the torus of
     ``embed_len`` points per axis, spacing h: the ``rfft`` of its first row
@@ -491,25 +472,31 @@ def _riesz_embedding(alpha: float, domain: DomainSpec):
     of a run compute it once; the spectrum is read-only, as every caller
     shares it.
 
-    M is ``_smooth_len(2g - 2)``, a fast FFT length.  The dense torus takes
-    the minimal length 2g - 2 instead when its spectrum clips no mass, so
-    the clipped fraction is never above that of the FFT length (Dietrich &
-    Newsam grow an embedding until it is nonnegative).  Its normals are one
-    per torus point; the FFT torus takes the (Re, Im) pairs of its half
-    spectrum.  Raises FactorizationError as ``_clip_spectrum``.
+    The torus maps by products where ``dense_chain`` passes its increments
+    chain, the (M, g) synthesis matrix on each axis (the qv_form chain
+    makes no larger product), and there takes the minimal length 2g - 2
+    when that clips no mass; otherwise M is ``_smooth_len(2g - 2)``, a fast
+    FFT length.  So the clipped fraction is never above that of the FFT
+    length (Dietrich & Newsam grow an embedding until it is nonnegative).
+    The normals are one per torus point on products, else the (Re, Im)
+    pairs of the half spectrum.  Raises FactorizationError as
+    ``_clip_spectrum``.
     """
-    d, points = domain.dimension, domain.axis_shape[0]
+    d, g = domain.dimension, domain.axis_shape[0]
     # the grid spacing, as the basis computes it
     h = domain.length / domain.grid_points
-    minimal = 2 * points - 2
-    dense = _dense_torus(d, points)
-    for M in ([minimal] if dense else []) + [_smooth_len(minimal)]:
+    minimal = 2 * g - 2
+
+    def on_products(M):
+        return dense_chain((M,) * d, [(axis, (M, g)) for axis in range(-d, 0)])
+
+    for M in ([minimal] if on_products(minimal) else []) + [_smooth_len(minimal)]:
         lam = _circulant_spectrum(alpha, d, h, M)
         if _clipped_fraction(lam, M) == 0.0:
             break
     spectrum, fraction = _clip_spectrum(lam, M)
     spectrum.flags.writeable = False
-    shape = (M,) * d if dense else (M,) * (d - 1) + (M // 2 + 1, 2)
+    shape = (M,) * d if on_products(M) else (M,) * (d - 1) + (M // 2 + 1, 2)
     return M, spectrum, fraction, shape
 
 
@@ -565,11 +552,13 @@ class RieszSampler(_Sampler):
     sampler and thread, so a call allocates only the C-contiguous
     increments it returns.
 
-    On the dense torus, three axes of g <= ``_DENSE_TORUS`` points each,
-    numpy's cost per line outweighs the arithmetic.  As lam is even along
-    each axis, the circulant is diagonal in the real cosine-sine tensor
-    basis of ``_cosine_sine_basis``, which takes one normal per torus point,
-    ``normal_shape = (M,) * 3``.  ``increments`` scales them by the square
+    The one rule of every transform, ``spectral.dense_chain``, puts the
+    torus on products where each stays within 64^3 multiply-adds, the size
+    OpenBLAS runs on one thread (``_riesz_embedding``); there numpy's cost
+    per line outweighs the arithmetic.  As lam is even along each axis, the
+    circulant is diagonal in the real cosine-sine tensor basis of
+    ``_cosine_sine_basis``, which takes one normal per torus point,
+    ``normal_shape = (M,) * d``.  ``increments`` scales them by the square
     roots of dt times the mode weights, and maps them to the grid by one
     ``axis_products`` chain with the (M, g) synthesis matrix on each axis;
     ``qv_form`` maps f by its transpose and sums the weighted squares.  The
@@ -589,15 +578,15 @@ class RieszSampler(_Sampler):
                            self.clipped_fraction)
         self._embed_len = M
         self._workspace = Workspaces()
-        if _dense_torus(d, g):
-            # the real synthesis matrix and its transpose, each C-contiguous,
-            # and the mode weights in place of lam
+        if len(self.normal_shape) == d:
+            # a torus on products, one normal per point: the real synthesis matrix
+            # and its transpose, each C-contiguous, and the mode weights for lam
             synthesis, weights = _cosine_sine_basis(self.spectrum, g, M)
-            self._dft = synthesis, np.ascontiguousarray(synthesis.T)
+            self._synthesis = synthesis, np.ascontiguousarray(synthesis.T)
             self._scales = np.sqrt(weights)
             self._qv_weights = weights * basis.cell_volume**2
         else:
-            self._dft = None
+            self._synthesis = None
             mult = _rfft_multiplicity(M)
             # the unnormalized inverse ("forward" norm) leaves 1/M^d to the scales
             self._scales = np.sqrt(self.spectrum / (mult * M**d))
@@ -619,11 +608,11 @@ class RieszSampler(_Sampler):
 
     def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
         """Normals on the spectrum, scaled, one pruned inverse transform."""
-        if self._dft is not None:
+        if self._synthesis is not None:
             # of the three passes the first writes "b", as "a" holds x
             x = self._workspace("a", (len(z),) + self.normal_shape)
             np.multiply(z, math.sqrt(dt) * self._scales, out=x)
-            passes = [(axis, self._dft[0]) for axis in self.basis.field_axes]
+            passes = [(axis, self._synthesis[0]) for axis in self.basis.field_axes]
             return axis_products(x, passes, np.empty((len(z),) + self.basis.grid_shape),
                                  self._workspace, "ba")
         x = self._workspace("a", (len(z),) + self.normal_shape[:-1], complex)
@@ -647,11 +636,11 @@ class RieszSampler(_Sampler):
     def qv_form(self, f_values: np.ndarray):
         d = self.basis.dimension
         f = f_values.reshape((-1,) + self.basis.grid_shape)
-        if self._dft is None:
+        if self._synthesis is None:
             power = self._fft_power(f)
         else:
             # the coefficients of f in the real basis, squared in place
-            passes = [(axis, self._dft[1]) for axis in self.basis.field_axes]
+            passes = [(axis, self._synthesis[1]) for axis in self.basis.field_axes]
             power = axis_products(f, passes, self._workspace("a", (len(f),) + self.normal_shape),
                                   self._workspace, "ab")
             np.square(power, out=power)

@@ -59,18 +59,16 @@ projection) and synthesizes, with no coefficient array in between, so
 matrix: the last axis through ``matmul_lines``, in products of
 ``_DENSE_LINES`` lines with the last block zero-padded, and a leading one
 as the matrix's transpose times one row, or one slab of a row, per
-product.  Small sizes run on matrices:
+product.
 
-* an axis of at most ``_DENSE_POINTS`` points inverts with one cached
-  (modes x points) synthesis matrix by ``matmul_lines``, the fast inverse
-  of each unit coefficient vector;
-* a grid whose flow products stay within ``_DENSE_PRODUCT`` multiply-adds
-  (axes of up to 64 points in 1-d and 2-d, up to 16 in 3-d) flows by
-  ``axis_products`` with one (points x points) flow matrix per time step,
-  the fast flow of the identity, cached for the last time: the last field
-  axis first, then the others, first first;
-* the Riesz sampler of ``noise`` runs its transforms on a small 3-d torus
-  by ``axis_products`` too.
+One rule picks the core of a transform that has both: ``dense_chain``
+puts it on matrices when every product of its chain stays within
+``_DENSE_PRODUCT`` multiply-adds, and on FFTs otherwise.  It decides the
+inverse of an axis (one cached modes x points synthesis matrix through
+``matmul_lines``, the fast inverse of each unit coefficient vector), the
+heat flow (``axis_products`` with one points x points flow matrix per time
+step, the fast flow of the identity, cached for the last time) and the
+torus of the Riesz sampler of ``noise``.
 
 Every line goes through calls of one shape, so its values do not depend on
 its batch or its position in it, and they equal the FFT inverse and flow
@@ -98,25 +96,17 @@ DIRICHLET = "dirichlet"
 # whole
 _BLOCK_VALUES = 2**16
 
-# an axis of at most _DENSE_POINTS grid points inverts with its synthesis
-# matrix, _DENSE_LINES lines per matrix product, so every line goes through
-# one call of one shape.  On 2 vCPUs with OpenBLAS 0.3.31, 2048 lines took
-# 0.55-0.65 ms against 1.2-2.1 ms by FFT at 63 and 64 points, on one thread;
-# at 128 points the products still won on wall time (2.6 against 2.7-3.1
-# ms), but OpenBLAS threads each 64-line product there (2x the CPU time for
-# 60 against 70 us), which would take the core of the draw helper
-_DENSE_POINTS = 64
 _DENSE_LINES = 64
 
-# the heat flow runs as products with its flow matrix while none of them
-# exceeds _DENSE_PRODUCT multiply-adds, 64 lines of 64 points, the size up
-# to which those products ran on one thread: axes of up to 64 points in 1-d
-# and 2-d, up to 16 in 3-d.  On the machine above the heat flow of 50
-# fields at 8^3 took 0.10 against 1.05 ms by FFT.  At 32^3 the whole-row
-# product (32 x 32 by 32 x 1024) is threaded, and a riesz_3d.conf ensemble
-# of 4 paths for 100 steps ran 72-76 path-steps/s and 10.2-10.8 s of CPU
-# against 82-95 and 6.6-7.3 s by FFT; at 64^3 (1 path, 20 steps) wall time
-# was even and CPU 3.9-4.3 against 3.0-3.3 s
+# a transform runs on matrices while each of its products stays within
+# _DENSE_PRODUCT multiply-adds, the size OpenBLAS 0.3.31 runs on one thread.
+# On 2 vCPUs the inverse of 2048 lines at 63 points took 0.55-0.65 against
+# 1.2-2.1 ms by FFT, the heat flow of 50 fields at 8^3 0.10 against 1.05 ms,
+# and the Riesz transforms of 50 rows at 8^3 0.34-0.57 against 1.2-2.3 ms.
+# Above it OpenBLAS threads the products and takes the draw helper's core:
+# the inverse at 128 points took 2x the CPU time, a 32^3 riesz_3d.conf
+# ensemble ran 72-76 against 82-95 path-steps/s by FFT, and a 2-worker 32^3
+# one with every torus on products 1.6-2.2x slower
 _DENSE_PRODUCT = 64**3
 
 
@@ -171,6 +161,22 @@ def axis_products(x: np.ndarray, passes, out: np.ndarray, workspace, keys) -> np
     return out
 
 
+def dense_chain(shape, passes) -> bool:
+    """Whether every product that ``axis_products`` makes on an array whose
+    field axes have ``shape``, for ``passes`` of (axis, (k, n) matrix
+    shape), stays within ``_DENSE_PRODUCT`` multiply-adds: ``_DENSE_LINES``
+    lines times k times n on the last axis, and n times k times the values
+    of a slab on a leading one.  The one rule for running a transform on
+    matrices rather than on FFTs."""
+    shape = list(shape)
+    for axis, (k, n) in passes:
+        lines = _DENSE_LINES if axis == -1 else math.prod(shape[len(shape) + axis + 1:])
+        if lines * k * n > _DENSE_PRODUCT:
+            return False
+        shape[axis] = n
+    return True
+
+
 class Workspaces:
     """Buffers of the calling thread, by key, reused from call to call.
 
@@ -210,7 +216,7 @@ class _Axis:
     (``_analyze``, ``_synthesize``), and with them ``forward``,
     ``fft_inverse`` and ``flow``: the last axis of an array of any strides
     in grid order into a C-contiguous ``out`` in grid order.  ``inverse`` is
-    ``fft_inverse`` or, on a small axis, a product with the
+    ``fft_inverse`` or, on an axis ``dense_chain`` passes, a product with the
     ``synthesis_matrix``; ``flow_matrix`` is the flow of the identity.  The
     defaults of ``one_coeffs`` (a constant mode 0) and ``_tail_terms``
     (wavenumbers k pi / L) serve two of the three boundary conditions."""
@@ -289,15 +295,16 @@ class _Axis:
 
     @functools.cached_property
     def synthesis_matrix(self) -> np.ndarray | None:
-        """psi_k(x_j) as a (modes, points) matrix, for an axis of at most
-        ``_DENSE_POINTS`` points, None for a larger one: the fast inverse of
-        each unit coefficient vector, which keeps the matrix at the FFT's
+        """psi_k(x_j) as a (modes, points) matrix, for an axis whose inverse
+        ``dense_chain`` puts on products, None for another: the fast inverse
+        of each unit coefficient vector, which keeps the matrix at the FFT's
         round-off (sin of the phases k pi x_j / L loses up to 1e-14 at
         k x_j ~ 200)."""
-        if len(self.points) > _DENSE_POINTS:
+        modes, points = len(self.mode_numbers), len(self.points)
+        if not dense_chain((modes,), [(-1, (modes, points))]):
             return None
-        M = np.empty((len(self.mode_numbers), len(self.points)))
-        self.fft_inverse(np.eye(len(self.mode_numbers)), M)
+        M = np.empty((modes, points))
+        self.fft_inverse(np.eye(modes), M)
         return M
 
     def inverse(self, c: np.ndarray, out: np.ndarray):
@@ -569,11 +576,11 @@ class SpectralBasis:
         # per-axis integrals <1, psi_k>, used by dirichlet_mass and the
         # spectral-kernel double integral
         self.axis_one_coeffs = axis.one_coeffs()
-        # the heat flow multiplies by the flow matrix when its largest
-        # product, blocks of lines or a whole row on the first field axis,
-        # stays within _DENSE_PRODUCT multiply-adds
-        g = len(axis.points)
-        self._dense_flow_on = max(_DENSE_LINES, g ** (d - 1)) * g * g <= _DENSE_PRODUCT
+        # the dense heat flow's chain: the last field axis, then the others,
+        # first first, each by the (points x points) flow matrix
+        self._flow_axes = (-1,) + self.field_axes[:-1]
+        self._dense_flow_on = dense_chain(self.grid_shape,
+                                          [(axis, (points, points)) for axis in self._flow_axes])
         # (t, flow) of the last heat_flow time: the spectrum's scales, or
         # under the dense flow the flow matrix
         self._flow_cache = (None, None)
@@ -703,8 +710,8 @@ class SpectralBasis:
         of one field or of each row of a (P, *grid) batch, equal at
         round-off, with no coefficient array in between.  Per axis, the
         forward spectrum is scaled mode by mode and transformed back
-        (``_Axis.flow``), or on a grid whose products stay within
-        ``_DENSE_PRODUCT`` the values are multiplied by the flow matrix
+        (``_Axis.flow``), or on a grid whose chain ``dense_chain`` puts on
+        products the values are multiplied by the flow matrix
         (``axis_products``); modes beyond the cutoff are projected out, at
         t = 0 too."""
         if t < 0:
@@ -723,11 +730,9 @@ class SpectralBasis:
         if not self._dense_flow_on:
             return self._along_field_axes(lambda x, out: self._axis.flow(x, out, flow),
                                           values, self.grid_shape[0])
-        # the last field axis, then the others, first first, alternating
-        # between out and one workspace
-        passes = [(-1, flow)] + [(axis, flow) for axis in self.field_axes[:-1]]
-        return axis_products(values, passes, np.empty(values.shape), self._axis.workspace,
-                             (None, "flow"))
+        # alternating between out and one workspace
+        return axis_products(values, [(axis, flow) for axis in self._flow_axes],
+                             np.empty(values.shape), self._axis.workspace, (None, "flow"))
 
     # -- semigroup and kernels -------------------------------------------
 

@@ -266,7 +266,7 @@ class TestMomentProbe:
         basis = build_basis(DomainSpec(1, PERIODIC, 32))
         with pytest.raises(ValueError):
             convolution_moment_probe(
-                basis, WhiteNoise(), p=4, T_grid=[0.01], paths=8, dt=1e-3
+                basis, WhiteNoise(), p=4, T_grid=[0.01, 0.02], paths=8, dt=1e-3
             )
 
     def test_admissibility_condition(self):
@@ -291,7 +291,7 @@ class TestMomentProbe:
         basis = build_basis(DomainSpec(1, NEUMANN, 32))
         spec = SpectralKernel(theta=0.25, a=1.0)
         report = convolution_moment_probe(
-            basis, spec, p=20, T_grid=[0.01], paths=64, dt=1e-3)
+            basis, spec, p=20, T_grid=[0.01, 0.02], paths=64, dt=1e-3)
         x = basis.axis_points[np.argmin(np.abs(basis.axis_points - PI / 2))]
         assert x != PI / 2
         oracle = convolution_variance_series(make_sampler(spec, basis), 0.01, [x], 1e-3)
@@ -334,7 +334,7 @@ class TestMomentProbe:
         basis = build_basis(DomainSpec(1, PERIODIC, 32))
         with pytest.raises(ValueError, match=f"paths = {paths} and batches = {batches}"):
             convolution_moment_probe(
-                basis, WhiteNoise(), p=20, T_grid=[0.01], paths=paths, dt=1e-3,
+                basis, WhiteNoise(), p=20, T_grid=[0.01, 0.02], paths=paths, dt=1e-3,
                 batches=batches,
             )
 
@@ -351,7 +351,7 @@ class TestMomentProbe:
         basis = build_basis(DomainSpec(1, PERIODIC, 32))
         with pytest.raises(ValueError):
             convolution_moment_probe(
-                basis, WhiteNoise(), p=20, T_grid=[0.0105], paths=8, dt=1e-3
+                basis, WhiteNoise(), p=20, T_grid=[0.0105, 0.02], paths=8, dt=1e-3
             )
 
     @pytest.mark.parametrize("argument, kwargs", [
@@ -367,6 +367,8 @@ class TestMomentProbe:
         ("dt", {"dt": 0.0}),
         ("dt", {"dt": math.nan}),
         ("T_grid", {"T_grid": []}),
+        # one horizon gives no slope, only a line through one point
+        ("T_grid", {"T_grid": [0.01]}),
         ("T_grid", {"T_grid": [0.0, 0.01]}),
         ("T_grid", {"T_grid": [0.0105]}),
         ("T_grid", {"T_grid": [0.01, math.inf]}),
@@ -380,7 +382,7 @@ class TestMomentProbe:
     ])
     def test_bad_argument_is_named(self, argument, kwargs):
         basis = build_basis(DomainSpec(1, PERIODIC, 32))
-        args = dict(p=20, T_grid=[0.01], paths=8, dt=1e-3, batches=8)
+        args = dict(p=20, T_grid=[0.01, 0.02], paths=8, dt=1e-3, batches=8)
         args.update(kwargs)
         with pytest.raises(ProbeArgumentError) as info:
             convolution_moment_probe(basis, WhiteNoise(), **args)
@@ -508,7 +510,7 @@ class TestMomentProbe:
             basis, spec = build_basis(DomainSpec(1, DIRICHLET, 32)), SpectralKernel(0.25, 0.0)
         start = threading.active_count()
         with pytest.raises(FloatingPointError, match="stream unavailable"):
-            convolution_moment_probe(basis, spec, p=20, T_grid=[0.002], paths=64,
+            convolution_moment_probe(basis, spec, p=20, T_grid=[0.001, 0.002], paths=64,
                                      dt=5e-4, batches=8)
         assert threading.active_count() == start
         assert (raisers[0] == threading.get_ident()) == (order == HELPER_SLOW)

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import threading
 from collections import Counter
@@ -673,8 +674,9 @@ class TestRunEnsemble:
         info = json.loads((tmp_path / "run/run_info.json").read_text())
         assert info["clipped_fraction"] == build_context(config).sampler.clipped_fraction
         assert 0.0 <= info["clipped_fraction"] < 0.01
-        # the draw layout: the (Re, Im) pairs of the 15 x 8 half spectrum
-        assert info["streams"]["normal_shape"] == [15, 8, 2]
+        # the draw layout: the 2-d 8-point grid's torus runs on products, on
+        # its minimal 14 x 14 embedding, one normal per torus point
+        assert info["streams"]["normal_shape"] == [14, 14]
 
     def test_tampered_rows_detected(self, tmp_path):
         config = small_config(paths=6)
@@ -880,6 +882,28 @@ class TestCLI:
         assert err.startswith("configuration error: init.mode: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["sweep-gamma", "--gammas", "1.5", "--thresholds", "4,8"]])
+    def test_dead_worker_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch, command):
+        # seed 8 ends its worker process, as an out-of-memory kill or a crash
+        # in native code would; the forked workers inherit the patch.  The
+        # broken pool gives one line on stderr and EXIT_RUNTIME, not a
+        # traceback with the exit status of a configuration error
+        run_isolated = ensemble._run_isolated
+
+        def dying(context, seeds):
+            if 8 in seeds:
+                os._exit(9)
+            return run_isolated(context, seeds)
+
+        monkeypatch.setattr(ensemble, "_run_isolated", dying)
+        code = main([*command, "--config", str(write_config(tmp_path)),
+                     "--set", "run.workers=2", "--output", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_simulate_where_every_path_fails(self, tmp_path, capsys):
         # every field overflows at step 1: the summary prints, the files hold

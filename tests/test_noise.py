@@ -6,10 +6,10 @@ the Riesz double integral, Monte Carlo covariance estimates against the
 kernel values, and an exact check of the circulant-embedding Riesz sampler:
 fed the unit vectors as its normals, it must reproduce the dense covariance
 built from the kernel's definition.  The Riesz sampler's transforms run on
-numpy.fft, or on a real cosine-sine basis on small tori of three axes; the
-same transforms on scipy.fft (``scipy_riesz_*``) must give its values bit
-for bit on the FFT path, and scipy's DCT-I and DST-I (``scipy_dense_*``)
-at round-off on the dense one.
+numpy.fft, or on a real cosine-sine basis on tori whose products stay
+small; the same transforms on scipy.fft (``scipy_riesz_*``) must give its
+values bit for bit on the FFT path, and scipy's DCT-I and DST-I
+(``scipy_dense_*``) at round-off on the dense one.
 """
 
 import ast
@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochheat
-from stochheat import noise
+from stochheat import noise, spectral
 from stochheat.spectral import DIRICHLET, NEUMANN, PERIODIC, DomainSpec, build_basis
 from stochheat.noise import (
     DecayFitError,
@@ -146,11 +146,11 @@ def scipy_dense_weights(sampler):
     circulant eigenvalue at its frequencies, from scipy's spectrum, times
     m_k / M per axis, with m_k = 1 on the zero and Nyquist frequencies and
     2 on the others, which stand for k and -k."""
-    M = sampler._embed_len
+    M, d = sampler._embed_len, sampler.basis.dimension
     k = dense_mode_frequencies(M)
     m = np.where((k == 0) | (2 * k == M), 1.0, 2.0) / M
     spectrum = scipy_riesz_spectrum(sampler.spec, sampler.basis, M)
-    return spectrum[np.ix_(k, k, k)] * m[:, None, None] * m[:, None] * m
+    return spectrum[np.ix_(*[k] * d)] * functools.reduce(np.multiply.outer, [m] * d)
 
 
 def scipy_dense_axis(x, axis, sampler, synthesis):
@@ -628,18 +628,29 @@ class TestSampler:
             assert np.array_equal(clipped, np.clip(half, 0.0, None))
 
 
+def torus_on_products(samp):
+    """Whether ``spectral.dense_chain`` passes the sampler's increments
+    chain: the (M, g) synthesis matrix on each axis of the torus, first
+    axis first."""
+    d, g, M = samp.basis.dimension, samp.basis.grid_shape[0], samp._embed_len
+    return spectral.dense_chain((M,) * d, [(axis, (M, g)) for axis in range(-d, 0)])
+
+
 class TestRieszOnNumpyFFT:
     """The Riesz sampler's numpy.fft transforms give scipy.fft's values bit
     for bit, so every Riesz output byte on those tori is that of the scipy
-    sampler.  The torus of a grid of three axes of at most 8 points maps by
+    sampler.  A torus whose products stay within the dense rule, as on grids
+    of at most 32 points per axis in 1-d and 2-d and 8 in 3-d, maps by
     products with its real cosine-sine basis instead, and equals scipy's
     DCT-I and DST-I, or the modes' formula at odd lengths, at round-off."""
 
-    # (d, alpha): a valid Riesz exponent per dimension; d = 3 also clips
-    KERNELS = [(1, 0.3), (2, 0.7), (3, 1.0), (3, 0.3)]
+    # (d, alpha): a valid Riesz exponent per dimension; d = 3 also clips.
+    # Each on the dense side of the rule, then on the FFT side
+    CASES = [(d, alpha, n) for d, alpha, sizes in [
+        (1, 0.3, (8, 16, 64)), (2, 0.7, (8, 16, 64)), (3, 1.0, (8, 16)), (3, 0.3, (8, 16))]
+        for n in sizes]
 
-    @pytest.mark.parametrize("d, alpha", KERNELS)
-    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("d, alpha, n", CASES)
     @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
     @pytest.mark.parametrize("rows", [1, 5])
     def test_transforms_equal_scipy_bitwise(self, d, alpha, n, bc, rows):
@@ -648,9 +659,9 @@ class TestRieszOnNumpyFFT:
         samp = make_sampler(spec, basis)
         assert samp.spectrum.tobytes() == scipy_riesz_spectrum(
             spec, basis, samp._embed_len).tobytes()
-        # the dense tori: 8 points per axis or fewer, in d = 3
-        dense = samp._dft is not None
-        assert dense == (d == 3 and n == 8)
+        # the dense tori: up to 16 points per axis here in 1-d and 2-d, 8 in 3-d
+        dense = samp._synthesis is not None
+        assert dense == (n <= {1: 16, 2: 16, 3: 8}[d])
         increments, qv_form = ((scipy_dense_increments, scipy_dense_qv_form) if dense
                                else (scipy_riesz_increments, scipy_riesz_qv_form))
 
@@ -689,13 +700,14 @@ class TestRieszOnNumpyFFT:
         assert isinstance(one, float)
         assert_equal(one, qv_form(samp, f[0]), terms[0])
 
-    # each side of the dense cutoff: tori of 15 points per axis map by
-    # products in d = 3, tori of 30 points and every 1-d and 2-d torus by FFT
+    # each side of the dense rule: 1-d and 2-d tori of grids of 8 and 16
+    # points and 3-d tori of 8 map by products, the others by FFT
     @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET, PERIODIC])
-    @pytest.mark.parametrize("d, n", [(1, 8), (2, 8), (2, 16), (3, 8), (3, 16)])
+    @pytest.mark.parametrize("d, n", [(1, 8), (1, 64), (2, 8), (2, 16), (2, 64), (3, 8),
+                                      (3, 16)])
     def test_row_does_not_depend_on_batch_or_position(self, d, n, bc):
         samp = make_sampler(RieszKernel({1: 0.3, 2: 0.7, 3: 1.0}[d]), basis_for(d, bc, n=n))
-        assert (samp._dft is not None) == (d == 3 and n == 8)
+        assert (samp._synthesis is not None) == torus_on_products(samp)
         rng = np.random.default_rng(10 * d + n)
         z = rng.standard_normal(samp.normal_shape)
         f = 0.5 + rng.random(samp.basis.grid_shape)
@@ -727,6 +739,86 @@ class TestRieszOnNumpyFFT:
 
         assert [_smooth_len(n) for n in range(1, 4097)] == [
             scipy.fft.next_fast_len(n, real=True) for n in range(1, 4097)]
+
+
+class TestDenseRule:
+    """One rule, ``spectral.dense_chain``, decides whether each transform
+    runs on matrix products or on FFTs: the inverse, the heat flow and the
+    Riesz torus."""
+
+    @staticmethod
+    def products(run):
+        """The multiply-adds of each matrix product that ``run()`` makes."""
+        sizes, matmul = [], np.matmul
+
+        def recording(a, b, **kwargs):
+            sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return matmul(a, b, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "matmul", recording)
+            run()
+        return sizes
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET, PERIODIC])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_products_made_are_those_the_rule_reads(self, monkeypatch, d, bc, n):
+        basis = basis_for(d, bc, n=n)
+        samp = make_sampler(RieszKernel({1: 0.3, 2: 0.7, 3: 1.0}[d]), basis)
+        g, m, M = basis.grid_shape[0], basis.axis_mode_count, samp._embed_len
+        rng = np.random.default_rng(n + d)
+        f = rng.random((2,) + basis.grid_shape)
+        increments = [(axis, (M, g)) for axis in range(-d, 0)]
+        # (transform, shape and passes of its chain, the chain that decides it)
+        cases = [
+            (lambda: basis.heat_flow(f, 1e-3), basis.grid_shape,
+             [(-1, (g, g))] + [(axis, (g, g)) for axis in range(-d, -1)], None),
+            (lambda: basis.to_grid_batch(rng.random((2,) + basis.coeff_shape)), (m,),
+             [(-1, (m, g))], None),
+            (lambda: samp.increments(1e-3, rng.standard_normal((2,) + samp.normal_shape)),
+             (M,) * d, increments, None),
+            (lambda: samp.qv_form(f), (g,) * d, [(axis, (g, M)) for axis in range(-d, 0)],
+             ((M,) * d, increments)),
+        ]
+        for run, shape, passes, decided_by in cases:
+            dense = spectral.dense_chain(*(decided_by or (shape, passes)))
+            sizes = self.products(run)
+            assert bool(sizes) == dense
+            if dense:
+                # the chain's largest product is the rule's: one multiply-add
+                # less and the chain leaves the matrices
+                assert max(sizes) <= spectral._DENSE_PRODUCT
+                monkeypatch.setattr(spectral, "_DENSE_PRODUCT", max(sizes))
+                assert spectral.dense_chain(shape, passes)
+                monkeypatch.setattr(spectral, "_DENSE_PRODUCT", max(sizes) - 1)
+                assert not spectral.dense_chain(shape, passes)
+                monkeypatch.undo()
+
+    # (workload or check, d, boundary, grid points, Riesz alpha or None,
+    # whether the torus, the heat flow and the inverse run on products)
+    CHOICES = [
+        # riesz-3d: the 8^3 torus of 14, 22k multiply-adds
+        ("riesz-3d", 3, NEUMANN, 8, 1.0, True, True, True),
+        # riesz-3d-16: the torus of 30 (432k) by FFT, the flow (65k) dense
+        ("riesz-3d-16", 3, NEUMANN, 16, 1.0, False, True, True),
+        # white-1d: the 128-point flow (1.05M) by FFT
+        ("white-1d", 1, NEUMANN, 128, None, None, False, False),
+        # probe-1d: the 63-point inverse (254k) dense
+        ("probe-1d", 1, DIRICHLET, 64, None, None, True, True),
+        # criterion 4's Riesz draws: the 1-d torus of 128 points by FFT
+        ("criterion-4", 1, NEUMANN, 64, 0.3, False, True, True),
+    ]
+
+    @pytest.mark.parametrize("name, d, bc, n, alpha, torus, flow, inverse", CHOICES,
+                             ids=[c[0] for c in CHOICES])
+    def test_workload_choices(self, name, d, bc, n, alpha, torus, flow, inverse):
+        basis = basis_for(d, bc, n=n)
+        assert basis._dense_flow_on == flow
+        assert (basis._axis.synthesis_matrix is not None) == inverse
+        if alpha is not None:
+            samp = make_sampler(RieszKernel(alpha), basis)
+            assert (samp._synthesis is not None) == torus
 
 
 class TestVerifyDecay:
@@ -791,7 +883,7 @@ SCIPY_IMPORT_CHECK = textwrap.dedent("""
     for kernel in (sh.SpectralKernel(0.25), sh.RieszKernel(0.25)):
         sh.convolution_moment_probe(
             sh.build_basis(sh.DomainSpec(1, "dirichlet", 16)), kernel,
-            p=20, T_grid=[2e-3], paths=4, dt=1e-3, batches=2)
+            p=20, T_grid=[1e-3, 2e-3], paths=4, dt=1e-3, batches=2)
     assert not scipy_loaded(), f"runs and probes loaded {scipy_loaded()}"
 """)
 

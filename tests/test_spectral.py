@@ -573,6 +573,25 @@ class TestFastTransforms:
                             (3, 16, True), (3, 32, False), (3, 64, False)]:
             assert make_basis(d, bc, n=n)._dense_flow_on == dense
 
+    @pytest.mark.parametrize("bc", BOUNDARY_CONDITIONS)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cutoff_basis_inverts_on_products_within_the_rule(self, bc, d):
+        # an axis of 127 or 128 points with at most 4096 / points modes
+        # inverts by its synthesis matrix, at the FFT inverse's round-off
+        for modes in (8, 32, 33):
+            basis = make_basis(d, bc, n=128, N=modes)
+            axis = basis._axis
+            dense = modes * len(axis.points) <= 4096
+            assert (axis.synthesis_matrix is not None) == dense
+            c = np.random.default_rng(modes).normal(size=(3,) + basis.coeff_shape)
+            fft = c
+            for _ in range(d):  # the fast inverse along each field axis
+                x = np.moveaxis(fft, -d, -1)
+                fft = np.empty(x.shape[:-1] + (len(axis.points),))
+                axis.fft_inverse(x, fft)
+            scale = np.sum(np.abs(c), axis=basis.field_axes, keepdims=True)
+            assert np.all(np.abs(basis.to_grid_batch(c) - fft) <= 1e-15 * scale)
+
     def test_heat_flow_rejects_bad_time_and_shape(self):
         basis = make_basis(2, NEUMANN, n=8)
         with pytest.raises(ValueError, match="time"):
@@ -837,6 +856,26 @@ class TestStructure:
         scopes = {scope for module in self.sources
                   for scope, _ in self.enclosing(ast.parse(module.read_text()), is_matmul)}
         assert scopes == {"matmul_lines", "axis_products"}
+
+    def test_one_rule_decides_dense_or_fft(self):
+        # the product limit is read only by the rule, and no module sets
+        # another dense cutoff beside it and the lines per product
+        def reads_limit(node):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            return name == "_DENSE_PRODUCT" and isinstance(node.ctx, ast.Load)
+
+        def dense_names(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    yield from (t.id for t in targets
+                                if isinstance(t, ast.Name) and t.id.startswith("_DENSE_"))
+
+        trees = [ast.parse(module.read_text()) for module in self.sources]
+        assert {scope for tree in trees for scope, _ in self.enclosing(tree, reads_limit)} == {
+            "dense_chain"}
+        assert sorted(name for tree in trees for name in dense_names(tree)) == [
+            "_DENSE_LINES", "_DENSE_PRODUCT"]
 
     def test_flow_order_is_read_only_by_the_axis(self):
         # the flow-order reorder is written once in each direction, on _Axis
