@@ -142,9 +142,7 @@ def cmd_probe_convolution(args) -> int:
     # other streams is another experiment and gets its own file
     stamp = _stamp([chash, args.p, t_grid, args.paths, dt, report.streams])
     out = out_dir / f"probe-{stamp}.json"
-    payload = {"schema_version": 1, "config_hash": chash}
-    payload.update(report.to_dict())
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(out, chash, report.to_dict())
     print(f"p                 : {report.p}")
     print(f"fitted slope      : {report.fitted_slope:.4f}")
     print(f"exponent envelope : {report.theoretical_exponent:.4f}")

@@ -66,8 +66,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .spectral import (NEUMANN, PERIODIC, DomainSpec, SpectralBasis, Workspaces,
-                       axis_products, dense_chain, loglog_slope)
+from .spectral import (NEUMANN, PERIODIC, DomainSpec, SpectralBasis, axis_products,
+                       dense_chain, loglog_slope)
 
 logger = logging.getLogger(__name__)
 
@@ -516,6 +516,21 @@ def _cosine_sine_basis(spectrum: np.ndarray, points: int, embed_len: int):
     return matrix, weights
 
 
+def _innermost(axis: int, shape) -> np.ndarray:
+    """A new complex array of the logical ``shape`` (axis 0 the row, 1..d
+    the field axes), whose memory holds ``axis`` innermost and the other
+    axes in order."""
+    return np.moveaxis(np.empty(shape[:axis] + shape[axis + 1:] + shape[axis:axis + 1], complex),
+                       -1, axis)
+
+
+def _copy_innermost(x: np.ndarray, axis: int) -> np.ndarray:
+    """x copied into a new array with ``axis`` innermost."""
+    out = _innermost(axis, x.shape)
+    np.copyto(out, x)
+    return out
+
+
 class RieszSampler(_Sampler):
     """Circulant-embedding sampler for the Riesz kernel on the grid.
 
@@ -548,9 +563,9 @@ class RieszSampler(_Sampler):
     innermost, cut to the first g entries of the axis before it in
     ``increments``; the first ``increments`` pass reads its lines in place.
     Zero-padding to M is the ``n=`` of each forward transform, line by line
-    inside numpy's loop.  The passes alternate between two workspaces per
-    sampler and thread, so a call allocates only the C-contiguous
-    increments it returns.
+    inside numpy's loop.  Every pass writes a new array, so the sampler keeps
+    no buffer between calls, and ``increments`` returns a C-contiguous
+    array.
 
     The one rule of every transform, ``spectral.dense_chain``, puts the
     torus on products where each stays within 64^3 multiply-adds, the size
@@ -561,9 +576,8 @@ class RieszSampler(_Sampler):
     ``normal_shape = (M,) * d``.  ``increments`` scales them by the square
     roots of dt times the mode weights, and maps them to the grid by one
     ``axis_products`` chain with the (M, g) synthesis matrix on each axis;
-    ``qv_form`` maps f by its transpose and sums the weighted squares.  The
-    chains run in the same two workspaces, and a row's values do not depend
-    on its batch.
+    ``qv_form`` maps f by its transpose and sums the weighted squares.  A
+    row's values do not depend on its batch.
     """
 
     def __init__(self, spec: RieszKernel, basis: SpectralBasis):
@@ -577,7 +591,6 @@ class RieszSampler(_Sampler):
             logger.warning("Riesz covariance: clipped %.3g of the circulant spectral mass",
                            self.clipped_fraction)
         self._embed_len = M
-        self._workspace = Workspaces()
         if len(self.normal_shape) == d:
             # a torus on products, one normal per point: the real synthesis matrix
             # and its transpose, each C-contiguous, and the mode weights for lam
@@ -592,46 +605,25 @@ class RieszSampler(_Sampler):
             self._scales = np.sqrt(self.spectrum / (mult * M**d))
             self._qv_weights = mult * self.spectrum * (basis.cell_volume**2 / M**d)
 
-    def _innermost(self, key, axis: int, shape, dtype=complex) -> np.ndarray:
-        """A workspace viewed with the logical ``shape`` (axis 0 the row,
-        1..d the field axes), whose memory holds ``axis`` innermost and the
-        other axes in order."""
-        last = len(shape) - 1
-        buf = self._workspace(key, shape[:axis] + shape[axis + 1:] + shape[axis:axis + 1], dtype)
-        return buf.transpose(tuple(range(axis)) + (last,) + tuple(range(axis, last)))
-
-    def _copy_innermost(self, key, x: np.ndarray, axis: int) -> np.ndarray:
-        """x copied into the workspace of ``key`` with ``axis`` innermost."""
-        out = self._innermost(key, axis, x.shape)
-        np.copyto(out, x)
-        return out
-
     def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
         """Normals on the spectrum, scaled, one pruned inverse transform."""
         if self._synthesis is not None:
-            # of the three passes the first writes "b", as "a" holds x
-            x = self._workspace("a", (len(z),) + self.normal_shape)
-            np.multiply(z, math.sqrt(dt) * self._scales, out=x)
-            passes = [(axis, self._synthesis[0]) for axis in self.basis.field_axes]
-            return axis_products(x, passes, np.empty((len(z),) + self.basis.grid_shape),
-                                 self._workspace, "ba")
-        x = self._workspace("a", (len(z),) + self.normal_shape[:-1], complex)
-        np.multiply(z.view(complex)[..., 0], math.sqrt(dt) * self._scales, out=x)
+            x = np.multiply(z, math.sqrt(dt) * self._scales)
+            return axis_products(x, [(axis, self._synthesis[0]) for axis in self.basis.field_axes])
+        x = np.multiply(z.view(complex)[..., 0], math.sqrt(dt) * self._scales)
         d, g, M = self.basis.dimension, self.basis.grid_shape[0], self._embed_len
         # each pass writes its axis innermost, and the next reads a copy of
         # its first g outputs with the next axis innermost; the first pass
         # reads its lines in place, strided
         for axis in range(1, d):
             if axis > 1:
-                x = self._copy_innermost("a", x, axis)
-            out = self._innermost("b", axis, x.shape)
+                x = _copy_innermost(x, axis)
+            out = _innermost(axis, x.shape)
             np.fft.ifft(x, axis=axis, norm="forward", out=out)
             x = out[(slice(None),) * axis + (slice(g),)]
         if d > 1:
-            x = self._copy_innermost("a", x, d)
-        values = self._workspace("b", x.shape[:-1] + (M,))
-        np.fft.irfft(x, M, norm="forward", out=values)
-        return values[..., :g].copy()
+            x = _copy_innermost(x, d)
+        return np.fft.irfft(x, M, norm="forward")[..., :g].copy()
 
     def qv_form(self, f_values: np.ndarray):
         d = self.basis.dimension
@@ -640,33 +632,29 @@ class RieszSampler(_Sampler):
             power = self._fft_power(f)
         else:
             # the coefficients of f in the real basis, squared in place
-            passes = [(axis, self._synthesis[1]) for axis in self.basis.field_axes]
-            power = axis_products(f, passes, self._workspace("a", (len(f),) + self.normal_shape),
-                                  self._workspace, "ab")
+            power = axis_products(f, [(axis, self._synthesis[1]) for axis in self.basis.field_axes])
             np.square(power, out=power)
         power *= self._qv_weights
         total = self.basis.field_sum(power)
         return total if f_values.ndim > d else float(total[0])
 
     def _fft_power(self, f: np.ndarray):
-        """|F|^2 on the half spectrum of f zero-padded to the torus, in
-        workspace "b"."""
+        """|F|^2 on the half spectrum of f zero-padded to the torus, in C
+        order, as ``qv_form``'s field sums follow memory order."""
         d, M = self.basis.dimension, self._embed_len
         # each pass, zero-padded from g to M points, writes its axis
         # innermost; the next reads a copy with its own axis innermost
-        out = self._workspace("a", f.shape[:-1] + (M // 2 + 1,), complex)
+        out = np.empty(f.shape[:-1] + (M // 2 + 1,), complex)
         np.fft.rfft(f, M, out=out)
         for axis in range(d - 1, 0, -1):
-            x = self._copy_innermost("b", out, axis)
-            out = self._innermost("a", axis, x.shape[:axis] + (M,) + x.shape[axis + 1:])
+            x = _copy_innermost(out, axis)
+            out = _innermost(axis, x.shape[:axis] + (M,) + x.shape[axis + 1:])
             np.fft.fft(x, M, axis=axis, out=out)
         # the last pass wrote axis 1 innermost: square its float view in
         # memory order, in place
         squares = out.transpose((0,) + tuple(range(2, d + 1)) + (1,)).view(float)
         np.square(squares, out=squares)
-        power = self._workspace("b", out.shape)
-        np.add(out.real, out.imag, out=power)
-        return power
+        return np.add(out.real, out.imag, order="C")
 
 
 class WhiteNoiseSampler(_Sampler):

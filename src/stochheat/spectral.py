@@ -74,8 +74,11 @@ Every line goes through calls of one shape, so its values do not depend on
 its batch or its position in it, and they equal the FFT inverse and flow
 at round-off, with bits that depend on the BLAS build.  Every transform
 returns a new C-contiguous array, so a row's sums do not depend on the
-batch it came in, and its buffers are kept per thread and reused between
-calls.
+batch it came in.  Only the FFT line transforms of ``_Axis`` keep buffers
+between calls, per thread (``Workspaces``): without them a serial
+white-noise ensemble in a fresh process took 14-94k minor page faults
+against 3.6k on 2 vCPUs, and up to a third more time, as the pages of its
+per-step temporaries went back to the system and were faulted in again.
 """
 
 from __future__ import annotations
@@ -114,12 +117,12 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def matmul_lines(lines: np.ndarray, matrix: np.ndarray, out: np.ndarray, workspace, key):
+def matmul_lines(lines: np.ndarray, matrix: np.ndarray, out: np.ndarray):
     """``out = lines @ matrix`` on the last axis, for lines of any leading
     shape into a C-contiguous ``out``: one product per block of
-    ``_DENSE_LINES`` lines, the last block zero-padded in the ``key`` buffer
-    of ``workspace``.  Every line goes through one call shape, so its values
-    do not depend on its batch or its position in it."""
+    ``_DENSE_LINES`` lines, the last block zero-padded.  Every line goes
+    through one call shape, so its values do not depend on its batch or its
+    position in it."""
     k, n = matrix.shape
     lines = np.ascontiguousarray(lines).reshape(-1, k)
     out = out.reshape(-1, n)
@@ -128,37 +131,28 @@ def matmul_lines(lines: np.ndarray, matrix: np.ndarray, out: np.ndarray, workspa
     np.matmul(lines[:full].reshape(-1, _DENSE_LINES, k), matrix,
               out=out[:full].reshape(-1, _DENSE_LINES, n))
     if full < len(lines):
-        block = workspace(key, (_DENSE_LINES, k), lines.dtype)
+        block = np.zeros((_DENSE_LINES, k))
         block[:len(lines) - full] = lines[full:]
-        block[len(lines) - full:] = 0
         out[full:] = np.matmul(block, matrix)[:len(lines) - full]
 
 
-def axis_products(x: np.ndarray, passes, out: np.ndarray, workspace, keys) -> np.ndarray:
-    """``x`` times the matrix of each (axis, matrix) of ``passes`` in turn,
-    into ``out``: the values along field axis ``axis`` (negative, counted
-    from the end) times the (k, n) ``matrix``.  The last axis goes through
-    ``matmul_lines``, with its padded block in the "dense lines" workspace;
-    a leading axis is the matrix's transpose times one slab of the array
-    per product, so a row's values do not depend on its batch.  The last
-    pass writes ``out``, and the ones before it alternate, back from it,
-    between the workspaces of ``keys[1]`` and ``keys[0]``, where a key of
-    None is ``out`` itself."""
-    last = len(passes) - 1
-    for i, (axis, matrix) in enumerate(passes):
+def axis_products(x: np.ndarray, passes) -> np.ndarray:
+    """``x`` times the matrix of each (axis, matrix) of ``passes`` in turn:
+    the values along field axis ``axis`` (negative, counted from the end)
+    times the (k, n) ``matrix``, into a new C-contiguous array per pass.
+    The last axis goes through ``matmul_lines``; a leading axis is the
+    matrix's transpose times one slab of the array per product, so a row's
+    values do not depend on its batch.  Returns the last pass's array."""
+    for axis, matrix in passes:
         k, n = matrix.shape
-        key = keys[(last - i) % 2]
-        if i == last or key is None:
-            y = out
-        else:
-            y = workspace(key, x.shape[:axis] + (n,) + x.shape[x.ndim + axis + 1:])
+        y = np.empty(x.shape[:axis] + (n,) + x.shape[x.ndim + axis + 1:])
         if axis == -1:
-            matmul_lines(x, matrix, y, workspace, "dense lines")
+            matmul_lines(x, matrix, y)
         else:
             stack = math.prod(x.shape[:axis])
             np.matmul(matrix.T, x.reshape(stack, k, -1), out=y.reshape(stack, n, -1))
         x = y
-    return out
+    return x
 
 
 def dense_chain(shape, passes) -> bool:
@@ -178,7 +172,8 @@ def dense_chain(shape, passes) -> bool:
 
 
 class Workspaces:
-    """Buffers of the calling thread, by key, reused from call to call.
+    """Buffers of the calling thread, by key, reused from call to call by
+    the FFT line transforms of ``_Axis``.
 
     ``workspaces(key, shape, dtype)`` is a C-contiguous array of ``shape``
     and ``dtype`` at the start of the key's buffer, which grows as needed,
@@ -311,7 +306,7 @@ class _Axis:
         if self.synthesis_matrix is None:
             self.fft_inverse(c, out)
         else:
-            matmul_lines(c, self.synthesis_matrix, out, self.workspace, "dense lines")
+            matmul_lines(c, self.synthesis_matrix, out)
 
     def fft_inverse(self, c: np.ndarray, out: np.ndarray):
         """The inverse by the axis's transform pair and packing table."""
@@ -699,11 +694,21 @@ class SpectralBasis:
 
     def to_grid_batch(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform applied to the trailing d axes of a batch."""
+        coeffs = self._batch(coeffs, "coefficient", self.coeff_shape)
         return self._along_field_axes(self._axis.inverse, coeffs, self.grid_shape[0])
 
     def to_spectral_batch(self, values: np.ndarray) -> np.ndarray:
         """Forward transform applied to the trailing d axes of a batch."""
+        values = self._batch(values, "grid", self.grid_shape)
         return self._along_field_axes(self._axis.forward, values, self.axis_mode_count)
+
+    def _batch(self, array, kind: str, shape) -> np.ndarray:
+        """``array`` as floats, one field or a batch of them: raises
+        ValueError unless its trailing d axes are the field ``shape``."""
+        array = np.asarray(array, dtype=float)
+        if array.shape[array.ndim - self.dimension:] != shape:
+            raise ValueError(f"{kind} shape {array.shape} does not end in the basis {kind} {shape}")
+        return array
 
     def heat_flow(self, values: np.ndarray, t: float) -> np.ndarray:
         """S(t) on grid values: ``to_grid(semigroup(to_spectral(values), t))``
@@ -716,11 +721,7 @@ class SpectralBasis:
         t = 0 too."""
         if t < 0:
             raise ValueError(f"heat flow time must be >= 0, got {t}")
-        values = np.asarray(values, dtype=float)
-        if values.shape[values.ndim - self.dimension:] != self.grid_shape:
-            raise ValueError(
-                f"grid shape {values.shape} does not end in the basis grid {self.grid_shape}"
-            )
+        values = self._batch(values, "grid", self.grid_shape)
         cached_t, flow = self._flow_cache
         if cached_t != t:
             flow = self._axis.flow_scales(self.axis_decay(t))
@@ -730,9 +731,7 @@ class SpectralBasis:
         if not self._dense_flow_on:
             return self._along_field_axes(lambda x, out: self._axis.flow(x, out, flow),
                                           values, self.grid_shape[0])
-        # alternating between out and one workspace
-        return axis_products(values, [(axis, flow) for axis in self._flow_axes],
-                             np.empty(values.shape), self._axis.workspace, (None, "flow"))
+        return axis_products(values, [(axis, flow) for axis in self._flow_axes])
 
     # -- semigroup and kernels -------------------------------------------
 

@@ -1077,6 +1077,11 @@ class TestCLI:
         assert sorted(json.loads(r.read_text())["p"] for r in reports) == [20.0, 24.0]
         assert json.loads(reports[0].read_text())["streams"] == {
             "generator": "SFC64", "rows_per_stream": 256}
+        # the header every JSON output opens with
+        report = json.loads(reports[0].read_text())
+        assert list(report)[:2] == ["schema_version", "config_hash"]
+        assert report["schema_version"] == ensemble.SCHEMA_VERSION
+        assert report["config_hash"] == config_hash(parse_config(cfg))
 
     def test_probe_of_another_stream_layout_gets_its_own_file(self, tmp_path, monkeypatch):
         # the same arguments drawn from other streams are another experiment

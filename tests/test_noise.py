@@ -721,8 +721,8 @@ class TestRieszOnNumpyFFT:
                 assert samp.qv_form(batch_f)[at] == alone[1]
 
     def test_transforms_do_not_keep_state_between_calls(self):
-        # the workspaces are reused: a call with fewer rows, or the other
-        # method in between, leaves the next call's values unchanged
+        # a call with fewer rows, or the other method in between, leaves the
+        # next call's values unchanged
         samp = make_sampler(RieszKernel(1.0), basis_for(3, NEUMANN, n=8))
         rng = np.random.default_rng(9)
         z = rng.standard_normal((6,) + samp.normal_shape)

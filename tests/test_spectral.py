@@ -599,6 +599,44 @@ class TestFastTransforms:
         with pytest.raises(ValueError, match="grid shape"):
             basis.heat_flow(np.zeros((3, 8, 4)), 1e-3)
 
+    @pytest.mark.parametrize("d, n, method, shape, error", [
+        (2, 16, "to_grid_batch", (16, 16), None),  # one field
+        (2, 16, "to_grid_batch", (3, 16, 16), None),
+        (2, 16, "to_grid_batch", (3, 16, 8), r"coefficient shape \(3, 16, 8\)"),
+        (1, 128, "to_spectral_batch", (128,), None),
+        (1, 128, "to_spectral_batch", (3, 128), None),
+        (1, 128, "to_spectral_batch", (3, 64), r"grid shape \(3, 64\)"),
+    ])
+    def test_batch_transforms_name_a_shape_mismatch(self, d, n, method, shape, error):
+        # Neumann keeps every mode, so fields and coefficients share a shape
+        transform = getattr(make_basis(d, NEUMANN, n=n), method)
+        if error is None:
+            assert transform(np.zeros(shape)).shape == shape
+        else:
+            with pytest.raises(ValueError, match=error + " does not end in the basis"):
+                transform(np.zeros(shape))
+
+    @pytest.mark.parametrize("method", ["to_spectral_batch", "to_grid_batch", "heat_flow"])
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+    def test_axis_buffers_do_not_keep_state_between_calls(self, bc, method):
+        # the FFT line transforms reuse their buffers per thread: the odd
+        # extension, whose two zero columns are never written, and Makhoul's
+        # reorder; a call with fewer rows gives the same rows, and after it
+        # and another transform the first call gives the same bytes
+        basis = make_basis(1, bc, n=128)
+        assert basis._axis.synthesis_matrix is None and not basis._dense_flow_on
+        rng = np.random.default_rng(11)
+        f = rng.normal(size=(200,) + basis.grid_shape)
+        c = rng.normal(size=(200,) + basis.coeff_shape)
+        calls = {"to_spectral_batch": lambda rows: basis.to_spectral_batch(f[:rows]),
+                 "to_grid_batch": lambda rows: basis.to_grid_batch(c[:rows]),
+                 "heat_flow": lambda rows: basis.heat_flow(f[:rows], 1e-3)}
+        first = calls[method](200)
+        assert calls[method](3).tobytes() == first[:3].tobytes()
+        for other in sorted(calls.keys() - {method}):
+            calls[other](3)
+        assert calls[method](200).tobytes() == first.tobytes()
+
 
 class TestSemigroup:
     def test_identity_at_zero(self):
@@ -891,6 +929,26 @@ class TestStructure:
         in_axis = self.enclosing(axis, reads_flow_parts)
         assert sorted(everywhere) == sorted(in_axis)
         assert {scope for scope, _ in in_axis} == {"_analyze", "_synthesize"}
+
+    def test_workspaces_are_built_only_by_the_axis(self):
+        # only the FFT line transforms of _Axis keep buffers between calls
+        def builds(node):
+            return isinstance(node, ast.Call) and "Workspaces" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+        def names(node):
+            return "Workspaces" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                    getattr(node, "name", None))  # a name, class or import
+
+        tree = ast.parse(Path(spectral.__file__).read_text())
+        axis = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "_Axis")
+        everywhere = [site for module in self.sources
+                      for site in self.enclosing(ast.parse(module.read_text()), builds)]
+        assert sorted(everywhere) == sorted(self.enclosing(axis, builds))
+        assert [scope for scope, _ in everywhere] == ["__init__"]
+        assert {module.name for module in self.sources
+                if any(map(names, ast.walk(ast.parse(module.read_text()))))} == {"spectral.py"}
 
     def test_boundary_name_compared_only_by_the_axis_map_and_dirichlet_mass(self):
         boundary_names = {"PERIODIC", "NEUMANN", "DIRICHLET", "BOUNDARY_CONDITIONS",
