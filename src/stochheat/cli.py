@@ -5,8 +5,9 @@ report.  Config values come from a key-value file (see config.py for the
 schema) and any key can be overridden on the command line with repeated
 ``--set key=value`` flags.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure: failures
-over the threshold, a dead pool worker, or inconsistent ``report`` files.
+Exit codes: 0 success, 1 configuration error, a malformed or missing flag
+included, 2 runtime failure: failures over the threshold, a dead pool
+worker, or inconsistent ``report`` files.
 """
 
 from __future__ import annotations
@@ -186,8 +187,15 @@ def _verdict(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, where argparse would exit 2."""
+
+    def error(self, message):  # "argument --paths: ..." -> "--paths: ..."
+        raise ConfigError(message.removeprefix("argument "))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stochheat",
         description="Monte Carlo laboratory for the superlinear stochastic heat equation",
     )
@@ -231,9 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

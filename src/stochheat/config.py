@@ -54,6 +54,7 @@ from .stepping import (
     SigmaSpec,
     initial_field,
     initial_sup,
+    whole_steps,
 )
 
 
@@ -149,8 +150,7 @@ class SimConfig:
                            ("sigma.gamma", self.sigma.growth)):
             if not -math.inf < value < math.inf:
                 raise ConfigError(f"{key}: must be finite, got {value!r}")
-        steps = round(self.horizon / self.dt)
-        if abs(steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
+        if whole_steps(self.horizon, self.dt) is None:
             raise ConfigError(
                 f"run.horizon: {self.horizon!r} is not a whole number of "
                 f"run.dt = {self.dt!r} steps"

@@ -23,11 +23,12 @@ import numpy as np
 from .noise import SpectralSampler, make_sampler
 from .spectral import SpectralBasis, loglog_slope
 from .stepping import (
-    _BATCH_NORMALS,
     BIT_GENERATOR,
     TrajectoryRecord,
+    batch_rows,
     drawn_ahead,
     seeded_stream,
+    whole_steps,
 )
 
 UP = "up"
@@ -310,8 +311,8 @@ def convolution_variance_series(sampler: SpectralSampler, t: float, x, dt: float
     sum_k lambda_k^2 e_k(x)^2 dt q (1 - q^n) / (1 - q), q = e^(-2 alpha_k dt),
     which is n dt for alpha_k = 0 and tends to the continuum Ito-isometry
     series as dt -> 0."""
-    n = round(t / dt)
-    if abs(n * dt - t) > 1e-9 * max(t, 1.0):
+    n = whole_steps(t, dt)
+    if n is None:
         raise ValueError(f"t = {t} is not a multiple of dt = {dt}")
     basis = sampler.basis
     alpha = basis.eigenvalue_tensor()
@@ -339,12 +340,14 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     scheme's exact eigenvalue series; every other maps them with
     ``increments`` and ``to_spectral_batch``.
     Each block of ``PROBE_BLOCK_ROWS`` rows draws its normals from its own
-    SFC64 stream (``block_rng``); the blocks of a step are the units of
-    ``stepping.drawn_ahead``, drawn by its helper thread and by the caller
-    with the values of a serial draw per block and step.  The report names
-    that layout in ``streams``.  Needs ``1 <= batches <= paths``, finite
-    ``dt``, two finite horizons or more, and positive finite moments; an
-    argument that cannot give a probe raises ProbeArgumentError.
+    SFC64 stream (``block_rng``).  The paths step one row batch after
+    another, each of whole blocks (``stepping.batch_rows``) with its own Z;
+    a row batch's blocks of a step are the units of ``stepping.drawn_ahead``,
+    drawn by its helper thread and by the caller with the values of a
+    serial draw per block and step, so no value depends on the row batches.
+    The report names that layout in ``streams``.  Needs ``1 <= batches <=
+    paths``, finite ``dt``, two finite horizons or more, and positive finite
+    moments; an argument that cannot give a probe raises ProbeArgumentError.
     """
     if not 1 <= batches <= paths:
         raise ProbeArgumentError(
@@ -363,9 +366,9 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
         raise ProbeArgumentError("dt", f"dt = {dt} must be positive and finite")
     T_grid = sorted(float(T) for T in T_grid)
     steps_at = []
-    for T in T_grid:  # an infinite or nan horizon takes no step
-        k = round(T / dt) if T / dt < math.inf else 0
-        if k < 1 or abs(k * dt - T) > 1e-9 * max(T, 1.0):
+    for T in T_grid:
+        k = whole_steps(T, dt)
+        if k is None:
             raise ProbeArgumentError(
                 "T_grid", f"T = {T} is not a positive whole number of steps dt = {dt}")
         if steps_at and k == steps_at[-1]:
@@ -387,55 +390,46 @@ def convolution_moment_probe(basis: SpectralBasis, noise_spec, p: float,
     )
     center = basis.axis_points[list(center_idx)]
 
-    Z = np.zeros((paths,) + basis.coeff_shape)
-    highest = np.zeros((paths, math.prod(basis.grid_shape)))  # running max |Z|
     sup_snapshots = np.empty((len(steps_at), paths))
     center_snapshots = np.empty((len(steps_at), paths))
-    snap = 0
     center_flat = np.ravel_multi_index(center_idx, basis.grid_shape)
-
-    # block b holds rows b*PROBE_BLOCK_ROWS onwards and draws their normals,
-    # step after step, from its own stream; a chunk is the blocks of one
-    # step that fit in _BATCH_NORMALS values (at least one), each a unit
-    per_row = math.prod(sampler.normal_shape)
-    rngs = [block_rng(seed, b) for b in range(-(-paths // PROBE_BLOCK_ROWS))]
-    per_chunk = max(1, _BATCH_NORMALS // (PROBE_BLOCK_ROWS * per_row))
-    groups = -(-len(rngs) // per_chunk)
-    rows = min(paths, per_chunk * PROBE_BLOCK_ROWS)
     scale = math.sqrt(dt) * sampler.amplitudes if spectral else None
     decay = basis.semigroup(np.ones(basis.coeff_shape), dt)  # S(dt), mode by mode
 
-    def blocks(k):  # the units of chunk k
-        g = k % groups
-        return range(g * per_chunk, min(len(rngs), (g + 1) * per_chunk))
+    # block b holds rows b*PROBE_BLOCK_ROWS onwards and draws their normals,
+    # step after step, from its own stream; a row batch is whole blocks,
+    # and its chunk is one step of its blocks, each a unit
+    rngs = [block_rng(seed, b) for b in range(-(-paths // PROBE_BLOCK_ROWS))]
+    rows = batch_rows(basis.grid_shape, PROBE_BLOCK_ROWS)
 
-    def fill(out, k, b):
-        a = b % per_chunk * PROBE_BLOCK_ROWS
-        z = out[a:a + min(PROBE_BLOCK_ROWS, paths - b * PROBE_BLOCK_ROWS)]
+    def fill(out, k, b):  # block b's rows of its batch's buffer
+        r = b * PROBE_BLOCK_ROWS % rows
+        z = out[r:r + PROBE_BLOCK_ROWS]
         rngs[b].standard_normal(out=z)
         if spectral:  # the spectral increments, scaled in place
             np.multiply(z, scale, out=z)
 
-    with drawn_ahead((rows,) + sampler.normal_shape, fill, n_steps * groups,
-                     blocks(0)) as take:
-        k = 0
-        for s in range(1, n_steps + 1):
-            for a in range(0, paths, rows):  # Z gains a chunk at a time, in place
-                k += 1
-                z = take(blocks(k))[:paths - a]
-                Z[a:a + rows] += z if spectral else basis.to_spectral_batch(
-                    sampler.increments(dt, z))
-            Z *= decay
-            Z_grid = basis.to_grid_batch(Z).reshape(paths, -1)
-            at_snapshot = s == steps_at[snap]
-            if at_snapshot:
-                center_snapshots[snap] = Z_grid[:, center_flat]
-            # the running max of |Z| at every grid point, |Z| taken in place;
-            # a row's sup is reduced only at the snapshots
-            np.maximum(highest, np.abs(Z_grid, out=Z_grid), out=highest)
-            if at_snapshot:
-                sup_snapshots[snap] = highest.max(axis=1)
-                snap += 1
+    for a in range(0, paths, rows):
+        n = min(rows, paths - a)
+        blocks = range(a // PROBE_BLOCK_ROWS, -(-(a + n) // PROBE_BLOCK_ROWS))
+        Z = np.zeros((n,) + basis.coeff_shape)
+        highest = np.zeros((n, math.prod(basis.grid_shape)))  # running max |Z|
+        snap = 0
+        with drawn_ahead((n,) + sampler.normal_shape, fill, n_steps, blocks) as take:
+            for s in range(1, n_steps + 1):
+                z = take(blocks)
+                Z += z if spectral else basis.to_spectral_batch(sampler.increments(dt, z))
+                Z *= decay
+                Z_grid = basis.to_grid_batch(Z).reshape(n, -1)
+                at_snapshot = s == steps_at[snap]
+                if at_snapshot:
+                    center_snapshots[snap, a:a + n] = Z_grid[:, center_flat]
+                # the running max of |Z| at every grid point, |Z| taken in
+                # place; a row's sup is reduced only at the snapshots
+                np.maximum(highest, np.abs(Z_grid, out=Z_grid), out=highest)
+                if at_snapshot:
+                    sup_snapshots[snap, a:a + n] = highest.max(axis=1)
+                    snap += 1
 
     # median of means over batches for E sup^p
     group = paths // batches

@@ -355,6 +355,12 @@ class _Sampler:
     # whose coefficients are independent; only the spectral kernel has them
     weights = None
 
+    def __init__(self, spec, basis: SpectralBasis):
+        spec.validate_for(basis.dimension, basis.boundary)
+        self.spec = spec
+        self.basis = basis
+        self.normal_shape = spec.normal_shape(basis.spec)
+
     def sample_batch(self, dt: float, rng, count: int) -> np.ndarray:
         """(count, *grid) increments from one stream, drawn in chunks of
         normals, which bounds memory and leaves the values unchanged."""
@@ -373,11 +379,9 @@ class SpectralSampler(_Sampler):
     """Sampler for the eigenbasis-diagonal kernel."""
 
     def __init__(self, spec: SpectralKernel, basis: SpectralBasis):
-        self.spec = spec
-        self.basis = basis
+        super().__init__(spec, basis)
         self.weights = spec.weights(basis)
         self.amplitudes = np.sqrt(self.weights)
-        self.normal_shape = spec.normal_shape(basis.spec)
 
     def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
         """One normal per retained mode, scaled and sent to the grid."""
@@ -581,12 +585,9 @@ class RieszSampler(_Sampler):
     """
 
     def __init__(self, spec: RieszKernel, basis: SpectralBasis):
-        spec.validate_for(basis.dimension)
-        self.spec = spec
-        self.basis = basis
+        super().__init__(spec, basis)
         d, g = basis.dimension, basis.grid_shape[0]
-        M, self.spectrum, self.clipped_fraction, self.normal_shape = _riesz_embedding(
-            spec.alpha, basis.spec)
+        M, self.spectrum, self.clipped_fraction, _ = _riesz_embedding(spec.alpha, basis.spec)
         if self.clipped_fraction > 0:
             logger.warning("Riesz covariance: clipped %.3g of the circulant spectral mass",
                            self.clipped_fraction)
@@ -659,12 +660,6 @@ class RieszSampler(_Sampler):
 
 class WhiteNoiseSampler(_Sampler):
     """Independent per-cell increments with variance dt / h (d = 1)."""
-
-    def __init__(self, spec: WhiteNoise, basis: SpectralBasis):
-        spec.validate_for(basis.dimension)
-        self.spec = spec
-        self.basis = basis
-        self.normal_shape = spec.normal_shape(basis.spec)
 
     def increments(self, dt: float, z: np.ndarray) -> np.ndarray:
         return math.sqrt(dt / self.basis.cell_volume) * z

@@ -675,32 +675,20 @@ class SpectralBasis:
         return out
 
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
-        """Grid values -> coefficients c_k = <f, e_k> under h^d quadrature."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.grid_shape:
-            raise ValueError(
-                f"grid shape {values.shape} does not match basis grid {self.grid_shape}"
-            )
+        """Grid values -> coefficients c_k = <f, e_k> under h^d quadrature,
+        of one field or of each row of a (P, *grid) batch."""
+        values = self._batch(values, "grid", self.grid_shape)
         return self._along_field_axes(self._axis.forward, values, self.axis_mode_count)
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients -> grid values sum_k c_k e_k(x_j)."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != self.coeff_shape:
-            raise ValueError(
-                f"coefficient shape {coeffs.shape} does not match basis {self.coeff_shape}"
-            )
-        return self._along_field_axes(self._axis.inverse, coeffs, self.grid_shape[0])
-
-    def to_grid_batch(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse transform applied to the trailing d axes of a batch."""
+        """Coefficients -> grid values sum_k c_k e_k(x_j), of one field or
+        of each row of a batch."""
         coeffs = self._batch(coeffs, "coefficient", self.coeff_shape)
         return self._along_field_axes(self._axis.inverse, coeffs, self.grid_shape[0])
 
-    def to_spectral_batch(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform applied to the trailing d axes of a batch."""
-        values = self._batch(values, "grid", self.grid_shape)
-        return self._along_field_axes(self._axis.forward, values, self.axis_mode_count)
+    # the names the samplers and the probe call on a batch
+    to_spectral_batch = to_spectral
+    to_grid_batch = to_grid
 
     def _batch(self, array, kind: str, shape) -> np.ndarray:
         """``array`` as floats, one field or a batch of them: raises

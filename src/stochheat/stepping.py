@@ -67,9 +67,9 @@ STOP_HORIZON = "horizon"
 PAPER_REGIME = "paper regime"
 EXPLOSIVE_REGIME = "conjectured explosive regime"
 
-# grid points per stepped batch (1 MB per float64 field); a larger block of
-# seeds steps as consecutive batches, which bounds the memory of the field
-# temporaries and of the samplers' qv_form buffers
+# grid points per stepped batch (1 MB per float64 field), read by
+# batch_rows alone; more rows step as consecutive batches, which bounds the
+# memory of the field temporaries and of the samplers' qv_form buffers
 _BATCH_GRID_POINTS = 2**17
 
 # normals a row draws per call: ceil(_DRAW_NORMALS / normals per step) steps
@@ -141,6 +141,21 @@ def sigma_eval(spec: SigmaSpec, u):
     return out
 
 
+def whole_steps(T: float, dt: float) -> int | None:
+    """The steps k >= 1 of dt that make the horizon T, |k dt - T| <= 1e-9 T;
+    None when T / dt is no finite positive whole number, nan included."""
+    if not (0 < dt < math.inf and 0 < T / dt < math.inf):
+        return None
+    k = round(T / dt)
+    return k if k >= 1 and abs(k * dt - T) <= 1e-9 * T else None
+
+
+def batch_rows(grid_shape, block: int = 1) -> int:
+    """The rows of a stepped batch: the most whole blocks of ``block`` rows
+    whose fields fit in ``_BATCH_GRID_POINTS`` grid points, at least one."""
+    return block * max(1, _BATCH_GRID_POINTS // (block * math.prod(grid_shape)))
+
+
 @dataclass
 class Stepper:
     """A built run: the exponential-Euler step of a basis, coefficient and
@@ -157,7 +172,7 @@ class Stepper:
     @property
     def n_steps(self) -> int:
         # SimConfig admits only a horizon that is a whole number of steps
-        return int(round(self.horizon / self.dt))
+        return whole_steps(self.horizon, self.dt)
 
     @property
     def dt_heuristic(self) -> float:
@@ -387,11 +402,11 @@ def run_batch(context: Stepper, seeds):
 
     Returns (records, failures) in seed order: the record of every path
     that stopped, and (seed, TrajectoryError) for every path whose field
-    went non-finite.  The seeds step as batches of at most
-    ``_BATCH_GRID_POINTS`` grid points; every row owns its stream and runs
-    the operations of a batch of one, so no value depends on the batch.
+    went non-finite.  The seeds step as batches of ``batch_rows`` rows;
+    every row owns its stream and runs the operations of a batch of one, so
+    no value depends on the batch.
     """
-    rows = max(1, _BATCH_GRID_POINTS // math.prod(context.basis.grid_shape))
+    rows = batch_rows(context.basis.grid_shape)
     records, failures = [], []
     for start in range(0, len(seeds), rows):
         done, failed = _run_rows(context, seeds[start:start + rows])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from stochheat.spectral import DIRICHLET, NEUMANN, PERIODIC, DomainSpec, build_basis
-from stochheat import diagnostics
+from stochheat import diagnostics, stepping
 from stochheat.noise import RieszKernel, SpectralKernel, WhiteNoise, make_sampler
 from stochheat.config import SimConfig
 from stochheat.stepping import (
@@ -326,8 +326,9 @@ class TestMomentProbe:
         fine = convolution_variance_series(sampler, n * dt, x, dt / 1000)
         assert fine == pytest.approx(continuum, rel=1e-3)
         assert abs(got - continuum) > 10 * abs(fine - continuum)
-        with pytest.raises(ValueError, match="not a multiple"):
-            convolution_variance_series(sampler, 1.5 * dt, x, dt)
+        for t, step in ((1.5 * dt, dt), (1.5e-9, 1e-9), (1e300, 1e-10)):
+            with pytest.raises(ValueError, match="not a multiple"):
+                convolution_variance_series(sampler, t, x, step)
 
     @pytest.mark.parametrize("paths, batches", [(16, 32), (16, 0), (16, -2)])
     def test_batches_outside_one_to_paths_rejected(self, paths, batches):
@@ -379,6 +380,8 @@ class TestMomentProbe:
         # a repeated horizon, and two horizons that round to one step count
         ("T_grid", {"T_grid": [0.002, 0.002, 0.004]}),
         ("T_grid", {"T_grid": [0.002, 0.002 + 5e-13, 0.004]}),
+        # 1.5 steps, within 1e-9 of two steps in absolute terms
+        ("T_grid", {"T_grid": [1.5e-9, 3e-9], "dt": 1e-9}),
     ])
     def test_bad_argument_is_named(self, argument, kwargs):
         basis = build_basis(DomainSpec(1, PERIODIC, 32))
@@ -445,16 +448,18 @@ class TestMomentProbe:
                                                                      case, small_chunks):
         # blocks of 24 rows: 64 paths are blocks of 24, 24 and 16 rows, each
         # drawing from its own stream; the probe's values are those of one
-        # sample_batch call per block and step.  With a small chunk budget
-        # a step spans three chunks of one block each
+        # sample_batch call per block and step.  With a small batch bound
+        # each block is a batch of its own, stepped to the end before the
+        # next, so a step spans three chunks of one block each
         domain, spec = self.GENERAL[case]
         basis = build_basis(domain)
         sampler = make_sampler(spec, basis)
         paths, dt, seed, batches = 64, 5e-4, 9, 8
         monkeypatch.setattr(diagnostics, "PROBE_BLOCK_ROWS", 24)
         if small_chunks:
-            monkeypatch.setattr(diagnostics, "_BATCH_NORMALS",
-                                24 * math.prod(sampler.normal_shape) + 1)
+            monkeypatch.setattr(stepping, "_BATCH_GRID_POINTS",
+                                24 * math.prod(basis.grid_shape))
+            assert stepping.batch_rows(basis.grid_shape, 24) == 24
         start = threading.active_count()
         report = convolution_moment_probe(
             basis, spec, p=20, T_grid=[0.005, 0.01], paths=paths, dt=dt,
@@ -477,6 +482,20 @@ class TestMomentProbe:
         assert report.moment_estimates == [
             float(np.median((row.reshape(batches, -1) ** 20).mean(axis=1)))
             for row in sups]
+
+    def test_report_does_not_depend_on_the_batches(self, monkeypatch):
+        # 1000 paths are three blocks of 256 rows and one of 232: one batch
+        # at the default bound, four batches at one block per batch
+        basis = build_basis(DomainSpec(1, DIRICHLET, 32))
+        args = dict(basis=basis, noise_spec=SpectralKernel(theta=0.25, a=0.0), p=20,
+                    T_grid=[0.005, 0.01], paths=1000, dt=5e-4, seed=3, batches=8)
+        assert stepping.batch_rows(basis.grid_shape, diagnostics.PROBE_BLOCK_ROWS) >= 1000
+        whole = convolution_moment_probe(**args).to_dict()
+        monkeypatch.setattr(stepping, "_BATCH_GRID_POINTS", 256 * math.prod(basis.grid_shape))
+        assert stepping.batch_rows(basis.grid_shape, diagnostics.PROBE_BLOCK_ROWS) == 256
+        split = convolution_moment_probe(**args).to_dict()
+        assert len(whole["variance_checks"]) == 2
+        assert split == whole
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("case", ["white", "spectral"])

@@ -162,6 +162,12 @@ class TestParseConfig:
             parse_config(write_config(tmp_path), overrides={"run.horizon": "0.0101"})
         with pytest.raises(ConfigError, match=r"^run\.horizon:"):
             parse_config(write_config(tmp_path), overrides={"run.horizon": "1e-4"})
+        # below T = 1 the tolerance is relative too: no step, and a step and a
+        # half; and more steps than floats hold
+        for horizon, dt in (("1e-10", "1"), ("1.5e-9", "1e-9"), ("1e300", "1e-10")):
+            with pytest.raises(ConfigError, match=r"^run\.horizon:"):
+                parse_config(write_config(tmp_path),
+                             overrides={"run.horizon": horizon, "run.dt": dt})
         config = parse_config(write_config(tmp_path), overrides={"run.horizon": "0.0102"})
         assert config.horizon == 0.0102
 
@@ -795,6 +801,38 @@ class TestCLI:
         run_dirs = list((tmp_path / "out").iterdir())
         assert len(run_dirs) == 1
         assert (run_dirs[0] / "rows.csv").exists()
+
+    def test_simulate_rejects_a_horizon_of_no_step(self, tmp_path, capsys):
+        # 1e-10 / 1 rounds to no step: every row would stop at t = 0, at its
+        # "horizon"
+        code = main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--set", "run.horizon=1e-10", "--set", "run.dt=1",
+                     "--output", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: run.horizon: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["probe-convolution", "--paths", "abc"], "--paths: invalid int value: 'abc'"),
+        (["simulate"], "the following arguments are required: --config"),
+    ], ids=["malformed", "missing"])
+    def test_usage_error_is_a_configuration_error(self, tmp_path, capsys, argv, flag):
+        # argparse would exit with 2, the runtime-failure status
+        argv = [*argv, "--output", str(tmp_path / "out")]
+        if argv[0] == "probe-convolution":
+            argv += ["--config", str(write_config(tmp_path))]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {flag}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["probe-convolution", "--help"])
+        assert info.value.code == 0
+        assert "--T-grid" in capsys.readouterr().out
 
     def test_simulate_config_error_exit_code(self, tmp_path, capsys):
         text = MINIMAL.replace("noise.kind         = white",

@@ -48,12 +48,14 @@ from stochheat.stepping import (
     SigmaSpec,
     TrajectoryError,
     TrajectoryRecord,
+    batch_rows,
     build_context,
     initial_field,
     path_rng,
     run_batch,
     run_trajectory,
     sigma_eval,
+    whole_steps,
 )
 
 from test_noise import riesz_covariance
@@ -238,6 +240,25 @@ def call_sites(*callees):
     for module in sorted(Path(stepping.__file__).parent.glob("*.py")):
         sites.visit(ast.parse(module.read_text()))
     return sites.found
+
+
+def name_reads(name):
+    """(module, innermost enclosing function) of every read of ``name``, as a
+    name or an attribute, in the package."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if (isinstance(getattr(node, "ctx", None), ast.Load)
+                and name in (getattr(node, "id", None), getattr(node, "attr", None))):
+            found.append((module.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for module in sorted(Path(stepping.__file__).parent.glob("*.py")):
+        visit(ast.parse(module.read_text()), "<module>")
+    return found
 
 
 HELPER_SLOW, CALLER_SLOW = "helper slow", "caller slow"
@@ -590,6 +611,62 @@ class TestRunBatch:
         assert records == []
         assert [(seed, exc.step) for seed, exc in failures] == [(7, 1), (8, 1), (9, 1)]
         assert str(info.value) == str(failures[1][1])
+
+    @pytest.mark.parametrize("grid_shape, block, rows", [
+        ((64,), 1, 2048),
+        ((63,), 256, 2048),        # 2^17 // 63 = 2080 rows, 8 whole blocks
+        ((8, 8, 8), 1, 256),
+        ((16, 16, 16), 256, 256),  # one block, though its fields pass the bound
+        ((2**18,), 1, 1),
+    ])
+    def test_batch_rows_are_whole_blocks_within_the_bound(self, grid_shape, block, rows):
+        assert batch_rows(grid_shape, block) == rows
+
+    def test_one_rule_sizes_every_batch(self):
+        # run_batch and the probe size their batches by batch_rows, the one
+        # reader of the grid-point bound; the normals bound of a chunk is
+        # stepping's own
+        assert name_reads("_BATCH_GRID_POINTS") == [("stepping.py", "batch_rows")]
+        assert {module for module, _ in name_reads("_BATCH_NORMALS")} == {"stepping.py"}
+        assert sorted(call_sites("batch_rows")) == [
+            ("diagnostics.py", "convolution_moment_probe"), ("stepping.py", "run_batch")]
+
+
+class TestWholeSteps:
+    """One rule says how many steps of dt make a horizon: the config's, the
+    stepper's, the probe's horizons and the variance oracle's time."""
+
+    @pytest.mark.parametrize("T, dt, steps", [
+        (0.1, 2e-4, 500),
+        (0.0102, 2e-4, 51),
+        (3e-9, 1e-9, 3),
+        (0.0101, 2e-4, None),   # 50.5 steps
+        (0.0003, 2e-4, None),   # 1.5 steps
+        (1.5e-9, 1e-9, None),   # 1.5 steps, within 1e-9 of two steps in absolute terms
+        (1e-10, 1.0, None),     # rounds to no step
+        (1e300, 1e-10, None),   # more steps than floats hold
+        (1.0, 5e-324, None),
+        (0.0, 1e-3, None),
+        (-0.01, 1e-3, None),
+        (math.inf, 1e-3, None),
+        (math.nan, 1e-3, None),
+        (0.01, 0.0, None),
+        (0.01, -1e-3, None),
+        (0.01, math.nan, None),
+    ])
+    def test_whole_steps(self, T, dt, steps):
+        assert whole_steps(T, dt) == steps
+
+    def test_only_whole_steps_rounds_a_horizon(self):
+        assert sorted(call_sites("whole_steps")) == [
+            ("config.py", "__post_init__"),
+            ("diagnostics.py", "convolution_moment_probe"),
+            ("diagnostics.py", "convolution_variance_series"),
+            ("stepping.py", "n_steps"),
+        ]
+        # the other round() checks that a threshold is a power of two
+        assert sorted(call_sites("round")) == [
+            ("ensemble.py", "sweep_thresholds"), ("stepping.py", "whole_steps")]
 
 
 def scheme_variance(basis, C, dt, n, center):
